@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage or parameter error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
@@ -23,7 +22,7 @@ from .data import Attribute, Dataset, load_dataset
 from .discretize import build_grids
 from .encode import attrs_needing_grids, encode
 from .errors import BadParams, DataError
-from .evaluate import evaluate_cv, evaluate_loocv, render_report
+from .evaluate import available_cpus, evaluate_cv, evaluate_loocv, render_report
 from .exhaustive import exhaustive_rules
 from .predict import predict_encoded
 from .rules import QualityParams, format_rule
@@ -77,11 +76,6 @@ class RunConfig:
             f"eps={self.eps!r}",
         ]
         return lines
-
-
-def _auto_threads() -> int:
-    counter = getattr(os, "process_cpu_count", os.cpu_count)
-    return counter() or 1
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
@@ -174,7 +168,7 @@ def _config(args) -> tuple[RunConfig, Dataset]:
         eps=args.eps,
         overrides=overrides,
         override_names=tuple(args.override),
-        threads=args.threads if args.threads > 0 else _auto_threads(),
+        threads=args.threads if args.threads > 0 else available_cpus(),
         out=args.out,
     )
     return cfg, d

@@ -53,17 +53,12 @@ class Attribute:
     kind: str
     values: tuple[str, ...] | None = None
 
-    def index_of(self, token: str) -> int:
-        assert self.values is not None
-        return self.values.index(token)
-
 
 @dataclass(frozen=True)
 class Dataset:
     attributes: tuple[Attribute, ...]
     rows: tuple[tuple, ...]
     class_col: int
-    prediction_row: int = 0
 
     @property
     def class_values(self) -> tuple[str, str]:
@@ -226,14 +221,18 @@ def split_for_prediction(d: Dataset, row: int) -> tuple[tuple, list[tuple]]:
 
 
 def load_dataset(data_path: str, schema_path: str) -> Dataset:
-    """File-level entry point used by the CLI; missing files become DataErrors."""
+    """File-level entry point used by the CLI; missing files become DataErrors.
+
+    Both files are read as UTF-8 with an optional byte-order mark, which
+    spreadsheet exports often put before the header.
+    """
     try:
-        with open(schema_path, "r", encoding="utf-8") as fh:
+        with open(schema_path, "r", encoding="utf-8-sig") as fh:
             schema_text = fh.read()
     except OSError as exc:
         raise SchemaMismatch(f"cannot read schema file {schema_path}: {exc}") from None
     try:
-        with open(data_path, "r", encoding="utf-8") as fh:
+        with open(data_path, "r", encoding="utf-8-sig") as fh:
             csv_text = fh.read()
     except OSError as exc:
         raise BadValue(f"cannot read data file {data_path}: {exc}") from None

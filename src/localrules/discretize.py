@@ -9,7 +9,6 @@ boundary components.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .data import (
     BOOL_KIND,
@@ -18,18 +17,21 @@ from .data import (
     ORDERED_KIND,
     Attribute,
 )
-from .errors import EmptyInput, LengthMismatch, WrongKind
+from .errors import EmptyInput, LengthMismatch, NonBinaryClass, WrongKind
 
 
-def _entropy(counts) -> float:
-    n = sum(counts)
-    if n == 0:
-        return 0.0
+def _entropy(a: int, b: int) -> float:
+    # Entropy of a two-label count pair. The two terms are subtracted from 0.0
+    # one after the other; IEEE addition is commutative, so the result is the
+    # same bits whichever label is counted in a.
+    n = a + b
     h = 0.0
-    for c in counts:
-        if c:
-            p = c / n
-            h -= p * math.log2(p)
+    if a:
+        p = a / n
+        h -= p * math.log2(p)
+    if b:
+        p = b / n
+        h -= p * math.log2(p)
     return h
 
 
@@ -39,38 +41,65 @@ def _midpoint(a: float, b: float) -> float | None:
     return mid if a < mid < b else None
 
 
+def _prefix_counts(labels) -> list[int]:
+    """Prefix counts of the first label: entry i counts it among labels[:i].
+
+    Any index range [lo, hi) then holds ones[hi] - ones[lo] of that label.
+    More than two label values raise NonBinaryClass.
+    """
+    kinds = len(set(labels))
+    if kinds > 2:
+        raise NonBinaryClass(f"entropy cuts need at most 2 label values, got {kinds}")
+    ones = [0]
+    if labels:
+        first, count = labels[0], 0
+        for g in labels:
+            count += g == first
+            ones.append(count)
+    return ones
+
+
+def _best_split(xs, ones, lo: int, hi: int) -> tuple[int, float, float] | None:
+    n = hi - lo
+    base = ones[lo]
+    total = ones[hi] - base
+    best: tuple[int, float, float] | None = None
+    for i in range(lo, hi - 1):
+        x, nxt = xs[i], xs[i + 1]
+        if x == nxt:
+            continue
+        n_left = i + 1 - lo
+        a = ones[i + 1] - base
+        b = total - a
+        w = (n_left * _entropy(a, n_left - a) + (n - n_left) * _entropy(b, n - n_left - b)) / n
+        if best is None or w < best[2]:
+            cut = _midpoint(x, nxt)
+            if cut is not None:
+                best = (i, cut, w)
+    return best
+
+
 def best_split(pairs: list[tuple[float, object]]) -> tuple[int, float, float] | None:
     """Lowest-weighted-entropy cut for a value-sorted (value, label) list.
 
     Returns (boundary index, cut value, weighted entropy); ties go to the
-    leftmost cut. None when no two distinct values exist.
+    leftmost cut. None when no two distinct values exist. Labels must take at
+    most two values.
     """
-    n = len(pairs)
-    left: Counter = Counter()
-    right = Counter(label for _, label in pairs)
-    best: tuple[int, float, float] | None = None
-    for i in range(n - 1):
-        label = pairs[i][1]
-        left[label] += 1
-        right[label] -= 1
-        if pairs[i][0] == pairs[i + 1][0]:
-            continue
-        cut = _midpoint(pairs[i][0], pairs[i + 1][0])
-        if cut is None:
-            continue
-        w = ((i + 1) * _entropy(left.values()) + (n - i - 1) * _entropy(right.values())) / n
-        if best is None or w < best[2]:
-            best = (i, cut, w)
-    return best
+    ones = _prefix_counts([g for _, g in pairs])
+    return _best_split([v for v, _ in pairs], ones, 0, len(pairs))
 
 
-def _mdl_accepts(pairs, split_at: int, w: float) -> bool:
-    n = len(pairs)
-    whole = Counter(label for _, label in pairs)
-    lo = Counter(label for _, label in pairs[: split_at + 1])
-    hi = Counter(label for _, label in pairs[split_at + 1 :])
-    e, e1, e2 = _entropy(whole.values()), _entropy(lo.values()), _entropy(hi.values())
-    k, k1, k2 = len(whole), len(lo), len(hi)
+def _mdl_accepts(ones, lo: int, split_at: int, hi: int, w: float) -> bool:
+    n = hi - lo
+    mid = split_at + 1
+    c, c1 = ones[hi] - ones[lo], ones[mid] - ones[lo]
+    c2 = c - c1
+    n1, n2 = mid - lo, hi - mid
+    e, e1, e2 = _entropy(c, n - c), _entropy(c1, n1 - c1), _entropy(c2, n2 - c2)
+    k = (c > 0) + (c < n)
+    k1 = (c1 > 0) + (c1 < n1)
+    k2 = (c2 > 0) + (c2 < n2)
     gain = e - w
     threshold = math.log2(n - 1) / n + (
         math.log2(3**k - 2) - k * e + k1 * e1 + k2 * e2
@@ -78,34 +107,40 @@ def _mdl_accepts(pairs, split_at: int, w: float) -> bool:
     return gain > threshold
 
 
-def _recurse(pairs: list[tuple[float, object]], out: list[float]) -> None:
-    if len(pairs) < 2 or len({label for _, label in pairs}) < 2:
+def _recurse(xs, ones, lo: int, hi: int, out: list[float]) -> None:
+    n = hi - lo
+    c = ones[hi] - ones[lo]
+    if n < 2 or c == 0 or c == n:
         return
-    found = best_split(pairs)
+    found = _best_split(xs, ones, lo, hi)
     if found is None:
         return
     split_at, cut, w = found
-    if not _mdl_accepts(pairs, split_at, w):
+    if not _mdl_accepts(ones, lo, split_at, hi, w):
         return
-    _recurse(pairs[: split_at + 1], out)
+    _recurse(xs, ones, lo, split_at + 1, out)
     out.append(cut)
-    _recurse(pairs[split_at + 1 :], out)
+    _recurse(xs, ones, split_at + 1, hi, out)
 
 
 def entropy_mdl_cuts(values, labels) -> list[float]:
     """Cut points for one continuous attribute given binary class labels.
 
-    Inputs must be missing-free and of equal length >= 2; the result is a
-    strictly increasing (possibly empty) list of thresholds, each strictly
-    between two adjacent observed values.
+    Inputs must be missing-free and of equal length >= 2, with at most two
+    label values (more raise NonBinaryClass); the result is a strictly
+    increasing (possibly empty) list of thresholds, each strictly between two
+    adjacent observed values. One sort, then linear scans over index ranges
+    of one prefix-count array.
     """
     if len(values) != len(labels):
         raise LengthMismatch(f"{len(values)} values vs {len(labels)} labels")
     if len(values) < 2:
         raise EmptyInput("need at least 2 values to consider a cut")
-    pairs = sorted(zip(values, labels), key=lambda p: p[0])
+    order = sorted(range(len(values)), key=values.__getitem__)
+    xs = [values[i] for i in order]
+    ones = _prefix_counts([labels[i] for i in order])
     out: list[float] = []
-    _recurse(pairs, out)
+    _recurse(xs, ones, 0, len(xs), out)
     return out
 
 
@@ -123,10 +158,10 @@ def initial_grid(attributes: tuple[Attribute, ...], rows, attr: int, class_col: 
         return tuple(range(len(a.values)))
     if a.kind != CONTINUOUS_KIND:
         raise WrongKind(f"attribute {a.name!r} is {a.kind}, not ordered/continuous")
-    pairs = [(row[attr], row[class_col]) for row in rows if row[attr] is not None]
-    if len(pairs) < 2:
+    known = [row for row in rows if row[attr] is not None]
+    if len(known) < 2:
         return ()
-    return tuple(entropy_mdl_cuts([v for v, _ in pairs], [g for _, g in pairs]))
+    return tuple(entropy_mdl_cuts([r[attr] for r in known], [r[class_col] for r in known]))
 
 
 def build_grids(attributes, rows, class_col: int, level_attrs) -> dict[int, tuple]:

@@ -15,6 +15,7 @@ Wall-clock time is recorded on the report object but never serialized.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -141,8 +142,19 @@ def _predict_loocv_row(index: int):
     return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
 
 
+def available_cpus() -> int:
+    counter = getattr(os, "process_cpu_count", os.cpu_count)
+    return counter() or 1
+
+
+def worker_count(threads: int, n_items: int, cpus: int) -> int:
+    """Pool size: the requested count, clamped to the CPUs and the work items."""
+    return max(1, min(threads, cpus, n_items))
+
+
 def _run_pool(threads: int, initializer, state, worker, items) -> list:
-    if threads <= 1:
+    threads = worker_count(threads, len(items), available_cpus())
+    if threads == 1:
         initializer(state)
         return [worker(item) for item in items]
     with get_context("fork").Pool(threads, initializer, (state,)) as pool:

@@ -97,7 +97,16 @@ def _prior_prediction(inst: EncodedInstance, search, combined) -> Prediction:
 
 
 def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
-    outcome = search_local_rules(inst, params)
+    """Search, combine, and fall back to the prior when the union is rejected.
+
+    A prediction point without components (every attribute missing, say) has
+    nothing to build a rule from; it skips the search, visits no nodes, and
+    is predicted from the prior like any point without an accepted rule.
+    """
+    if inst.n_components == 0:
+        outcome = SearchOutcome((), None, params.base_threshold, 0)
+    else:
+        outcome = search_local_rules(inst, params)
     combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
     if not combined.accepted:
         return _prior_prediction(inst, outcome, combined)

@@ -1,6 +1,8 @@
 """Shared builders for search/equivalence tests."""
 
+import math
 import random
+from collections import Counter
 
 from localrules import discretize, encode
 from localrules.data import Attribute
@@ -142,3 +144,87 @@ def permuted_copy(inst: EncodedInstance, perm):
         components=tuple(comps),
         groups={k: tuple(v) for k, v in groups.items()},
     )
+
+
+# Reference entropy-MDL cut search: a Counter recount at every candidate cut
+# and on every slice. The prefix-count search in discretize must equal it bit
+# for bit.
+
+
+def _entropy(counts) -> float:
+    n = sum(counts)
+    if n == 0:
+        return 0.0
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
+def _midpoint(a: float, b: float) -> float | None:
+    # Halve first so the sum cannot overflow; reject degenerate float gaps.
+    mid = a / 2 + b / 2
+    return mid if a < mid < b else None
+
+
+def best_split(pairs: list[tuple[float, object]]) -> tuple[int, float, float] | None:
+    """Lowest-weighted-entropy cut for a value-sorted (value, label) list.
+
+    Returns (boundary index, cut value, weighted entropy); ties go to the
+    leftmost cut. None when no two distinct values exist.
+    """
+    n = len(pairs)
+    left: Counter = Counter()
+    right = Counter(label for _, label in pairs)
+    best: tuple[int, float, float] | None = None
+    for i in range(n - 1):
+        label = pairs[i][1]
+        left[label] += 1
+        right[label] -= 1
+        if pairs[i][0] == pairs[i + 1][0]:
+            continue
+        cut = _midpoint(pairs[i][0], pairs[i + 1][0])
+        if cut is None:
+            continue
+        w = ((i + 1) * _entropy(left.values()) + (n - i - 1) * _entropy(right.values())) / n
+        if best is None or w < best[2]:
+            best = (i, cut, w)
+    return best
+
+
+def _mdl_accepts(pairs, split_at: int, w: float) -> bool:
+    n = len(pairs)
+    whole = Counter(label for _, label in pairs)
+    lo = Counter(label for _, label in pairs[: split_at + 1])
+    hi = Counter(label for _, label in pairs[split_at + 1 :])
+    e, e1, e2 = _entropy(whole.values()), _entropy(lo.values()), _entropy(hi.values())
+    k, k1, k2 = len(whole), len(lo), len(hi)
+    gain = e - w
+    threshold = math.log2(n - 1) / n + (
+        math.log2(3**k - 2) - k * e + k1 * e1 + k2 * e2
+    ) / n
+    return gain > threshold
+
+
+def _recurse(pairs: list[tuple[float, object]], out: list[float]) -> None:
+    if len(pairs) < 2 or len({label for _, label in pairs}) < 2:
+        return
+    found = best_split(pairs)
+    if found is None:
+        return
+    split_at, cut, w = found
+    if not _mdl_accepts(pairs, split_at, w):
+        return
+    _recurse(pairs[: split_at + 1], out)
+    out.append(cut)
+    _recurse(pairs[split_at + 1 :], out)
+
+
+def reference_cuts(values, labels) -> list[float]:
+    """The reference counterpart of discretize.entropy_mdl_cuts."""
+    pairs = sorted(zip(values, labels), key=lambda p: p[0])
+    out: list[float] = []
+    _recurse(pairs, out)
+    return out

@@ -27,6 +27,14 @@ def test_parse_minimal():
     assert d.n_training == 1
 
 
+def test_load_dataset_accepts_a_byte_order_mark(tmp_path):
+    csv_path, schema_path = tmp_path / "bom.csv", tmp_path / "bom.schema"
+    csv_path.write_text("\ufeffa,c\nT,yes\nF,no\n", encoding="utf-8")
+    schema_path.write_text("\ufeff" + MINI_SCHEMA, encoding="utf-8")
+    d = data.load_dataset(str(csv_path), str(schema_path))
+    assert d == data.parse_dataset("a,c\nT,yes\nF,no\n", MINI_SCHEMA)
+
+
 def test_question_mark_is_missing_in_any_column():
     d = data.parse_dataset("a,c\n?,yes\nT,no\n", MINI_SCHEMA)
     assert d.rows[0][0] is None

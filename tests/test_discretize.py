@@ -24,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from localrules import discretize
-from localrules.data import Attribute
-from localrules.errors import EmptyInput, LengthMismatch, WrongKind
+from localrules.data import Attribute, Dataset, split_for_prediction
+from localrules.errors import EmptyInput, LengthMismatch, NonBinaryClass, WrongKind
 
 
 def test_hand_example_single_cut():
@@ -69,6 +70,13 @@ def test_best_split_tie_breaks_leftmost():
     assert (split_at, cut) == (0, 1.5)
 
 
+def test_three_label_values_raise():
+    with pytest.raises(NonBinaryClass):
+        discretize.entropy_mdl_cuts([1.0, 2.0, 3.0], [0, 1, 2])
+    with pytest.raises(NonBinaryClass):
+        discretize.best_split([(1.0, "A"), (2.0, "B"), (3.0, "C")])
+
+
 def test_input_order_is_irrelevant():
     rng = random.Random(7)
     values = [float(v) for v in range(1, 25)]
@@ -107,6 +115,78 @@ def test_cut_structure_properties(pairs):
         1 for i in range(len(ordered) - 1) if ordered[i][1] != ordered[i + 1][1]
     )
     assert len(cuts) <= boundaries
+
+
+# Values that stress the scan: heavy ties, signed zeros, the subnormal
+# extremes and values whose halves or midpoints sit at the float limits.
+_EXTREMES = (1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0)
+_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from(_EXTREMES),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _assert_same_cuts(values, labels):
+    got = discretize.entropy_mdl_cuts(values, labels)
+    want = helpers.reference_cuts(values, labels)
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))  # signed zeros too
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VALUES, st.integers(0, 1)), min_size=2, max_size=60))
+def test_cuts_equal_reference_exactly(pairs):
+    values = [v for v, _ in pairs]
+    _assert_same_cuts(values, [g for _, g in pairs])
+    _assert_same_cuts(values, ["neg" if g else "pos" for _, g in pairs])
+    ordered = sorted(pairs, key=lambda p: p[0])
+    assert discretize.best_split(ordered) == helpers.best_split(ordered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=30),
+    st.integers(1, 3),
+)
+def test_mirrored_labels_tie_break_like_reference(half, repeat):
+    # A mirrored label sequence makes mirrored cuts score exactly alike, so
+    # the leftmost-wins tie break decides; repeats add ties within values.
+    labels = half + half[::-1]
+    values = [float(i // repeat) for i in range(len(labels))]
+    _assert_same_cuts(values, labels)
+    pairs = list(zip(values, labels))
+    assert discretize.best_split(pairs) == helpers.best_split(pairs)
+
+
+def _continuous_dataset(n=48, seed=3):
+    rng = random.Random(seed)
+    attrs = (
+        Attribute("x1", "continuous"),
+        Attribute("x2", "continuous"),
+        Attribute("o", "ordered", ("a", "b", "c")),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = []
+    for _ in range(n):
+        x1 = float(rng.randrange(12))
+        x2 = round(rng.gauss(0.0, 1.0), 1) if rng.random() > 0.1 else None
+        g = int((x1 < 4 or x1 > 8) != (rng.random() < 0.1))
+        rows.append((x1, x2, rng.randrange(3), g))
+    return Dataset(attrs, tuple(rows), 3)
+
+
+def test_build_grids_equal_reference_on_every_leave_one_out_split():
+    d = _continuous_dataset()
+    for i in range(len(d.rows)):
+        _, training = split_for_prediction(d, i)
+        grids = discretize.build_grids(d.attributes, training, d.class_col, [0, 1, 2])
+        assert grids[2] == (0, 1, 2)
+        for attr in (0, 1):
+            pairs = [(r[attr], r[d.class_col]) for r in training if r[attr] is not None]
+            want = helpers.reference_cuts([v for v, _ in pairs], [g for _, g in pairs])
+            assert grids[attr] == tuple(want)
+        assert grids[0]  # the interval planted on x1 is cut on every split
 
 
 ATTRS = (

@@ -18,7 +18,9 @@ from localrules.evaluate import (
     evaluate_loocv,
     render_report,
     stratified_kfold,
+    worker_count,
 )
+from localrules.predict import SOURCE_PRIOR, predict_for_row
 from localrules.rules import QualityParams
 
 TWO_CLASS = ("yes", "no")
@@ -191,3 +193,30 @@ def test_all_fallback_runs_are_marked():
     report = evaluate_cv(Dataset(attrs, rows, 1), QualityParams(), k=3, seed=1)
     assert report.fallback_fraction == 1.0
     assert "all_fallback=true" in render_report(report)
+
+
+def test_all_missing_test_row_is_predicted_from_the_prior():
+    d = _copy_class_dataset()
+    blank = (None, None, d.rows[0][2])
+    d = Dataset(d.attributes, (blank,) + d.rows[1:], d.class_col)
+    p = predict_for_row(d, 0, QualityParams())
+    assert p.source == SOURCE_PRIOR
+    assert p.search.nodes_visited == 0 and p.rules == ()
+    # Every other row is predicted by its copied class, so the blank row is
+    # the only fallback in either evaluation.
+    for report in (
+        evaluate_cv(d, QualityParams(), k=3, seed=1),
+        evaluate_loocv(d, QualityParams()),
+    ):
+        assert report.n_tests == len(d.rows)
+        assert report.fallback_fraction == 1 / len(d.rows)
+
+
+def test_worker_count_is_clamped_to_cpus_and_items():
+    assert worker_count(2, 319, cpus=2) == 2
+    assert worker_count(64, 319, cpus=2) == 2
+    assert worker_count(8, 3, cpus=16) == 3
+    assert worker_count(8, 0, cpus=16) == 1
+    assert worker_count(0, 10, cpus=4) == 1
+    assert worker_count(-5, 10, cpus=4) == 1
+    assert worker_count(3, 10, cpus=4) == 3
