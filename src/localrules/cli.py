@@ -24,7 +24,7 @@ from .encode import attrs_needing_grids, encode
 from .errors import BadParams, DataError
 from .evaluate import available_cpus, evaluate_cv, evaluate_loocv, render_report
 from .exhaustive import exhaustive_rules
-from .predict import predict_encoded
+from .predict import encode_row, predict_encoded
 from .rules import QualityParams, format_rule
 from .search import search_local_rules
 
@@ -36,26 +36,11 @@ class RunConfig:
     data: str
     schema: str
     mode: str
-    weight: float
-    min_cover: float
-    min_mism: float
-    max_terms: int
-    keep_frac: float
-    eps: float
+    params: QualityParams
     overrides: dict  # attribute index -> forced mode
     override_names: tuple[str, ...]  # as given, for echoing
     threads: int
     out: str | None
-
-    def params(self) -> QualityParams:
-        return QualityParams(
-            weight=self.weight,
-            min_cover=self.min_cover,
-            min_mism=self.min_mism,
-            max_terms=self.max_terms,
-            keep_frac=self.keep_frac,
-            eps=self.eps,
-        )
 
     def echo_lines(self) -> list[str]:
         # Deliberately omits --threads and --out: the written report must
@@ -67,13 +52,14 @@ class RunConfig:
         ]
         if self.override_names:
             lines.append("overrides=" + ",".join(self.override_names))
+        p = self.params
         lines += [
-            f"weight={self.weight!r}",
-            f"min_cover={self.min_cover!r}",
-            f"min_mism={self.min_mism!r}",
-            f"max_terms={self.max_terms}",
-            f"keep_frac={self.keep_frac!r}",
-            f"eps={self.eps!r}",
+            f"weight={p.weight!r}",
+            f"min_cover={p.min_cover!r}",
+            f"min_mism={p.min_mism!r}",
+            f"max_terms={p.max_terms}",
+            f"keep_frac={p.keep_frac!r}",
+            f"eps={p.eps!r}",
         ]
         return lines
 
@@ -160,12 +146,14 @@ def _config(args) -> tuple[RunConfig, Dataset]:
         data=args.data,
         schema=args.schema,
         mode=args.mode,
-        weight=args.weight,
-        min_cover=args.min_cover,
-        min_mism=args.min_mism,
-        max_terms=args.max_terms,
-        keep_frac=args.keep_frac,
-        eps=args.eps,
+        params=QualityParams(
+            weight=args.weight,
+            min_cover=args.min_cover,
+            min_mism=args.min_mism,
+            max_terms=args.max_terms,
+            keep_frac=args.keep_frac,
+            eps=args.eps,
+        ),
         overrides=overrides,
         override_names=tuple(args.override),
         threads=args.threads if args.threads > 0 else available_cpus(),
@@ -180,32 +168,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _prepare_row(cfg: RunConfig, d: Dataset, row: int):
-    from .data import split_for_prediction
-    from .predict import mask_class
-
-    pred_row, training = split_for_prediction(d, row)
-    grids = build_grids(
-        d.attributes,
-        training,
-        d.class_col,
-        attrs_needing_grids(d.attributes, cfg.mode, cfg.overrides),
-    )
-    return encode(
-        d.attributes,
-        training,
-        mask_class(pred_row, d.class_col),
-        d.class_col,
-        grids,
-        cfg.mode,
-        cfg.overrides,
-    )
-
-
 def _cmd_predict(args) -> int:
     cfg, d = _config(args)
-    inst = _prepare_row(cfg, d, args.row)
-    p = predict_encoded(inst, cfg.params())
+    inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
+    p = predict_encoded(inst, cfg.params)
     lines = cfg.echo_lines() + [
         f"row={args.row}",
         f"class={p.label}",
@@ -222,8 +188,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_rules(args) -> int:
     cfg, d = _config(args)
-    inst = _prepare_row(cfg, d, args.row)
-    outcome = search_local_rules(inst, cfg.params())
+    inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
+    outcome = search_local_rules(inst, cfg.params)
     best = "none" if outcome.best_quality is None else f"{outcome.best_quality:.6f}"
     lines = cfg.echo_lines() + [
         f"row={args.row}",
@@ -243,12 +209,12 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     if args.loocv:
         report = evaluate_loocv(
-            d, cfg.params(), cfg.mode, cfg.overrides, cfg.threads,
+            d, cfg.params, cfg.mode, cfg.overrides, cfg.threads,
             force=args.force, dataset_label=label,
         )
     else:
         report = evaluate_cv(
-            d, cfg.params(), args.folds, args.seed, cfg.mode, cfg.overrides,
+            d, cfg.params, args.folds, args.seed, cfg.mode, cfg.overrides,
             cfg.threads, dataset_label=label,
         )
     text = f"data={cfg.data}\nschema={cfg.schema}\n" + render_report(report)
@@ -273,16 +239,19 @@ def _cmd_discretize(args) -> int:
     return 0
 
 
-_SELFTEST_POOL = (
+_POOL = (
     Attribute("b1", "bool"),
     Attribute("b2", "bool"),
     Attribute("n1", "nominal", ("u", "v", "w")),
+    Attribute("n2", "nominal", ("p", "q")),
     Attribute("o1", "ordered", ("1", "2", "3", "4")),
+    Attribute("o2", "ordered", ("lo", "hi")),
     Attribute("x1", "continuous"),
+    Attribute("x2", "continuous"),
 )
 
 
-def _selftest_cell(rng: random.Random, attr: Attribute):
+def _random_cell(rng: random.Random, attr: Attribute):
     if rng.random() < 0.08:
         return None
     if attr.kind == "bool":
@@ -292,23 +261,29 @@ def _selftest_cell(rng: random.Random, attr: Attribute):
     return float(rng.randrange(20))
 
 
-def _selftest_instance(rng: random.Random):
+def random_instance(rng: random.Random, max_components: int = 12, max_rows: int = 200):
+    """A random encoded instance with mixed component kinds, plus params."""
     while True:
-        attrs = tuple(rng.sample(_SELFTEST_POOL, rng.randrange(2, 5))) + (
+        attrs = tuple(rng.sample(_POOL, rng.randrange(2, 5))) + (
             Attribute("c", "class", ("y", "n")),
         )
         class_col = len(attrs) - 1
         rows = [
-            tuple(_selftest_cell(rng, a) for a in attrs[:-1]) + (rng.randrange(2),)
-            for _ in range(rng.randrange(12, 150))
+            tuple(_random_cell(rng, a) for a in attrs[:-1]) + (rng.randrange(2),)
+            for _ in range(rng.randrange(12, max_rows + 1))
         ]
-        pred = tuple(_selftest_cell(rng, a) for a in attrs[:-1]) + (None,)
+        pred = tuple(_random_cell(rng, a) for a in attrs[:-1]) + (None,)
         mode = "exact" if rng.random() < 0.25 else "levels"
+        overrides = {}
+        if rng.random() < 0.25:
+            for i, a in enumerate(attrs[:-1]):
+                if a.kind == "nominal" and rng.random() < 0.5:
+                    overrides[i] = "levels"
         grids = build_grids(
-            attrs, rows, class_col, attrs_needing_grids(attrs, mode, None)
+            attrs, rows, class_col, attrs_needing_grids(attrs, mode, overrides)
         )
-        inst = encode(attrs, rows, pred, class_col, grids, mode)
-        if not 1 <= inst.n_components <= 12:
+        inst = encode(attrs, rows, pred, class_col, grids, mode, overrides)
+        if not 1 <= inst.n_components <= max_components:
             continue
         if inst.n_pos == 0 or inst.n_neg == 0:
             continue
@@ -341,7 +316,7 @@ def run_selftest(trials: int, seed: int) -> tuple[int, int]:
     rng = random.Random(seed)
     passed = failed = 0
     for trial in range(trials):
-        inst, params = _selftest_instance(rng)
+        inst, params = random_instance(rng)
         if _same_outcome(search_local_rules(inst, params), exhaustive_rules(inst, params)):
             passed += 1
         else:

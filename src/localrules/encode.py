@@ -16,11 +16,19 @@ redundancy, which is what the search's group exclusivity exploits.
 Missing values never support a rule: a missing training value mismatches
 every component of its attribute, and a missing prediction value suppresses
 the attribute entirely.
+
+Match sets are properties of the training rows, not of the query: a
+TrainingIndex fitted once on a training split serves every query encoded
+against it, and leaving one of its rows out is a bit removal.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, gt, itemgetter, le
 
 from .data import (
     CLASS_KIND,
@@ -30,7 +38,7 @@ from .data import (
     Attribute,
     format_cell,
 )
-from .errors import MissingGrid
+from .errors import BadValue, MissingGrid
 
 EXACT = "exact"
 LOWER = "lower"
@@ -99,47 +107,129 @@ def _level_token(attr: Attribute, level) -> str:
     return repr(level)
 
 
-def _exact_component(cid, i, attr, v0, training_rows) -> Component:
-    bits = 0
-    for n, row in enumerate(training_rows):
-        if row[i] is not None and row[i] == v0:
-            bits |= 1 << n
-    return Component(
-        cid=cid,
-        attr=i,
-        kind=EXACT,
-        match_bits=bits,
-        display=f"{attr.name}={format_cell(v0, attr)}",
-        value=v0,
-    )
+_NAN_FOR_NONE = {None: math.nan}  # NaN compares false with every value
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Component]:
-    out = []
-    for l, y in enumerate(grid):
-        if v0 <= y:
-            kind, op = UPPER, "<="
-        else:
-            kind, op = LOWER, ">"
-        bits = 0
-        for n, row in enumerate(training_rows):
-            v = row[i]
-            if v is None:
+def _bitset(flags) -> int:
+    """Row bitset from one truth value per row (bit n set when flag n is true)."""
+    return int(bytes(flags).translate(_ASCII_BITS)[::-1] or b"0", 2)
+
+
+def _without(bits: int, n: int | None) -> int:
+    """bits with bit n removed and the bits above it shifted down (n None: bits)."""
+    return bits if n is None else (bits & ((1 << n) - 1)) | ((bits >> (n + 1)) << n)
+
+
+class TrainingIndex:
+    """Vertical row bitsets of one training set, fitted once and shared.
+
+    A bitset ("== v", "<= y" or "> y" on one attribute, Eclat's tid-lists) is
+    built in one pass over the rows when a query first needs it and kept;
+    "<= y" and "> y" are keyed by the largest known value <= y, which selects
+    the same rows. An index made for one query thus does no more work than
+    scanning the rows that query needs, and later queries are lookups.
+    """
+
+    def __init__(self, attributes: tuple[Attribute, ...], rows, class_col: int):
+        self.attributes = attributes
+        self.rows = rows
+        self.class_labels = attributes[class_col].values
+        labels = list(map(itemgetter(class_col), rows))
+        self.unlabeled = [n for n, g in enumerate(labels) if g is None]
+        self.class_bits = _bitset(map(eq, labels, repeat(0)))
+        self._ordered: dict[int, tuple[list, list]] = {}
+        self._bits: dict[tuple, int] = {}
+
+    def _ordered_column(self, i: int) -> tuple[list, list]:
+        """(attribute i's cells with NaN for missing, its known values ascending)."""
+        col = self._ordered.get(i)
+        if col is None:
+            cells = list(map(itemgetter(i), self.rows))
+            known = sorted(set(cells) - {None})
+            col = self._ordered[i] = (list(map(_NAN_FOR_NONE.get, cells, cells)), known)
+        return col
+
+    def _rows(self, op, i: int, value) -> int:
+        """Rows whose known value of attribute i satisfies op(value_of_row, value)."""
+        bits = self._bits.get((op, i, value))
+        if bits is None:
+            # None equals no value; the ordered comparisons need NaN in its place.
+            cells = map(itemgetter(i), self.rows) if op is eq else self._ordered_column(i)[0]
+            bits = self._bits[(op, i, value)] = _bitset(map(op, cells, repeat(value)))
+        return bits
+
+    def check_labeled(self, held_out: int | None = None) -> None:
+        """Raise BadValue naming an unlabeled row other than held_out."""
+        for n in self.unlabeled:
+            if n != held_out:
+                raise BadValue(f"row {n}: training row has a missing class value")
+
+    def encode(
+        self,
+        pred_row,
+        grids: dict | None = None,
+        mode: str = MODE_LEVELS,
+        overrides: dict | None = None,
+        held_out: int | None = None,
+    ) -> EncodedInstance:
+        """Build the component set for pred_row against the indexed rows.
+
+        held_out = n leaves row n out exactly as if it had never been
+        indexed: every bitset loses bit n and the bits above it move down.
+        grids maps attribute index -> ascending level tuple and is required
+        for every attribute that ends up in level mode (empty tuple = the
+        attribute contributes nothing). Component ids are dense and
+        canonically ordered: equality components first by attribute, then
+        boundary components by (attribute, level).
+        """
+        self.check_labeled(held_out)
+        attributes = self.attributes
+        exact_cols: list[int] = []
+        level_cols: list[int] = []
+        for i, attr in enumerate(attributes):
+            eff = effective_mode(attr, mode, overrides, i)
+            if not eff or pred_row[i] is None:
                 continue
-            if (v <= y) if kind == UPPER else (v > y):
-                bits |= 1 << n
-        out.append(
-            Component(
-                cid=next_cid + l,
-                attr=i,
-                kind=kind,
-                match_bits=bits,
-                display=f"{attr.name}{op}{_level_token(attr, y)}",
-                level_index=l,
-                level=y,
-            )
+            (level_cols if eff == MODE_LEVELS else exact_cols).append(i)
+
+        components: list[Component] = []
+        for i in exact_cols:
+            attr, v0 = attributes[i], pred_row[i]
+            bits = _without(self._rows(eq, i, v0), held_out)
+            display = f"{attr.name}={format_cell(v0, attr)}"
+            components.append(Component(len(components), i, EXACT, bits, display, value=v0))
+        groups: dict = {}
+        for i in level_cols:
+            if grids is None or i not in grids:
+                raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
+            attr, v0 = attributes[i], pred_row[i]
+            ascending = self._ordered_column(i)[1]
+            for l, y in enumerate(grids[i]):
+                rank = bisect_right(ascending, y)
+                key = ascending[rank - 1] if rank else y  # same rows as y
+                if v0 <= y:
+                    kind, op, bits = UPPER, "<=", self._rows(le, i, key)
+                else:
+                    kind, op, bits = LOWER, ">", self._rows(gt, i, key)
+                display = f"{attr.name}{op}{_level_token(attr, y)}"
+                groups.setdefault((i, kind), []).append(len(components))
+                components.append(
+                    Component(len(components), i, kind, _without(bits, held_out), display, l, y)
+                )
+
+        class_bits = _without(self.class_bits, held_out)
+        n = len(self.rows) - (held_out is not None)
+        n_pos = class_bits.bit_count()
+        return EncodedInstance(
+            components=tuple(components),
+            n_rows=n,
+            class_bits=class_bits,
+            n_pos=n_pos,
+            n_neg=n - n_pos,
+            groups={k: tuple(v) for k, v in groups.items()},
+            class_labels=self.class_labels,
         )
-    return out
 
 
 def encode(
@@ -151,69 +241,7 @@ def encode(
     mode: str = MODE_LEVELS,
     overrides: dict | None = None,
 ) -> EncodedInstance:
-    """Build the component set for pred_row against training_rows.
-
-    grids maps attribute index -> ascending level tuple and is required for
-    every attribute that ends up in level mode (empty tuple = the attribute
-    contributes nothing). Component ids are dense and canonically ordered:
-    equality components first by attribute, then boundary components by
-    (attribute, level).
-    """
-    exact_cols: list[int] = []
-    level_cols: list[int] = []
-    for i, attr in enumerate(attributes):
-        eff = effective_mode(attr, mode, overrides, i)
-        if not eff or pred_row[i] is None:
-            continue
-        (level_cols if eff == MODE_LEVELS else exact_cols).append(i)
-
-    components: list[Component] = []
-    for i in exact_cols:
-        components.append(
-            _exact_component(len(components), i, attributes[i], pred_row[i], training_rows)
-        )
-    for i in level_cols:
-        if grids is None or i not in grids:
-            raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
-        components.extend(
-            _level_components(
-                len(components), i, attributes[i], pred_row[i], grids[i], training_rows
-            )
-        )
-
-    class_bits = 0
-    n = len(training_rows)
-    for row_index, row in enumerate(training_rows):
-        g = row[class_col]
-        assert g is not None, "training rows must be labeled"
-        if g == 0:
-            class_bits |= 1 << row_index
-    n_pos = class_bits.bit_count()
-
-    groups: dict = {}
-    for c in components:
-        if c.group_key is not None:
-            groups.setdefault(c.group_key, []).append(c.cid)
-    groups = {k: tuple(v) for k, v in groups.items()}
-
-    class_values = attributes[class_col].values
-    assert class_values is not None
-    return EncodedInstance(
-        components=tuple(components),
-        n_rows=n,
-        class_bits=class_bits,
-        n_pos=n_pos,
-        n_neg=n - n_pos,
-        groups=groups,
-        class_labels=(class_values[0], class_values[1]),
+    """TrainingIndex(attributes, training_rows, class_col).encode(...), for one query."""
+    return TrainingIndex(attributes, training_rows, class_col).encode(
+        pred_row, grids, mode, overrides
     )
-
-
-def component_truth_ladder(attr_components, row_value) -> tuple[bool, ...]:
-    """Per-level predicate truths (value <= y_l) for one attribute's components.
-
-    Test-suite helper; the components must be that attribute's boundary
-    components sorted by level index, and row_value must not be missing.
-    """
-    assert row_value is not None
-    return tuple(row_value <= c.level for c in attr_components)

@@ -4,12 +4,13 @@ Stratified k-fold cross-validation: each class's rows are shuffled with a
 seeded generator and dealt round-robin over the folds, so per-class fold
 sizes differ by at most one. Every test row is predicted with its class cell
 masked, against training rows from the other folds only; discretization
-grids are refit on each training split so the test rows never influence
-their own encoding.
+grids and a TrainingIndex are fitted once on each training split, so the
+test rows never influence their own encoding. Leave-one-out shares one
+full-data index and refits the grids for every held-out row.
 
-Within a fold, test rows are independent and may be predicted by a pool of
-worker processes. The merge preserves row order and all accumulators are
-integers, so the rendered report is byte-identical for any worker count.
+All test rows of an evaluation are independent and may be predicted by one
+pool of worker processes. The merge preserves row order and all accumulators
+are integers, so the rendered report is byte-identical for any worker count.
 Wall-clock time is recorded on the report object but never serialized.
 """
 
@@ -23,12 +24,15 @@ from random import Random
 
 from .data import Dataset
 from .discretize import build_grids
-from .encode import MODE_LEVELS, attrs_needing_grids, encode
+from .encode import MODE_LEVELS, TrainingIndex, attrs_needing_grids
 from .errors import BadParams, BadValue, DatasetTooLarge, TooFewRows
-from .predict import SOURCE_PRIOR, mask_class, predict_encoded, predict_for_row
+from .predict import SOURCE_PRIOR, encode_row, mask_class, predict_encoded
 from .rules import QualityParams
 
 LOOCV_CAP = 600
+
+# Per-query encoding goes through this name, so it can be swapped as one layer.
+encode = TrainingIndex.encode
 
 
 @dataclass(frozen=True)
@@ -105,41 +109,32 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(fold)) for fold in folds)
 
 
-# Worker-process state, set once per worker by the pool initializer. Fold
-# evaluation shares one training split; leave-one-out shares the dataset.
-_FOLD_STATE = None
-_LOOCV_STATE = None
+# Worker state (dataset, params, mode, overrides, fitted), set by the pool
+# initializer and cleared after an in-process run. fitted holds one (index,
+# grids) pair per fold under k-fold, the full-data index under leave-one-out.
+_WORKER_STATE = None
 
 
-def _init_fold_worker(state) -> None:
-    global _FOLD_STATE
-    _FOLD_STATE = state
+def _init_worker(state) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
 
 
-def _predict_fold_row(row):
-    attributes, training, grids, class_col, mode, overrides, params = _FOLD_STATE
-    return _predict_one(
-        attributes, training, grids, class_col, mode, overrides, params, row
-    )
-
-
-def _predict_one(attributes, training, grids, class_col, mode, overrides, params, row):
-    inst = encode(
-        attributes, training, mask_class(row, class_col), class_col, grids, mode, overrides
-    )
-    p = predict_encoded(inst, params)
+def _outcome(p):
     return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
 
 
-def _init_loocv_worker(state) -> None:
-    global _LOOCV_STATE
-    _LOOCV_STATE = state
+def _predict_fold_row(item):
+    d, params, mode, overrides, fitted = _WORKER_STATE
+    fold, row = item
+    index, grids = fitted[fold]
+    inst = encode(index, mask_class(d.rows[row], d.class_col), grids, mode, overrides)
+    return _outcome(predict_encoded(inst, params))
 
 
-def _predict_loocv_row(index: int):
-    d, params, mode, overrides = _LOOCV_STATE
-    p = predict_for_row(d, index, params, mode, overrides)
-    return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
+def _predict_loocv_row(row: int):
+    d, params, mode, overrides, index = _WORKER_STATE
+    return _outcome(predict_encoded(encode_row(d, row, mode, overrides, index), params))
 
 
 def available_cpus() -> int:
@@ -152,29 +147,24 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
     return max(1, min(threads, cpus, n_items))
 
 
-def _run_pool(threads: int, initializer, state, worker, items) -> list:
+def _run_pool(threads: int, state, worker, items) -> list:
+    """worker(item) for every item, in order, with _WORKER_STATE = state."""
     threads = worker_count(threads, len(items), available_cpus())
     if threads == 1:
-        initializer(state)
-        return [worker(item) for item in items]
-    with get_context("fork").Pool(threads, initializer, (state,)) as pool:
+        _init_worker(state)
+        try:
+            return [worker(item) for item in items]
+        finally:
+            _init_worker(None)
+    with get_context("fork").Pool(threads, _init_worker, (state,)) as pool:
         return pool.map(worker, items)
 
 
-class _Accumulator:
-    def __init__(self, class_col: int):
-        self.class_col = class_col
-        self.nodes = 0
-        self.fallbacks = 0
-
-    def tally(self, rows, results) -> ConfusionCounts:
-        counts = [[0, 0], [0, 0]]
-        for row, (target, nodes, fell_back) in zip(rows, results):
-            actual = _class_index(row, self.class_col, "test row")
-            counts[actual][0 if target else 1] += 1
-            self.nodes += nodes
-            self.fallbacks += fell_back
-        return ConfusionCounts(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
+def _confusion(rows, class_col: int, results) -> ConfusionCounts:
+    counts = [[0, 0], [0, 0]]
+    for row, (target, _, _) in zip(rows, results):
+        counts[_class_index(row, class_col, "test row")][0 if target else 1] += 1
+    return ConfusionCounts(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
 
 
 def evaluate_cv(
@@ -189,21 +179,22 @@ def evaluate_cv(
 ) -> EvaluationReport:
     started = time.perf_counter()
     folds = stratified_kfold(d, k, seed)
-    acc = _Accumulator(d.class_col)
-    fold_counts: list[ConfusionCounts] = []
     level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+    fitted = []
     for fold in folds:
         test_set = frozenset(fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
         grids = build_grids(d.attributes, training, d.class_col, level_attrs)
-        state = (d.attributes, training, grids, d.class_col, mode, overrides, params)
-        test_rows = [d.rows[i] for i in fold]
-        results = _run_pool(
-            threads, _init_fold_worker, state, _predict_fold_row, test_rows
-        )
-        fold_counts.append(acc.tally(test_rows, results))
+        fitted.append((TrainingIndex(d.attributes, training, d.class_col), grids))
+    items = [(f, row) for f, fold in enumerate(folds) for row in fold]
+    state = (d, params, mode, overrides, tuple(fitted))
+    results = _run_pool(threads, state, _predict_fold_row, items)
+    in_order = iter(results)  # each fold's tally takes its rows' results off the front
+    fold_counts = tuple(
+        _confusion([d.rows[i] for i in fold], d.class_col, in_order) for fold in folds
+    )
     return _build_report(
-        d, params, "cv", mode, k, seed, overrides, tuple(fold_counts), acc,
+        d, params, "cv", mode, k, seed, overrides, fold_counts, results,
         dataset_label, started,
     )
 
@@ -224,22 +215,18 @@ def evaluate_loocv(
         raise DatasetTooLarge(
             f"{n} rows exceeds the leave-one-out guard of {cap}; pass force to override"
         )
-    for i, row in enumerate(d.rows):
-        _class_index(row, d.class_col, f"row {i}")
-    state = (d, params, mode, overrides)
-    results = _run_pool(
-        threads, _init_loocv_worker, state, _predict_loocv_row, list(range(n))
-    )
-    acc = _Accumulator(d.class_col)
-    pooled = acc.tally(d.rows, results)
+    index = TrainingIndex(d.attributes, d.rows, d.class_col)
+    index.check_labeled()  # every row is a training row of some split
+    results = _run_pool(threads, (d, params, mode, overrides, index), _predict_loocv_row, range(n))
+    pooled = _confusion(d.rows, d.class_col, results)
     return _build_report(
-        d, params, "loocv", mode, None, None, overrides, (pooled,), acc,
+        d, params, "loocv", mode, None, None, overrides, (pooled,), results,
         dataset_label, started,
     )
 
 
 def _build_report(
-    d, params, method, mode, k, seed, overrides, fold_counts, acc, label, started
+    d, params, method, mode, k, seed, overrides, fold_counts, results, label, started
 ) -> EvaluationReport:
     pooled = fold_counts[0]
     for counts in fold_counts[1:]:
@@ -258,8 +245,8 @@ def _build_report(
         folds=fold_counts if method == "cv" else (),
         pooled=pooled,
         correctness=pooled.correct / total,
-        fallback_fraction=acc.fallbacks / total,
-        mean_nodes=acc.nodes / total,
+        fallback_fraction=sum(fell_back for _, _, fell_back in results) / total,
+        mean_nodes=sum(nodes for _, nodes, _ in results) / total,
         wall_seconds=time.perf_counter() - started,
     )
 

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 
 from .data import Dataset, split_for_prediction
 from .discretize import build_grids
-from .encode import EncodedInstance, attrs_needing_grids, encode
+from .encode import EncodedInstance, TrainingIndex, attrs_needing_grids
 from .rules import Contingency, QualityParams, Rule, contingency, quality, select_target
 from .search import SearchOutcome, search_local_rules
+
+# Per-query encoding goes through this name, so it can be swapped as one layer.
+encode = TrainingIndex.encode
 
 SOURCE_COMBINED = "combined_rule"
 SOURCE_PRIOR = "class_prior"
@@ -39,10 +42,6 @@ class CombinedRule:
     target: bool
     quality: float
     accepted: bool
-
-    @property
-    def n_match(self) -> int:
-        return self.table.n_match
 
     @property
     def correctness(self) -> float:
@@ -120,6 +119,29 @@ def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
     )
 
 
+def encode_row(
+    d: Dataset,
+    row: int,
+    mode: str = "levels",
+    overrides: dict | None = None,
+    index: TrainingIndex | None = None,
+) -> EncodedInstance:
+    """Encode one dataset row, class masked, against all the other rows.
+
+    index, a TrainingIndex over all of d's rows (built when None), is shared
+    by every such split and the row is dropped from its bitsets; the grids
+    are fitted on the other rows, so the row never influences its encoding.
+    """
+    pred_row, training = split_for_prediction(d, row)
+    pred_row = mask_class(pred_row, d.class_col)
+    if index is None:
+        index = TrainingIndex(d.attributes, d.rows, d.class_col)
+    index.check_labeled(row)  # before the grid fit reads the labels
+    level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+    grids = build_grids(d.attributes, training, d.class_col, level_attrs)
+    return encode(index, pred_row, grids, mode, overrides, held_out=row)
+
+
 def predict_for_row(
     d: Dataset,
     row: int,
@@ -127,18 +149,5 @@ def predict_for_row(
     mode: str = "levels",
     overrides: dict | None = None,
 ) -> Prediction:
-    """Predict one dataset row from all the others.
-
-    Discretization grids are fitted on the remaining rows only, so the
-    prediction point never influences its own encoding.
-    """
-    pred_row, training = split_for_prediction(d, row)
-    pred_row = mask_class(pred_row, d.class_col)
-    grids = build_grids(
-        d.attributes,
-        training,
-        d.class_col,
-        attrs_needing_grids(d.attributes, mode, overrides),
-    )
-    inst = encode(d.attributes, training, pred_row, d.class_col, grids, mode, overrides)
-    return predict_encoded(inst, params)
+    """Predict one dataset row from all the others."""
+    return predict_encoded(encode_row(d, row, mode, overrides), params)

@@ -4,9 +4,19 @@ import math
 import random
 from collections import Counter
 
-from localrules import discretize, encode
-from localrules.data import Attribute
-from localrules.encode import EncodedInstance
+from localrules import cli, encode
+from localrules.data import Attribute, format_cell
+from localrules.encode import (
+    EXACT,
+    LOWER,
+    MODE_LEVELS,
+    UPPER,
+    Component,
+    EncodedInstance,
+    _level_token,
+    effective_mode,
+)
+from localrules.errors import MissingGrid
 from localrules.rules import QualityParams
 
 
@@ -51,63 +61,19 @@ def hypercube_instance(m: int):
     return inst, params
 
 
-_POOL = (
-    Attribute("b1", "bool"),
-    Attribute("b2", "bool"),
-    Attribute("n1", "nominal", ("u", "v", "w")),
-    Attribute("n2", "nominal", ("p", "q")),
-    Attribute("o1", "ordered", ("1", "2", "3", "4")),
-    Attribute("o2", "ordered", ("lo", "hi")),
-    Attribute("x1", "continuous"),
-    Attribute("x2", "continuous"),
-)
-
-
-def _random_cell(rng, attr):
-    if rng.random() < 0.08:
-        return None
-    if attr.kind == "bool":
-        return rng.random() < 0.5
-    if attr.kind in ("nominal", "ordered"):
-        return rng.randrange(len(attr.values))
-    return float(rng.randrange(20))
-
-
 def random_instance(rng: random.Random, max_components=12, max_rows=200):
     """A random encoded instance with mixed component kinds, plus params."""
-    while True:
-        attrs = tuple(rng.sample(_POOL, rng.randrange(2, 5))) + (
-            Attribute("c", "class", ("y", "n")),
-        )
-        class_col = len(attrs) - 1
-        n = rng.randrange(12, max_rows + 1)
-        rows = [
-            tuple(_random_cell(rng, a) for a in attrs[:-1]) + (rng.randrange(2),)
-            for _ in range(n)
-        ]
-        pred = tuple(_random_cell(rng, a) for a in attrs[:-1]) + (None,)
-        mode = "exact" if rng.random() < 0.25 else "levels"
-        overrides = {}
-        if rng.random() < 0.25:
-            for i, a in enumerate(attrs[:-1]):
-                if a.kind == "nominal" and rng.random() < 0.5:
-                    overrides[i] = "levels"
-        grids = discretize.build_grids(
-            attrs, rows, class_col, encode.attrs_needing_grids(attrs, mode, overrides)
-        )
-        inst = encode.encode(attrs, rows, pred, class_col, grids, mode, overrides)
-        if not 1 <= inst.n_components <= max_components:
-            continue
-        if inst.n_pos == 0 or inst.n_neg == 0:
-            continue
-        params = QualityParams(
-            weight=rng.choice((0.5, 0.75, 0.9)),
-            min_cover=rng.choice((0.0, 0.02, 0.08, 0.2)),
-            min_mism=rng.choice((0.0, 0.02, 0.1)),
-            max_terms=rng.randrange(2, 9),
-            keep_frac=rng.choice((0.8, 0.95, 1.0)),
-        )
-        return inst, params
+    return cli.random_instance(rng, max_components, max_rows)
+
+
+def component_truth_ladder(attr_components, row_value) -> tuple[bool, ...]:
+    """Per-level predicate truths (value <= y_l) for one attribute's components.
+
+    The components must be that attribute's boundary components sorted by
+    level index, and row_value must not be missing.
+    """
+    assert row_value is not None
+    return tuple(row_value <= c.level for c in attr_components)
 
 
 def outcome_key(rules):
@@ -228,3 +194,110 @@ def reference_cuts(values, labels) -> list[float]:
     out: list[float] = []
     _recurse(pairs, out)
     return out
+
+
+# Reference encoder: one scan of every training row per component. The
+# TrainingIndex lookups in encode must equal it bit for bit.
+
+
+def _exact_component(cid, i, attr, v0, training_rows) -> Component:
+    bits = 0
+    for n, row in enumerate(training_rows):
+        if row[i] is not None and row[i] == v0:
+            bits |= 1 << n
+    return Component(
+        cid=cid,
+        attr=i,
+        kind=EXACT,
+        match_bits=bits,
+        display=f"{attr.name}={format_cell(v0, attr)}",
+        value=v0,
+    )
+
+
+def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Component]:
+    out = []
+    for l, y in enumerate(grid):
+        if v0 <= y:
+            kind, op = UPPER, "<="
+        else:
+            kind, op = LOWER, ">"
+        bits = 0
+        for n, row in enumerate(training_rows):
+            v = row[i]
+            if v is None:
+                continue
+            if (v <= y) if kind == UPPER else (v > y):
+                bits |= 1 << n
+        out.append(
+            Component(
+                cid=next_cid + l,
+                attr=i,
+                kind=kind,
+                match_bits=bits,
+                display=f"{attr.name}{op}{_level_token(attr, y)}",
+                level_index=l,
+                level=y,
+            )
+        )
+    return out
+
+
+def reference_encode(
+    attributes,
+    training_rows,
+    pred_row,
+    class_col: int,
+    grids: dict | None = None,
+    mode: str = MODE_LEVELS,
+    overrides: dict | None = None,
+) -> EncodedInstance:
+    """The reference counterpart of encode.encode."""
+    exact_cols: list[int] = []
+    level_cols: list[int] = []
+    for i, attr in enumerate(attributes):
+        eff = effective_mode(attr, mode, overrides, i)
+        if not eff or pred_row[i] is None:
+            continue
+        (level_cols if eff == MODE_LEVELS else exact_cols).append(i)
+
+    components: list[Component] = []
+    for i in exact_cols:
+        components.append(
+            _exact_component(len(components), i, attributes[i], pred_row[i], training_rows)
+        )
+    for i in level_cols:
+        if grids is None or i not in grids:
+            raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
+        components.extend(
+            _level_components(
+                len(components), i, attributes[i], pred_row[i], grids[i], training_rows
+            )
+        )
+
+    class_bits = 0
+    n = len(training_rows)
+    for row_index, row in enumerate(training_rows):
+        g = row[class_col]
+        assert g is not None, "training rows must be labeled"
+        if g == 0:
+            class_bits |= 1 << row_index
+    n_pos = class_bits.bit_count()
+
+    groups: dict = {}
+    for c in components:
+        if c.group_key is not None:
+            groups.setdefault(c.group_key, []).append(c.cid)
+    groups = {k: tuple(v) for k, v in groups.items()}
+
+    class_values = attributes[class_col].values
+    assert class_values is not None
+    return EncodedInstance(
+        components=tuple(components),
+        n_rows=n,
+        class_bits=class_bits,
+        n_pos=n_pos,
+        n_neg=n - n_pos,
+        groups=groups,
+        class_labels=(class_values[0], class_values[1]),
+    )

@@ -20,16 +20,20 @@ import pytest
 
 from localrules import data
 from localrules.cli import main
-from localrules.data import split_for_prediction
 from localrules.discretize import build_grids
-from localrules.encode import LOWER, UPPER, attrs_needing_grids, component_truth_ladder, encode
+from localrules.encode import LOWER, UPPER, encode
 from localrules.evaluate import evaluate_cv
 from localrules.exhaustive import exhaustive_rules
-from localrules.predict import SOURCE_PRIOR, mask_class, predict_encoded
+from localrules.predict import SOURCE_PRIOR, encode_row, predict_encoded
 from localrules.rules import Contingency, QualityParams, quality
 from localrules.search import search_local_rules
 
-from helpers import assert_equivalent, conflict_instance, random_instance
+from helpers import (
+    assert_equivalent,
+    component_truth_ladder,
+    conflict_instance,
+    random_instance,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 THREADS = 4
@@ -55,18 +59,6 @@ def _load_dataset(label: str, name: str) -> data.Dataset:
         pytest.fail(line, pytrace=False)
     return data.parse_dataset(
         csv_path.read_text(), (DATA / f"{name}.schema").read_text()
-    )
-
-
-def _encode_row(d: data.Dataset, row: int, mode: str = "levels", overrides=None):
-    pred_row, training = split_for_prediction(d, row)
-    grids = build_grids(
-        d.attributes, training, d.class_col,
-        attrs_needing_grids(d.attributes, mode, overrides),
-    )
-    return encode(
-        d.attributes, training, mask_class(pred_row, d.class_col),
-        d.class_col, grids, mode, overrides,
     )
 
 
@@ -294,7 +286,7 @@ def test_pruning_beats_raw_enumeration():
     params = QualityParams()
     visited = unpruned = 0
     for row in range(50):
-        inst = _encode_row(d, row)
+        inst = encode_row(d, row)
         visited += search_local_rules(inst, params).nodes_visited
         m = inst.n_components
         unpruned += sum(math.comb(m, i) for i in range(1, params.max_terms + 1))

@@ -1,10 +1,13 @@
 """Exit codes, output shape, and flag plumbing of the command line."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import localrules
 from localrules.cli import main
 
 SCHEMA = """\
@@ -204,10 +207,31 @@ def test_selftest_passes_quick_run(capsys):
 @pytest.mark.parametrize("runner", [[sys.executable, "-m", "localrules"]])
 def test_module_entry_point(tmp_path, runner):
     data, schema = _write_copy_class(tmp_path)
+    # The child imports the package the tests import, installed or not.
+    src = str(Path(localrules.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         runner + ["predict", "--data", data, "--schema", schema],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "class=on" in proc.stdout
+
+
+def test_unlabeled_training_row_is_a_data_error(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",?"  # row 0, the default query, unlabeled
+    Path(data).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command, row in (("predict", "2"), ("rules", "3")):
+        code, out, err = _run(
+            [command, "--data", data, "--schema", schema, "--row", row], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "row 0" in err and "class" in err
+    code, out, _ = _run(["predict", "--data", data, "--schema", schema], capsys)
+    assert code == 0
+    assert "class=on" in out

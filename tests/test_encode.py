@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from localrules import encode
 from localrules.data import Attribute
-from localrules.errors import MissingGrid
+from localrules.errors import BadValue, MissingGrid
+
+from helpers import component_truth_ladder, reference_encode
 
 CONT = (Attribute("x", "continuous"), Attribute("c", "class", ("y", "n")))
 GRID = {0: (1.0, 3.0, 5.0)}
@@ -145,8 +147,8 @@ def test_attrs_needing_grids():
 
 def test_truth_ladder_examples():
     inst = encode.encode(CONT, TRAIN, (4.0, None), 1, GRID)
-    assert encode.component_truth_ladder(inst.components, 4.0) == (False, False, True)
-    assert encode.component_truth_ladder(inst.components, 0.0) == (True, True, True)
+    assert component_truth_ladder(inst.components, 4.0) == (False, False, True)
+    assert component_truth_ladder(inst.components, 0.0) == (True, True, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,7 +162,7 @@ def test_truth_ladder_is_monotone(value, levels):
     inst = encode.encode(
         attrs, [(0.0, 0), (1.0, 1)], (value, None), 1, grids={0: grid}
     )
-    ladder = encode.component_truth_ladder(inst.components, value)
+    ladder = component_truth_ladder(inst.components, value)
     for a, b in zip(ladder, ladder[1:]):
         assert (not a) or b  # once true, stays true at higher levels
 
@@ -221,3 +223,103 @@ def test_exact_equals_boundary_pair():
                 exact.components[0].match_bits
                 == lower_below.match_bits & upper_at.match_bits
             )
+
+
+# TrainingIndex against the per-row scan reference in helpers.
+
+_CONT_POOL = (-0.0, 0.0, 0.5, 1.0, 2.5, -3.0, 1e308, -1e308, 5e-324)
+
+
+def _cells(kind):
+    if kind == "bool":
+        return st.booleans()
+    if kind in ("nominal", "ordered"):
+        return st.integers(0, 2)
+    return st.sampled_from(_CONT_POOL) | st.floats(-4, 4)
+
+
+def _levels(kind):
+    if kind == "bool":
+        return st.lists(st.booleans(), max_size=2)
+    if kind in ("nominal", "ordered"):
+        return st.lists(st.integers(0, 2), max_size=3)
+    return st.lists(st.sampled_from(_CONT_POOL) | st.floats(-4, 4), max_size=4)
+
+
+@st.composite
+def _index_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(("bool", "nominal", "ordered", "continuous")),
+                          min_size=1, max_size=4))
+    attrs = [
+        Attribute(f"a{j}", kind, ("p", "q", "r") if kind in ("nominal", "ordered") else None)
+        for j, kind in enumerate(kinds)
+    ]
+    class_col = draw(st.integers(0, len(attrs)))
+    attrs.insert(class_col, Attribute("c", "class", ("y", "n")))
+    attrs = tuple(attrs)
+
+    def row(label):
+        cells = [
+            None if a.kind == "class" else draw(st.none() | _cells(a.kind)) for a in attrs
+        ]
+        cells[class_col] = label
+        return tuple(cells)
+
+    rows = [row(draw(st.integers(0, 1))) for _ in range(draw(st.integers(1, 25)))]
+    pred = row(None)
+    mode = draw(st.sampled_from(("exact", "levels")))
+    overrides = {
+        i: m
+        for i, a in enumerate(attrs)
+        if a.kind != "class"
+        and (m := draw(st.sampled_from((None, "exact", "levels")))) is not None
+    }
+    grids = {
+        i: tuple(sorted(set(draw(_levels(attrs[i].kind)))))
+        for i in encode.attrs_needing_grids(attrs, mode, overrides)
+    }
+    if grids and draw(st.booleans()):
+        del grids[draw(st.sampled_from(sorted(grids)))]
+    return attrs, rows, pred, class_col, grids, mode, overrides
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except MissingGrid:
+        return MissingGrid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_cases())
+def test_training_index_equals_reference_scan(case):
+    attrs, rows, pred, class_col, grids, mode, overrides = case
+    index = encode.TrainingIndex(attrs, rows, class_col)
+    n = len(rows)
+    for held_out in (None, 0, n // 2, n - 1):  # one index serves every split
+        training = [r for j, r in enumerate(rows) if j != held_out]
+        got = _outcome(lambda: index.encode(pred, grids, mode, overrides, held_out))
+        want = _outcome(
+            lambda: reference_encode(attrs, training, pred, class_col, grids, mode, overrides)
+        )
+        assert got == want
+        assert repr(got) == repr(want)  # signed zeros in values, levels and displays
+        if want is not MissingGrid:
+            assert [c.match_bits for c in got.components] == [
+                c.match_bits for c in want.components
+            ]
+            assert (got.class_bits, got.n_pos, got.n_neg, got.n_rows) == (
+                want.class_bits, want.n_pos, want.n_neg, want.n_rows
+            )
+            assert got.groups == want.groups
+
+
+def test_unlabeled_rows_raise_unless_held_out():
+    attrs = (Attribute("b", "bool"), Attribute("c", "class", ("y", "n")))
+    rows = [(True, 0), (False, None), (True, 1)]
+    index = encode.TrainingIndex(attrs, rows, 1)
+    inst = index.encode((True, None), held_out=1)
+    assert (inst.n_rows, inst.class_bits, inst.components[0].match_bits) == (2, 0b01, 0b11)
+    for held_out in (None, 0, 2):
+        with pytest.raises(BadValue, match="row 1"):
+            index.encode((True, None), held_out=held_out)

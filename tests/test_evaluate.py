@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from localrules import evaluate
 from localrules.data import Attribute, Dataset
 from localrules.errors import (
     BadParams,
@@ -131,6 +132,38 @@ def test_report_is_identical_for_any_worker_count():
     assert render_report(serial) == render_report(parallel)
     assert serial.pooled == parallel.pooled
     assert serial.wall_seconds != 0  # recorded, but absent from the text
+
+
+def _continuous_dataset(n=60, seed=3):
+    rng = random.Random(seed)
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("o", "ordered", ("lo", "mid", "hi")),
+        Attribute("c", "class", TWO_CLASS),
+    )
+    rows = []
+    for _ in range(n):
+        x = round(rng.uniform(0, 10), 1) if rng.random() > 0.05 else None
+        g = int((x or 0) > 5) ^ (rng.random() < 0.1)
+        rows.append((x, rng.randrange(3), g))
+    return Dataset(attrs, tuple(rows), 2)
+
+
+def test_loocv_report_is_identical_for_any_worker_count():
+    d = _continuous_dataset()
+    serial = evaluate_loocv(d, QualityParams(), threads=1)
+    parallel = evaluate_loocv(d, QualityParams(), threads=2)
+    assert render_report(serial) == render_report(parallel)
+    assert serial.pooled == parallel.pooled
+    assert serial.mean_nodes > 0
+
+
+def test_in_process_runs_release_the_worker_state():
+    d = _noisy_dataset()
+    evaluate_cv(d, QualityParams(), k=3, seed=1, threads=1)
+    assert evaluate._WORKER_STATE is None
+    evaluate_loocv(d, QualityParams(), threads=1)
+    assert evaluate._WORKER_STATE is None
 
 
 def test_wall_time_and_workers_never_reach_the_text():

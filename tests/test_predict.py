@@ -9,13 +9,15 @@ breaks the tie toward the positive class.
 
 import random
 
-from helpers import conflict_instance, random_instance
-from localrules.data import Attribute, Dataset
-from localrules.encode import encode
+from helpers import conflict_instance, random_instance, reference_encode
+from localrules.data import Attribute, Dataset, split_for_prediction
+from localrules.discretize import build_grids
+from localrules.encode import TrainingIndex, attrs_needing_grids, encode
 from localrules.predict import (
     SOURCE_COMBINED,
     SOURCE_PRIOR,
     combine,
+    encode_row,
     mask_class,
     predict_encoded,
     predict_for_row,
@@ -155,6 +157,22 @@ def test_predict_for_row_recovers_a_copied_class():
         assert p.source == SOURCE_COMBINED
         assert p.label == ("on" if d.rows[row][0] else "off")
         assert p.probability == 1.0
+
+
+def test_encode_row_equals_reference_on_every_split():
+    d = _copy_class_dataset()
+    index = TrainingIndex(d.attributes, d.rows, d.class_col)
+    for mode, overrides in (("levels", None), ("exact", None), ("exact", {1: "levels"})):
+        for row in range(len(d.rows)):
+            pred_row, training = split_for_prediction(d, row)
+            grids = build_grids(
+                d.attributes, training, 2, attrs_needing_grids(d.attributes, mode, overrides)
+            )
+            want = reference_encode(
+                d.attributes, training, mask_class(pred_row, 2), 2, grids, mode, overrides
+            )
+            assert repr(encode_row(d, row, mode, overrides, index)) == repr(want)
+            assert repr(encode_row(d, row, mode, overrides)) == repr(want)
 
 
 def test_prediction_cannot_see_the_test_label():
