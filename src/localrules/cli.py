@@ -36,11 +36,26 @@ class RunConfig:
     data: str
     schema: str
     mode: str
-    params: QualityParams
+    weight: float
+    min_cover: float
+    min_mism: float
+    max_terms: int
+    keep_frac: float
+    eps: float
     overrides: dict  # attribute index -> forced mode
     override_names: tuple[str, ...]  # as given, for echoing
     threads: int
     out: str | None
+
+    def params(self) -> QualityParams:
+        return QualityParams(
+            weight=self.weight,
+            min_cover=self.min_cover,
+            min_mism=self.min_mism,
+            max_terms=self.max_terms,
+            keep_frac=self.keep_frac,
+            eps=self.eps,
+        )
 
     def echo_lines(self) -> list[str]:
         # Deliberately omits --threads and --out: the written report must
@@ -52,14 +67,13 @@ class RunConfig:
         ]
         if self.override_names:
             lines.append("overrides=" + ",".join(self.override_names))
-        p = self.params
         lines += [
-            f"weight={p.weight!r}",
-            f"min_cover={p.min_cover!r}",
-            f"min_mism={p.min_mism!r}",
-            f"max_terms={p.max_terms}",
-            f"keep_frac={p.keep_frac!r}",
-            f"eps={p.eps!r}",
+            f"weight={self.weight!r}",
+            f"min_cover={self.min_cover!r}",
+            f"min_mism={self.min_mism!r}",
+            f"max_terms={self.max_terms}",
+            f"keep_frac={self.keep_frac!r}",
+            f"eps={self.eps!r}",
         ]
         return lines
 
@@ -146,14 +160,12 @@ def _config(args) -> tuple[RunConfig, Dataset]:
         data=args.data,
         schema=args.schema,
         mode=args.mode,
-        params=QualityParams(
-            weight=args.weight,
-            min_cover=args.min_cover,
-            min_mism=args.min_mism,
-            max_terms=args.max_terms,
-            keep_frac=args.keep_frac,
-            eps=args.eps,
-        ),
+        weight=args.weight,
+        min_cover=args.min_cover,
+        min_mism=args.min_mism,
+        max_terms=args.max_terms,
+        keep_frac=args.keep_frac,
+        eps=args.eps,
         overrides=overrides,
         override_names=tuple(args.override),
         threads=args.threads if args.threads > 0 else available_cpus(),
@@ -171,7 +183,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_predict(args) -> int:
     cfg, d = _config(args)
     inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    p = predict_encoded(inst, cfg.params)
+    p = predict_encoded(inst, cfg.params())
     lines = cfg.echo_lines() + [
         f"row={args.row}",
         f"class={p.label}",
@@ -189,7 +201,7 @@ def _cmd_predict(args) -> int:
 def _cmd_rules(args) -> int:
     cfg, d = _config(args)
     inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    outcome = search_local_rules(inst, cfg.params)
+    outcome = search_local_rules(inst, cfg.params())
     best = "none" if outcome.best_quality is None else f"{outcome.best_quality:.6f}"
     lines = cfg.echo_lines() + [
         f"row={args.row}",
@@ -209,12 +221,12 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     if args.loocv:
         report = evaluate_loocv(
-            d, cfg.params, cfg.mode, cfg.overrides, cfg.threads,
+            d, cfg.params(), cfg.mode, cfg.overrides, cfg.threads,
             force=args.force, dataset_label=label,
         )
     else:
         report = evaluate_cv(
-            d, cfg.params, args.folds, args.seed, cfg.mode, cfg.overrides,
+            d, cfg.params(), args.folds, args.seed, cfg.mode, cfg.overrides,
             cfg.threads, dataset_label=label,
         )
     text = f"data={cfg.data}\nschema={cfg.schema}\n" + render_report(report)
@@ -261,7 +273,7 @@ def _random_cell(rng: random.Random, attr: Attribute):
     return float(rng.randrange(20))
 
 
-def random_instance(rng: random.Random, max_components: int = 12, max_rows: int = 200):
+def random_instance(rng: random.Random):
     """A random encoded instance with mixed component kinds, plus params."""
     while True:
         attrs = tuple(rng.sample(_POOL, rng.randrange(2, 5))) + (
@@ -270,7 +282,7 @@ def random_instance(rng: random.Random, max_components: int = 12, max_rows: int 
         class_col = len(attrs) - 1
         rows = [
             tuple(_random_cell(rng, a) for a in attrs[:-1]) + (rng.randrange(2),)
-            for _ in range(rng.randrange(12, max_rows + 1))
+            for _ in range(rng.randrange(12, 201))
         ]
         pred = tuple(_random_cell(rng, a) for a in attrs[:-1]) + (None,)
         mode = "exact" if rng.random() < 0.25 else "levels"
@@ -283,7 +295,7 @@ def random_instance(rng: random.Random, max_components: int = 12, max_rows: int 
             attrs, rows, class_col, attrs_needing_grids(attrs, mode, overrides)
         )
         inst = encode(attrs, rows, pred, class_col, grids, mode, overrides)
-        if not 1 <= inst.n_components <= max_components:
+        if not 1 <= inst.n_components <= 12:
             continue
         if inst.n_pos == 0 or inst.n_neg == 0:
             continue

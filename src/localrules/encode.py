@@ -25,7 +25,6 @@ against it, and leaving one of its rows out is a bit removal.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq, gt, itemgetter, le
@@ -125,10 +124,13 @@ class TrainingIndex:
     """Vertical row bitsets of one training set, fitted once and shared.
 
     A bitset ("== v", "<= y" or "> y" on one attribute, Eclat's tid-lists) is
-    built in one pass over the rows when a query first needs it and kept;
-    "<= y" and "> y" are keyed by the largest known value <= y, which selects
-    the same rows. An index made for one query thus does no more work than
-    scanning the rows that query needs, and later queries are lookups.
+    built in one pass over the rows when a query first needs it. An index made
+    for one query thus does no more work than scanning the rows that query
+    needs. Bitsets whose keys are few are kept, so later queries look them up:
+    "== v" on a bool, nominal or ordered attribute and "<= y"/"> y" on a grid
+    level. "== v" on a continuous attribute may take a new v for every query
+    and is rebuilt each time, so the kept bitsets never outgrow the grids and
+    the declared values.
     """
 
     def __init__(self, attributes: tuple[Attribute, ...], rows, class_col: int):
@@ -138,25 +140,27 @@ class TrainingIndex:
         labels = list(map(itemgetter(class_col), rows))
         self.unlabeled = [n for n, g in enumerate(labels) if g is None]
         self.class_bits = _bitset(map(eq, labels, repeat(0)))
-        self._ordered: dict[int, tuple[list, list]] = {}
+        self._ordered: dict[int, list] = {}
         self._bits: dict[tuple, int] = {}
 
-    def _ordered_column(self, i: int) -> tuple[list, list]:
-        """(attribute i's cells with NaN for missing, its known values ascending)."""
+    def _ordered_column(self, i: int) -> list:
+        """Attribute i's cells with NaN for missing."""
         col = self._ordered.get(i)
         if col is None:
             cells = list(map(itemgetter(i), self.rows))
-            known = sorted(set(cells) - {None})
-            col = self._ordered[i] = (list(map(_NAN_FOR_NONE.get, cells, cells)), known)
+            col = self._ordered[i] = list(map(_NAN_FOR_NONE.get, cells, cells))
         return col
 
     def _rows(self, op, i: int, value) -> int:
         """Rows whose known value of attribute i satisfies op(value_of_row, value)."""
-        bits = self._bits.get((op, i, value))
+        key = (op, i, value)
+        bits = self._bits.get(key)
         if bits is None:
             # None equals no value; the ordered comparisons need NaN in its place.
-            cells = map(itemgetter(i), self.rows) if op is eq else self._ordered_column(i)[0]
-            bits = self._bits[(op, i, value)] = _bitset(map(op, cells, repeat(value)))
+            cells = map(itemgetter(i), self.rows) if op is eq else self._ordered_column(i)
+            bits = _bitset(map(op, cells, repeat(value)))
+            if op is not eq or self.attributes[i].kind != CONTINUOUS_KIND:
+                self._bits[key] = bits
         return bits
 
     def check_labeled(self, held_out: int | None = None) -> None:
@@ -204,14 +208,11 @@ class TrainingIndex:
             if grids is None or i not in grids:
                 raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
             attr, v0 = attributes[i], pred_row[i]
-            ascending = self._ordered_column(i)[1]
             for l, y in enumerate(grids[i]):
-                rank = bisect_right(ascending, y)
-                key = ascending[rank - 1] if rank else y  # same rows as y
                 if v0 <= y:
-                    kind, op, bits = UPPER, "<=", self._rows(le, i, key)
+                    kind, op, bits = UPPER, "<=", self._rows(le, i, y)
                 else:
-                    kind, op, bits = LOWER, ">", self._rows(gt, i, key)
+                    kind, op, bits = LOWER, ">", self._rows(gt, i, y)
                 display = f"{attr.name}{op}{_level_token(attr, y)}"
                 groups.setdefault((i, kind), []).append(len(components))
                 components.append(

@@ -215,8 +215,9 @@ def evaluate_loocv(
         raise DatasetTooLarge(
             f"{n} rows exceeds the leave-one-out guard of {cap}; pass force to override"
         )
+    for i, row in enumerate(d.rows):
+        _class_index(row, d.class_col, f"row {i}")
     index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    index.check_labeled()  # every row is a training row of some split
     results = _run_pool(threads, (d, params, mode, overrides, index), _predict_loocv_row, range(n))
     pooled = _confusion(d.rows, d.class_col, results)
     return _build_report(

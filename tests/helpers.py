@@ -61,9 +61,7 @@ def hypercube_instance(m: int):
     return inst, params
 
 
-def random_instance(rng: random.Random, max_components=12, max_rows=200):
-    """A random encoded instance with mixed component kinds, plus params."""
-    return cli.random_instance(rng, max_components, max_rows)
+random_instance = cli.random_instance
 
 
 def component_truth_ladder(attr_components, row_value) -> tuple[bool, ...]:

@@ -68,7 +68,7 @@ def test_search_matches_reference_enumeration():
     started = time.perf_counter()
     nonempty = 0
     for _ in range(500):
-        inst, params = random_instance(rng, max_components=12, max_rows=200)
+        inst, params = random_instance(rng)
         search_out = search_local_rules(inst, params)
         assert_equivalent(search_out, exhaustive_rules(inst, params))
         nonempty += bool(search_out.rules)

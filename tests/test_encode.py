@@ -323,3 +323,19 @@ def test_unlabeled_rows_raise_unless_held_out():
     for held_out in (None, 0, 2):
         with pytest.raises(BadValue, match="row 1"):
             index.encode((True, None), held_out=held_out)
+
+
+def test_index_keeps_no_bitsets_for_exact_continuous_queries():
+    # "== v" on a continuous attribute can take a new v for every query, so
+    # those bitsets are rebuilt each time; only the nominal ones are kept.
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("n", "nominal", ("p", "q")),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = [(float(j), j % 2, j % 3 % 2) for j in range(60)]
+    index = encode.TrainingIndex(attrs, rows, 2)
+    for j in range(60):
+        inst = index.encode((float(j), j % 2, None), mode="exact")
+        assert inst.components[0].match_bits == 1 << j
+    assert len(index._bits) == 2

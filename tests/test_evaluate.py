@@ -103,6 +103,14 @@ def test_fold_guards():
         stratified_kfold(_dataset([0] * 5 + [None] + [1] * 5), 2, seed=1)
 
 
+def test_unlabeled_row_is_the_same_error_in_both_evaluate_modes():
+    d = _dataset([0] * 5 + [None] + [1] * 5, extra_cols=1)
+    with pytest.raises(BadValue, match="^row 5 has no class label; evaluation needs"):
+        evaluate_cv(d, QualityParams(), k=2)
+    with pytest.raises(BadValue, match="^row 5 has no class label; evaluation needs"):
+        evaluate_loocv(d, QualityParams())
+
+
 def test_copied_class_is_perfect_at_any_fold_count():
     d = _copy_class_dataset()
     for k in (2, 3, 5):
