@@ -25,6 +25,7 @@ from .errors import (
     BadValue,
     EmptyInput,
     IndexOutOfRange,
+    MalformedCsv,
     NoClassColumn,
     NonBinaryClass,
     SchemaMismatch,
@@ -65,10 +66,6 @@ class Dataset:
         values = self.attributes[self.class_col].values
         assert values is not None and len(values) == 2
         return (values[0], values[1])
-
-    @property
-    def n_training(self) -> int:
-        return len(self.rows) - 1
 
 
 def parse_schema(schema_text: str) -> tuple[Attribute, ...]:
@@ -146,15 +143,33 @@ def _parse_cell(token: str, attr: Attribute, where: str):
     return token
 
 
+def _csv_records(csv_text: str):
+    """The CSV records in order: the header, then row 0, row 1, ...
+
+    A record the csv module cannot split raises MalformedCsv naming it.
+    """
+    reader = csv.reader(io.StringIO(csv_text))
+    recno = -1  # the header
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = "header" if recno < 0 else f"row {recno}"
+            raise MalformedCsv(f"{where} (line {reader.line_num}): {exc}") from None
+        yield record
+        recno += 1
+
+
 def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
     attributes = parse_schema(schema_text)
     class_col = next(i for i, a in enumerate(attributes) if a.kind == CLASS_KIND)
 
-    reader = csv.reader(io.StringIO(csv_text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("CSV has no header row") from None
+    records = _csv_records(csv_text)
+    header = next(records, None)
+    if header is None:
+        raise EmptyInput("CSV has no header row")
     header = [h.strip() for h in header]
     names = [a.name for a in attributes]
     if header != names:
@@ -164,7 +179,7 @@ def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
         raise SchemaMismatch(f"header {header} does not match schema order {names}")
 
     rows: list[tuple] = []
-    for recno, record in enumerate(reader):
+    for recno, record in enumerate(records):
         if not record:
             continue
         if len(record) != len(attributes):

@@ -21,6 +21,10 @@ class SchemaMismatch(DataError):
     """CSV header or row shape disagrees with the schema."""
 
 
+class MalformedCsv(DataError):
+    """The CSV text cannot be split into records (bad quoting, oversized field)."""
+
+
 class BadValue(DataError):
     """A cell token cannot be interpreted under its declared attribute kind."""
 

@@ -26,19 +26,36 @@ correctness >= 1 - eps. At eps = 0 a set survives (not blocked, admissible)
 exactly when it properly contains no nonempty pure subset, which is what the
 unpruned reference enumeration checks as a per-set predicate.
 
+Candidate tails (OPUS, Webb 1995; LCM's tail pruning, Uno et al. 2004): an
+expanded node hands its children only the candidates that can still extend
+them. One pass over the node's tail forms each child match set and its class
+counts. A candidate is dropped for the whole subtree when its new term
+excludes too few rows from the node's match set, or when the child misses
+the coverage floor: a descendant's match set is a subset of the node's and
+the floors only rise, so both failures repeat at every descendant. All
+mismatch counts come by subtraction, because a term set's match set lies
+inside every one-term drop: the new term leaves (node - child) rows
+unmatched, and a dropped term leaves (drop - child) rows. The children that
+survive get the remaining checks in canonical order, so the threshold rises
+at the same points as in a walk over every child.
+
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
 is independent of the order in which rules are found. The search itself is
 sequential and deterministic; callers parallelize across prediction points.
 
-nodes_visited counts candidate sets actually formed and scored (children of a
-pruned node, and of a node with an empty match set, are never formed; every
+nodes_visited is the count of children the canonical, unfiltered enumeration
+forms: each expanded node adds every component id above its last term that
+is not in a used group, whether or not the tail still holds it. Children of
+a pruned node, and of a node with an empty match set, are never formed (every
 term of an empty node's child would have an empty mismatch set, so those
-children are all inadmissible anyway).
+children are all inadmissible anyway). The count is therefore independent of
+the tail filter and comparable across versions of the search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .encode import EncodedInstance
@@ -75,11 +92,17 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
         raise SingleClassTraining("training rows contain a single class")
 
     comps = inst.components
+    bits = [c.match_bits for c in comps]
+    # Each boundary group is one bit of a path's used-group mask; its members
+    # (ascending) feed the nodes_visited count.
+    group_ids = {k: g for g, k in enumerate(inst.groups)}
+    group_bit = [0 if c.group_key is None else 1 << group_ids[c.group_key] for c in comps]
+    group_members = [() if c.group_key is None else inst.groups[c.group_key] for c in comps]
     class_bits = inst.class_bits
     n_pos, n_neg = inst.n_pos, inst.n_neg
-    full_mask = (1 << inst.n_rows) - 1
     weight = params.weight
     keep = params.keep_frac
+    max_terms = params.max_terms
     min_corr = 1.0 - params.eps
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
 
@@ -90,61 +113,92 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     best: float | None = None
     visits = 0
 
-    def walk(term_ids, match, drops, used_groups, last_cid, depth):
+    def walk(term_ids, match, mpos, mneg, drops, used_mask, used, tail):
         nonlocal threshold, floor_pos, floor_neg, best, visits
-        for cid in range(last_cid + 1, m):
-            comp = comps[cid]
-            gk = comp.group_key
-            if gk is not None and gk in used_groups:
+        last_cid = term_ids[-1] if term_ids else -1
+        formed = m - last_cid - 1
+        for members in used:
+            formed -= len(members) - bisect_right(members, last_cid)
+        visits += formed
+
+        # One pass over the tail. A candidate that misses the coverage floor
+        # or whose new term leaves too few rows unmatched here does so at
+        # every descendant too, so it leaves the children's tails.
+        cids = []
+        child_matches = []
+        child_pos = []
+        child_neg = []
+        for cid in tail:
+            if group_bit[cid] & used_mask:
                 continue
-            child_match = match & comp.match_bits
-            visits += 1
+            child_match = match & bits[cid]
             cpos = (child_match & class_bits).bit_count()
             cneg = child_match.bit_count() - cpos
+            if (cpos >= floor_pos or cneg >= floor_neg) and (
+                mpos - cpos > mism_floor_pos or mneg - cneg > mism_floor_neg
+            ):
+                cids.append(cid)
+                child_matches.append(child_match)
+                child_pos.append(cpos)
+                child_neg.append(cneg)
+
+        leaf = len(term_ids) + 1 >= max_terms
+        for i, cid in enumerate(cids):
+            cpos = child_pos[i]
+            cneg = child_neg[i]
             if cpos < floor_pos and cneg < floor_neg:
                 continue  # no descendant can reach the threshold
 
-            child_drops = [d & comp.match_bits for d in drops]
-            child_drops.append(match)
-            admissible = True
-            blocked = False
-            for d in child_drops:
-                mism = d ^ child_match  # child_match is a subset of every drop
-                mp = (mism & class_bits).bit_count()
-                if not (mp > mism_floor_pos or mism.bit_count() - mp > mism_floor_neg):
-                    admissible = False
-                    break
-                if d:
-                    dp = (d & class_bits).bit_count()
-                    dn = d.bit_count() - dp
-                    if (dp if dp >= dn else dn) >= min_corr * (dp + dn):
-                        blocked = True
-                        break
-            if not admissible or blocked:
-                continue
+            b = bits[cid]
+            child_drops = []
+            for d in drops:
+                d &= b
+                dp = (d & class_bits).bit_count()
+                dn = d.bit_count() - dp
+                if not (dp - cpos > mism_floor_pos or dn - cneg > mism_floor_neg):
+                    break  # the dropped term no longer excludes enough rows
+                if d and (dp if dp >= dn else dn) >= min_corr * (dp + dn):
+                    break  # blocked by a pure one-term drop
+                child_drops.append(d)
+            else:  # admissible and not blocked
+                child_match = child_matches[i]
+                table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
+                target = select_target(table)
+                q = quality(table, target, weight)
+                child_ids = term_ids + (cid,)
+                if q >= threshold:
+                    found.append(Rule(child_ids, child_match, table, target, q))
+                    if best is None or q > best:
+                        best = q
+                        if keep * q > threshold:
+                            threshold = keep * q
+                            floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
+                            floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
 
-            table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-            target = select_target(table)
-            q = quality(table, target, weight)
-            child_ids = term_ids + (cid,)
-            if q >= threshold:
-                found.append(Rule(child_ids, child_match, table, target, q))
-                if best is None or q > best:
-                    best = q
-                    if keep * q > threshold:
-                        threshold = keep * q
-                        floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
-                        floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+                if leaf or not child_match:
+                    continue
+                n_match = cpos + cneg
+                if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
+                    continue  # pure enough; supersets are blocked by definition
+                child_drops.append(match)
+                gb = group_bit[cid]
+                walk(
+                    child_ids,
+                    child_match,
+                    cpos,
+                    cneg,
+                    child_drops,
+                    used_mask | gb,
+                    used + (group_members[cid],) if gb else used,
+                    cids[i + 1 :],
+                )
 
-            if depth + 1 >= params.max_terms or child_match == 0:
-                continue
-            n_match = cpos + cneg
-            if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
-                continue  # pure enough; supersets are blocked by definition
-            child_groups = used_groups if gk is None else used_groups | {gk}
-            walk(child_ids, child_match, child_drops, child_groups, cid, depth + 1)
-
-    walk((), full_mask, [], frozenset(), -1, 0)
+    if max(n_pos, n_neg) >= min_corr * (n_pos + n_neg):
+        # The root is pure enough, so every singleton is blocked by its one
+        # drop (the parent match). Deeper nodes are expanded only when impure.
+        visits = m
+    else:
+        walk((), (1 << inst.n_rows) - 1, n_pos, n_neg, [], 0, (), range(m))
 
     if best is None:
         return SearchOutcome((), None, params.base_threshold, visits)

@@ -16,8 +16,18 @@ from localrules.encode import (
     _level_token,
     effective_mode,
 )
-from localrules.errors import MissingGrid
-from localrules.rules import QualityParams
+from localrules.errors import MissingGrid, NoComponents, SingleClassTraining
+from localrules.rules import (
+    Contingency,
+    QualityParams,
+    Rule,
+    cover_floor_counts,
+    min_cover_count,
+    mismatch_floors,
+    quality,
+    select_target,
+)
+from localrules.search import SearchOutcome, _sorted_rules
 
 
 def conflict_instance():
@@ -299,3 +309,96 @@ def reference_encode(
         groups=groups,
         class_labels=(class_values[0], class_values[1]),
     )
+
+
+# Reference walk: every child of an expanded node is formed over the full
+# range above the last term, and each of its one-term drops is rebuilt and
+# tested by XOR. The candidate-tail walk in search must return the same
+# SearchOutcome, nodes_visited included.
+
+
+def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
+    """The reference counterpart of search.search_local_rules."""
+    m = inst.n_components
+    if m == 0:
+        raise NoComponents("prediction point yields no components")
+    if inst.n_pos == 0 or inst.n_neg == 0:
+        raise SingleClassTraining("training rows contain a single class")
+
+    comps = inst.components
+    class_bits = inst.class_bits
+    n_pos, n_neg = inst.n_pos, inst.n_neg
+    full_mask = (1 << inst.n_rows) - 1
+    weight = params.weight
+    keep = params.keep_frac
+    min_corr = 1.0 - params.eps
+    mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
+
+    threshold = params.base_threshold
+    floor_pos, floor_neg = cover_floor_counts(threshold, n_pos, n_neg, weight)
+
+    found: list[Rule] = []
+    best: float | None = None
+    visits = 0
+
+    def walk(term_ids, match, drops, used_groups, last_cid, depth):
+        nonlocal threshold, floor_pos, floor_neg, best, visits
+        for cid in range(last_cid + 1, m):
+            comp = comps[cid]
+            gk = comp.group_key
+            if gk is not None and gk in used_groups:
+                continue
+            child_match = match & comp.match_bits
+            visits += 1
+            cpos = (child_match & class_bits).bit_count()
+            cneg = child_match.bit_count() - cpos
+            if cpos < floor_pos and cneg < floor_neg:
+                continue  # no descendant can reach the threshold
+
+            child_drops = [d & comp.match_bits for d in drops]
+            child_drops.append(match)
+            admissible = True
+            blocked = False
+            for d in child_drops:
+                mism = d ^ child_match  # child_match is a subset of every drop
+                mp = (mism & class_bits).bit_count()
+                if not (mp > mism_floor_pos or mism.bit_count() - mp > mism_floor_neg):
+                    admissible = False
+                    break
+                if d:
+                    dp = (d & class_bits).bit_count()
+                    dn = d.bit_count() - dp
+                    if (dp if dp >= dn else dn) >= min_corr * (dp + dn):
+                        blocked = True
+                        break
+            if not admissible or blocked:
+                continue
+
+            table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
+            target = select_target(table)
+            q = quality(table, target, weight)
+            child_ids = term_ids + (cid,)
+            if q >= threshold:
+                found.append(Rule(child_ids, child_match, table, target, q))
+                if best is None or q > best:
+                    best = q
+                    if keep * q > threshold:
+                        threshold = keep * q
+                        floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
+                        floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+
+            if depth + 1 >= params.max_terms or child_match == 0:
+                continue
+            n_match = cpos + cneg
+            if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
+                continue  # pure enough; supersets are blocked by definition
+            child_groups = used_groups if gk is None else used_groups | {gk}
+            walk(child_ids, child_match, child_drops, child_groups, cid, depth + 1)
+
+    walk((), full_mask, [], frozenset(), -1, 0)
+
+    if best is None:
+        return SearchOutcome((), None, params.base_threshold, visits)
+    final = max(params.base_threshold, keep * best)
+    kept = [r for r in found if r.quality >= final]
+    return SearchOutcome(_sorted_rules(kept), best, final, visits)

@@ -118,6 +118,22 @@ def test_discretize_prints_cut_lists(tmp_path, capsys):
     assert any(line.startswith("size:") for line in out.splitlines())
 
 
+def test_discretize_skips_an_unlabeled_row_zero(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    lines[1] = "f,6.0,?"  # row 0, the default query, unlabeled
+    Path(data).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    without = tmp_path / "without.csv"
+    without.write_text("\n".join([lines[0]] + lines[2:]) + "\n", encoding="utf-8")
+    outputs = []
+    for path in (data, str(without)):
+        code, out, err = _run(["discretize", "--data", path, "--schema", schema], capsys)
+        assert code == 0, err
+        outputs.append([line for line in out.splitlines() if not line.startswith("data=")])
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("size: ") for line in outputs[0])
+
+
 def test_missing_schema_is_a_data_error(tmp_path, capsys):
     data, _ = _write_copy_class(tmp_path)
     code, _, err = _run(
@@ -235,3 +251,15 @@ def test_unlabeled_training_row_is_a_data_error(tmp_path, capsys):
     code, out, _ = _run(["predict", "--data", data, "--schema", schema], capsys)
     assert code == 0
     assert "class=on" in out
+
+
+def test_unsplittable_csv_exits_two_naming_the_row(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    lines[3] = "t," + "1" * 140000 + ",on"  # row 2: one field over the csv limit
+    Path(data).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = _run(["evaluate", "--data", data, "--schema", schema], capsys)
+    assert code == 2
+    assert out == ""
+    assert "row 2" in err and "field larger than field limit" in err
+    assert "Traceback" not in err

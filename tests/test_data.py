@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from localrules import data
 from localrules.errors import (
     BadValue,
+    DataError,
     EmptyInput,
     IndexOutOfRange,
+    MalformedCsv,
     NoClassColumn,
     NonBinaryClass,
     SchemaMismatch,
@@ -24,7 +26,6 @@ def test_parse_minimal():
     assert d.rows[0] == (True, 0)
     assert d.rows[1] == (False, 1)
     assert d.class_values == ("yes", "no")
-    assert d.n_training == 1
 
 
 def test_load_dataset_accepts_a_byte_order_mark(tmp_path):
@@ -92,6 +93,16 @@ def test_value_errors():
     schema = "g: nominal {red,blue}\nc: class {y,n}\n"
     with pytest.raises(BadValue):
         data.parse_dataset("g,c\ngreen,y\nred,n\n", schema)
+
+
+def test_unsplittable_csv_is_a_data_error_naming_the_record():
+    with pytest.raises(MalformedCsv, match=r"row 0 \(line 2\): new-line character"):
+        data.parse_dataset("a,c\n1\r2,y\n", MINI_SCHEMA)
+    oversized = "T" * 131073
+    with pytest.raises(MalformedCsv, match=r"row 1 \(line 3\): field larger than field limit"):
+        data.parse_dataset(f"a,c\nT,yes\n{oversized},no\n", MINI_SCHEMA)
+    with pytest.raises(MalformedCsv, match=r"header \(line 1\)"):
+        data.parse_dataset("a\rb,c\nT,yes\n", MINI_SCHEMA)
 
 
 def test_too_small():
@@ -194,3 +205,38 @@ def test_round_trip(d):
         schema_lines.append(f"{a.name}: {spec}")
     reparsed = data.parse_dataset(data.serialize_csv(d), "\n".join(schema_lines))
     assert reparsed == d
+
+
+# Fuzz: whatever the CSV and schema text, parse_dataset either returns a
+# Dataset or raises a DataError subclass; nothing else may escape.
+
+_FUZZ_SCHEMAS = (
+    MINI_SCHEMA,
+    "x: continuous\ng: nominal {red,blue}\nc: class {y,n}\n",
+    "o: ordered {lo,hi}\nskip: ignore\nc: class {y,n}\n",
+)
+_CSV_PIECES = st.sampled_from(
+    ["a", "c", "x", "g", "o", "skip", ",", '"', "\n", "\r", "\r\n", "\0", " ", "?",
+     "T", "F", "yes", "no", "y", "n", "red", "lo", "1", "-0", "1e400", "nan", "\ufeff"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(max_size=80))
+    header = draw(st.sampled_from(["a,c\n", "x,g,c\n", "o,skip,c\n", ""]))
+    return header + "".join(draw(st.lists(_CSV_PIECES, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    csv_text=_csv_texts(),
+    schema_text=st.one_of(st.sampled_from(_FUZZ_SCHEMAS), st.text(max_size=60)),
+)
+def test_parse_dataset_raises_only_data_errors(csv_text, schema_text):
+    try:
+        d = data.parse_dataset(csv_text, schema_text)
+    except DataError:
+        return
+    assert len(d.rows) >= 2

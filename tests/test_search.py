@@ -29,6 +29,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_equivalent,
@@ -37,9 +39,11 @@ from helpers import (
     outcome_key,
     permuted_copy,
     random_instance,
+    reference_search,
 )
 from localrules.data import Attribute
-from localrules.encode import encode
+from localrules.discretize import build_grids
+from localrules.encode import attrs_needing_grids, encode
 from localrules.errors import NoComponents, SingleClassTraining
 from localrules.exhaustive import exhaustive_rules
 from localrules.rules import QualityParams
@@ -201,3 +205,88 @@ def test_outcome_is_deterministic():
     assert outcome_key(search_local_rules(inst, params).rules) == outcome_key(
         search_local_rules(inst, params).rules
     )
+
+
+# Candidate tails against the reference walk (helpers.reference_search, the
+# search before tails): the whole SearchOutcome must be identical, down to
+# match bits, float qualities and nodes_visited.
+
+
+def _level_heavy_instance(rng):
+    """Ordered attributes in level mode only, so every component is grouped.
+
+    The class leans on the first attribute (value <= pivot) with 15% noise,
+    so rules exist and several boundary groups meet on one path.
+    """
+    while True:
+        n_attrs = rng.randrange(2, 4)
+        attrs = tuple(
+            Attribute(f"o{j}", "ordered", tuple(str(v) for v in range(rng.randrange(3, 8))))
+            for j in range(n_attrs)
+        ) + (Attribute("c", "class", ("y", "n")),)
+        pivot = rng.randrange(len(attrs[0].values))
+        rows = []
+        for _ in range(rng.randrange(12, 121)):
+            cells = tuple(
+                None if rng.random() < 0.05 else rng.randrange(len(a.values))
+                for a in attrs[:-1]
+            )
+            lean = cells[0] is not None and cells[0] <= pivot
+            rows.append(cells + (int(lean != (rng.random() < 0.15)),))
+        pred = tuple(rng.randrange(len(a.values)) for a in attrs[:-1]) + (None,)
+        grids = build_grids(attrs, rows, n_attrs, attrs_needing_grids(attrs, "levels"))
+        inst = encode(attrs, rows, pred, n_attrs, grids, "levels")
+        if 1 <= inst.n_components <= 16 and inst.n_pos and inst.n_neg:
+            return inst
+
+
+def _varied_case(seed: int, variant: str):
+    rng = random.Random(seed)
+    if variant == "level-heavy":
+        inst = _level_heavy_instance(rng)
+        _, params = random_instance(rng)
+        return inst, params
+    inst, params = random_instance(rng)
+    if variant == "min_mism=0":
+        params = replace(params, min_mism=0.0)
+    elif variant == "keep_frac<1":
+        params = replace(params, keep_frac=rng.choice((0.3, 0.6, 0.9)))
+    elif variant == "shallow":
+        params = replace(params, max_terms=rng.randrange(1, 4))
+    elif variant == "eps>0":
+        params = replace(params, eps=rng.choice((0.05, 0.2, 0.4)))
+    elif variant == "pure root":
+        # eps just wide enough that the whole training set counts as pure, so
+        # every singleton is blocked by its parent-match drop.
+        majority = max(inst.n_pos, inst.n_neg) / inst.n_rows
+        params = replace(params, eps=min(0.99, 1.0 - majority + 0.01))
+    return inst, params
+
+
+VARIANTS = ("random", "min_mism=0", "keep_frac<1", "shallow", "eps>0", "pure root", "level-heavy")
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(VARIANTS))
+def test_candidate_tails_match_the_reference_walk(seed, variant):
+    inst, params = _varied_case(seed, variant)
+    out = search_local_rules(inst, params)
+    assert out == reference_search(inst, params)
+    if variant == "pure root":
+        assert out.rules == () and out.nodes_visited == inst.n_components
+
+
+def test_varied_cases_exercise_every_path():
+    """The property's instances reach groups, accepted rules and deep paths."""
+    seen = {v: [0, 0, 0] for v in VARIANTS}  # grouped instances, with rules, max terms
+    for seed in range(40):
+        for v in VARIANTS:
+            inst, params = _varied_case(seed, v)
+            out = search_local_rules(inst, params)
+            seen[v][0] += bool(inst.groups)
+            seen[v][1] += bool(out.rules)
+            seen[v][2] = max([seen[v][2]] + [len(r.term_ids) for r in out.rules])
+    assert seen["level-heavy"][0] == 40
+    assert all(seen[v][1] >= 5 for v in VARIANTS if v != "pure root")
+    assert seen["pure root"][1] == 0
+    assert seen["level-heavy"][2] >= 2 and seen["min_mism=0"][2] >= 3
