@@ -238,9 +238,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_discretize(args) -> int:
     cfg, d = _config(args)
     wanted = attrs_needing_grids(d.attributes, cfg.mode, cfg.overrides)
-    # Row 0 may be unlabeled (it is the default query); grids fit on labels.
-    labeled = [r for r in d.rows if r[d.class_col] is not None]
-    grids = build_grids(d.attributes, labeled, d.class_col, wanted)
+    grids = build_grids(d.attributes, d.rows, d.class_col, wanted)  # labeled rows only
     lines = cfg.echo_lines()
     for i in wanted:
         attr = d.attributes[i]

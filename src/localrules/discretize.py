@@ -1,14 +1,35 @@
 """Supervised discretization: level grids for ordered and continuous attributes.
 
 Continuous attributes get cut points from recursive entropy minimization with
-the minimum-description-length stopping rule; ordered discrete attributes use
-every declared value as a level. The resulting grid feeds the encoder's
-boundary components.
+the minimum-description-length stopping rule (Fayyad & Irani, IJCAI 1993);
+ordered discrete attributes use every declared value as a level. The
+resulting grid feeds the encoder's boundary components.
+
+A GridFitter fits the grids of one row set once and serves every
+leave-one-out split of it. Each continuous column is sorted once into value
+groups: the runs of values between two gaps that can hold a cut (a gap
+between equal values, or between adjacent floats whose midpoint is not
+strictly between them, cannot), each with its size and class count. Leaving
+a row out takes one member from its group; a group that empties merges its
+two gaps into one. The cut search scans only class-boundary gaps, those
+between two groups that are not pure in the same class: across a run of
+groups pure in one class the weighted entropy is strictly concave (Fayyad &
+Irani, Machine Learning 8, 1992), so its minimum never lies inside the run.
+A subrange that does not hold the left-out row has the same contents for
+every split, so its cuts are kept, keyed by its group bounds. In one that
+does, each boundary gap has one side the row leaves untouched and one side
+a row short; the entropy terms of both kinds of side are kept per range
+bound, so a split computes entropies only at the two gaps next to its row.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from operator import add, truediv
+from typing import NamedTuple
 
 from .data import (
     BOOL_KIND,
@@ -41,61 +62,38 @@ def _midpoint(a: float, b: float) -> float | None:
     return mid if a < mid < b else None
 
 
-def _prefix_counts(labels) -> list[int]:
-    """Prefix counts of the first label: entry i counts it among labels[:i].
+def _term(rows: int, ones: int) -> float:
+    """One side's share of a cut's weighted entropy, times the range's size.
 
-    Any index range [lo, hi) then holds ones[hi] - ones[lo] of that label.
-    More than two label values raise NonBinaryClass.
+    NaN for impossible counts: a kept term of a side that lacks the
+    left-out row it assumes, which no scan reads.
     """
-    kinds = len(set(labels))
-    if kinds > 2:
-        raise NonBinaryClass(f"entropy cuts need at most 2 label values, got {kinds}")
-    ones = [0]
-    if labels:
-        first, count = labels[0], 0
-        for g in labels:
-            count += g == first
-            ones.append(count)
-    return ones
+    return rows * _entropy(ones, rows - ones) if 0 <= ones <= rows else math.nan
 
 
-def _best_split(xs, ones, lo: int, hi: int) -> tuple[int, float, float] | None:
-    n = hi - lo
-    base = ones[lo]
-    total = ones[hi] - base
-    best: tuple[int, float, float] | None = None
-    for i in range(lo, hi - 1):
-        x, nxt = xs[i], xs[i + 1]
-        if x == nxt:
-            continue
-        n_left = i + 1 - lo
-        a = ones[i + 1] - base
-        b = total - a
-        w = (n_left * _entropy(a, n_left - a) + (n - n_left) * _entropy(b, n - n_left - b)) / n
-        if best is None or w < best[2]:
-            cut = _midpoint(x, nxt)
-            if cut is not None:
-                best = (i, cut, w)
-    return best
+def _side_terms(cs, cp, lo: int, hi: int, gaps) -> tuple[list[float], list[float]]:
+    """The left and right terms of each gap in gaps, in a range of groups lo..hi-1."""
+    lefts = [_term(cs[k + 1] - cs[lo], cp[k + 1] - cp[lo]) for k in gaps]
+    rights = [_term(cs[hi] - cs[k + 1], cp[hi] - cp[k + 1]) for k in gaps]
+    return lefts, rights
 
 
-def best_split(pairs: list[tuple[float, object]]) -> tuple[int, float, float] | None:
-    """Lowest-weighted-entropy cut for a value-sorted (value, label) list.
-
-    Returns (boundary index, cut value, weighted entropy); ties go to the
-    leftmost cut. None when no two distinct values exist. Labels must take at
-    most two values.
-    """
-    ones = _prefix_counts([g for _, g in pairs])
-    return _best_split([v for v, _ in pairs], ones, 0, len(pairs))
+def _lowest(lefts, rights, n: int) -> tuple[int, float] | None:
+    """(index, weighted entropy) of the lowest (left + right) / n; ties go to the first."""
+    ws = list(map(truediv, map(add, lefts, rights), repeat(n)))
+    if not ws:
+        return None
+    i = min(range(len(ws)), key=ws.__getitem__)
+    return i, ws[i]
 
 
-def _mdl_accepts(ones, lo: int, split_at: int, hi: int, w: float) -> bool:
-    n = hi - lo
-    mid = split_at + 1
-    c, c1 = ones[hi] - ones[lo], ones[mid] - ones[lo]
-    c2 = c - c1
-    n1, n2 = mid - lo, hi - mid
+def _purity(size: int, ones: int) -> int:
+    """1 or 0 for a group pure in the counted label or the other, -1 if mixed."""
+    return 1 if ones == size else 0 if ones == 0 else -1
+
+
+def _mdl_accepts(n: int, c: int, n1: int, c1: int, w: float) -> bool:
+    n2, c2 = n - n1, c - c1
     e, e1, e2 = _entropy(c, n - c), _entropy(c1, n1 - c1), _entropy(c2, n2 - c2)
     k = (c > 0) + (c < n)
     k1 = (c1 > 0) + (c1 < n1)
@@ -107,20 +105,211 @@ def _mdl_accepts(ones, lo: int, split_at: int, hi: int, w: float) -> bool:
     return gain > threshold
 
 
-def _recurse(xs, ones, lo: int, hi: int, out: list[float]) -> None:
-    n = hi - lo
-    c = ones[hi] - ones[lo]
-    if n < 2 or c == 0 or c == n:
-        return
-    found = _best_split(xs, ones, lo, hi)
+class _Removal(NamedTuple):
+    """One left-out member of group `group`; `label` is 1 when it has the counted label.
+
+    gaps maps the group's two neighbouring gap indices to their cut values,
+    for those of them that remain class boundaries after the removal. When
+    the group empties, its two gaps become one, kept at the right-hand
+    index: cutting there splits the rows as the merged gap does.
+    """
+
+    group: int
+    label: int
+    gaps: dict
+
+
+class _Column:
+    """One attribute's known values, sorted once into value groups."""
+
+    def __init__(self, values, labels):
+        kinds = len(set(labels))
+        if kinds > 2:
+            raise NonBinaryClass(f"entropy cuts need at most 2 label values, got {kinds}")
+        self.values, self.labels = values, labels
+        self.first = labels[0] if labels else None  # the counted label
+        order = sorted(range(len(values)), key=values.__getitem__)
+        self.group_of = group_of = [0] * len(values)
+        sizes: list[int] = []
+        ones: list[int] = []
+        firsts: list = []
+        lasts: list = []
+        self.gap_cuts = gap_cuts = []  # gap g lies between groups g and g + 1
+        multi: list[bool] = []  # the group holds more than one distinct value
+        lone: list[int] = []  # positions whose value no other position has
+        run_start = 0
+        prev = None
+        for rank, p in enumerate(order):
+            x = values[p]
+            if not rank or x != prev:
+                if rank - run_start == 1:
+                    lone.append(order[run_start])
+                run_start = rank
+                cut = _midpoint(prev, x) if rank else None
+                if cut is None and rank:
+                    multi[-1] = True
+                else:
+                    if rank:
+                        gap_cuts.append(cut)
+                    sizes.append(0)
+                    ones.append(0)
+                    firsts.append(x)
+                    lasts.append(x)
+                    multi.append(False)
+            g = len(sizes) - 1
+            sizes[g] += 1
+            ones[g] += labels[p] == self.first
+            lasts[g] = x
+            group_of[p] = g
+            prev = x
+        if len(order) - run_start == 1:
+            lone.append(order[run_start])
+        # Taking out a lone value of a multi-value group changes which of its
+        # gaps can hold a cut; such a split is fitted from a fresh sort.
+        self.refit = {p for p in lone if multi[group_of[p]]}
+        self.sizes, self.ones, self.firsts, self.lasts = sizes, ones, firsts, lasts
+        self.cs = list(accumulate(sizes, initial=0))
+        self.cp = list(accumulate(ones, initial=0))
+        self.pure = pure = list(map(_purity, sizes, ones))
+        self.boundaries = [
+            k for k in range(len(sizes) - 1) if pure[k] < 0 or pure[k] != pure[k + 1]
+        ]
+        self._memo: dict[int, tuple] = {}
+        self._kept_terms: dict[tuple[int, int, int, int], array] = {}
+
+    def _removal(self, p: int) -> _Removal:
+        j = self.group_of[p]
+        label = int(self.labels[p] == self.first)
+        pure, last = self.pure, len(self.sizes) - 1
+        gaps = {}
+        if self.sizes[j] == 1:
+            if 0 < j < last and (pure[j - 1] < 0 or pure[j - 1] != pure[j + 1]):
+                gaps[j] = _midpoint(self.lasts[j - 1], self.firsts[j + 1])
+        else:
+            pj = _purity(self.sizes[j] - 1, self.ones[j] - label)
+            if j > 0 and (pure[j - 1] < 0 or pure[j - 1] != pj):
+                gaps[j - 1] = self.gap_cuts[j - 1]
+            if j < last and (pj < 0 or pj != pure[j + 1]):
+                gaps[j] = self.gap_cuts[j]
+        return _Removal(j, label, gaps)
+
+    def cuts(self, held_out: int | None = None) -> tuple:
+        """Cut points of all values but the one at position held_out."""
+        if held_out is None:
+            return self._cuts(0, len(self.sizes), None)
+        if held_out in self.refit:
+            p = held_out
+            values, labels = self.values, self.labels
+            return _Column(values[:p] + values[p + 1 :], labels[:p] + labels[p + 1 :]).cuts()
+        return self._cuts(0, len(self.sizes), self._removal(held_out))
+
+    def _terms(self, bound: int, side: int, less_rows: int, less_ones: int) -> array:
+        """Kept entropy terms of the boundary gaps on one side of a range bound.
+
+        side 0: the left sides of a range from group bound, one term per
+        boundary gap at or after it; side 1: the right sides of a range up
+        to group bound, one per boundary gap before it. Each side is counted
+        without less_rows rows, less_ones of them with the counted label.
+        """
+        key = (bound, side, less_rows, less_ones)
+        got = self._kept_terms.get(key)
+        if got is None:
+            b, cs, cp = self.boundaries, self.cs, self.cp
+            if side == 0:
+                gaps = b[bisect_left(b, bound) :]
+                rows = [cs[k + 1] - cs[bound] - less_rows for k in gaps]
+                ones = [cp[k + 1] - cp[bound] - less_ones for k in gaps]
+            else:
+                gaps = b[: bisect_left(b, bound - 1)]
+                rows = [cs[bound] - cs[k + 1] - less_rows for k in gaps]
+                ones = [cp[bound] - cp[k + 1] - less_ones for k in gaps]
+            got = self._kept_terms[key] = array("d", map(_term, rows, ones))
+        return got
+
+    def _best(self, lo: int, hi: int, n: int, c: int, rm: _Removal | None):
+        """(gap, left rows, left counted labels, weighted entropy) of the lowest cut.
+
+        With rm among the groups, a boundary gap left of rm's group has the
+        full data's left side and a right side one row short; a gap right of
+        it the other way round. Both kinds of side terms are kept per range
+        bound and shared by every split, so such a scan computes only the
+        terms of rm's two neighbouring gaps.
+        """
+        b, cs, cp = self.boundaries, self.cs, self.cp
+        start, stop = bisect_left(b, lo), bisect_left(b, hi - 1)
+        if rm is None:
+            gaps = b[start:stop]
+            lefts, rights = _side_terms(cs, cp, lo, hi, gaps)
+        else:
+            j, label = rm.group, rm.label
+            mid = max(start, bisect_left(b, j - 1))
+            after = max(mid, bisect_right(b, j))
+            gaps = b[start:mid]
+            lefts = list(self._terms(lo, 0, 0, 0)[: mid - start])
+            rights = list(self._terms(hi, 1, 1, label)[start:mid])
+            for k in (j - 1, j):
+                if k in rm.gaps and lo <= k < hi - 1:
+                    shift = k >= j
+                    n_left = cs[k + 1] - cs[lo] - shift
+                    a = cp[k + 1] - cp[lo] - label * shift
+                    gaps.append(k)
+                    lefts.append(_term(n_left, a))
+                    rights.append(_term(n - n_left, c - a))
+            gaps += b[after:stop]
+            lefts += self._terms(lo, 0, 1, label)[after - start : stop - start]
+            rights += self._terms(hi, 1, 0, 0)[after:stop]
+        found = _lowest(lefts, rights, n)
+        if found is None:
+            return None
+        i, w = found
+        k = gaps[i]
+        shift = rm is not None and k >= rm.group
+        n_left = cs[k + 1] - cs[lo] - shift
+        a = cp[k + 1] - cp[lo] - (rm.label if shift else 0)
+        return k, n_left, a, w
+
+    def _cuts(self, lo: int, hi: int, rm: _Removal | None) -> tuple:
+        """Cuts of groups lo..hi-1, without rm's member when it lies among them."""
+        if rm is not None and not lo <= rm.group < hi:
+            rm = None
+        if rm is None:
+            key = lo * len(self.cs) + hi
+            got = self._memo.get(key)
+            if got is not None:
+                return got
+        n = self.cs[hi] - self.cs[lo]
+        c = self.cp[hi] - self.cp[lo]
+        if rm is not None:
+            n -= 1
+            c -= rm.label
+        out = ()
+        if n >= 2 and 0 < c < n:
+            found = self._best(lo, hi, n, c, rm)
+            if found is not None and _mdl_accepts(n, c, *found[1:]):
+                k = found[0]
+                cut = rm.gaps[k] if rm is not None and k in rm.gaps else self.gap_cuts[k]
+                out = self._cuts(lo, k + 1, rm) + (cut,) + self._cuts(k + 1, hi, rm)
+        if rm is None:
+            self._memo[key] = out
+        return out
+
+
+def best_split(pairs: list[tuple[float, object]]) -> tuple[int, float, float] | None:
+    """Lowest-weighted-entropy cut for a value-sorted (value, label) list.
+
+    Returns (boundary index, cut value, weighted entropy); ties go to the
+    leftmost cut. None when no two distinct values exist. Labels must take at
+    most two values.
+    """
+    col = _Column([v for v, _ in pairs], [g for _, g in pairs])
+    n, c, groups = len(pairs), col.cp[-1], len(col.sizes)
+    # A single-class list scores 0 at every gap, so its leftmost gap wins.
+    gaps = col.boundaries if 0 < c < n else range(groups - 1)
+    found = _lowest(*_side_terms(col.cs, col.cp, 0, groups, gaps), n)
     if found is None:
-        return
-    split_at, cut, w = found
-    if not _mdl_accepts(ones, lo, split_at, hi, w):
-        return
-    _recurse(xs, ones, lo, split_at + 1, out)
-    out.append(cut)
-    _recurse(xs, ones, split_at + 1, hi, out)
+        return None
+    i, w = found
+    return col.cs[gaps[i] + 1] - 1, col.gap_cuts[gaps[i]], w
 
 
 def entropy_mdl_cuts(values, labels) -> list[float]:
@@ -129,56 +318,68 @@ def entropy_mdl_cuts(values, labels) -> list[float]:
     Inputs must be missing-free and of equal length >= 2, with at most two
     label values (more raise NonBinaryClass); the result is a strictly
     increasing (possibly empty) list of thresholds, each strictly between two
-    adjacent observed values. One sort, then linear scans over index ranges
-    of one prefix-count array.
+    adjacent observed values.
     """
     if len(values) != len(labels):
         raise LengthMismatch(f"{len(values)} values vs {len(labels)} labels")
     if len(values) < 2:
         raise EmptyInput("need at least 2 values to consider a cut")
-    order = sorted(range(len(values)), key=values.__getitem__)
-    xs = [values[i] for i in order]
-    ones = _prefix_counts([labels[i] for i in order])
-    out: list[float] = []
-    _recurse(xs, ones, 0, len(xs), out)
-    return out
+    return list(_Column(values, labels).cuts())
 
 
-def initial_grid(attributes: tuple[Attribute, ...], rows, attr: int, class_col: int):
-    """Level grid for one attribute, computed from the given training rows.
+class GridFitter:
+    """Level grids of one labeled row set, fitted once for all its splits.
 
-    Ordered attributes use every declared value (as category indices);
-    continuous attributes use the entropy cuts. Fewer than two usable rows,
-    or a single-class column, yields an empty grid: the attribute then simply
-    contributes no boundary components.
+    grids(level_attrs, held_out=n) equals build_grids on every row but n.
+    Unlabeled rows take no part in a fit. Columns are sorted on first use.
     """
-    a = attributes[attr]
-    if a.kind == ORDERED_KIND:
-        assert a.values is not None
-        return tuple(range(len(a.values)))
-    if a.kind != CONTINUOUS_KIND:
-        raise WrongKind(f"attribute {a.name!r} is {a.kind}, not ordered/continuous")
-    known = [row for row in rows if row[attr] is not None]
-    if len(known) < 2:
-        return ()
-    return tuple(entropy_mdl_cuts([r[attr] for r in known], [r[class_col] for r in known]))
+
+    def __init__(self, attributes: tuple[Attribute, ...], rows, class_col: int):
+        self.attributes = attributes
+        self.rows = rows
+        self.class_col = class_col
+        self._columns: dict[int, tuple[_Column, list]] = {}
+
+    def _column(self, attr: int) -> tuple[_Column, list]:
+        """Attribute attr's column and each row's position in it (None: not in it)."""
+        got = self._columns.get(attr)
+        if got is None:
+            cc = self.class_col
+            known = [
+                n for n, r in enumerate(self.rows) if r[attr] is not None and r[cc] is not None
+            ]
+            position: list = [None] * len(self.rows)
+            for p, n in enumerate(known):
+                position[n] = p
+            col = _Column([self.rows[n][attr] for n in known], [self.rows[n][cc] for n in known])
+            got = self._columns[attr] = (col, position)
+        return got
+
+    def grids(self, level_attrs, held_out: int | None = None) -> dict[int, tuple]:
+        """Grids for every attribute index in level_attrs, row held_out left out.
+
+        Ordered, nominal and boolean attributes (the latter two when an
+        encoding override forces level treatment) use their declared value
+        order. Continuous attributes use the entropy cuts; fewer than two
+        usable rows, or a single-class column, yield an empty grid, so the
+        attribute contributes no boundary components.
+        """
+        grids: dict[int, tuple] = {}
+        for attr in level_attrs:
+            a = self.attributes[attr]
+            if a.kind in (NOMINAL_KIND, ORDERED_KIND):
+                assert a.values is not None
+                grids[attr] = tuple(range(len(a.values)))
+            elif a.kind == BOOL_KIND:
+                grids[attr] = (False, True)
+            elif a.kind == CONTINUOUS_KIND:
+                col, position = self._column(attr)
+                grids[attr] = col.cuts(None if held_out is None else position[held_out])
+            else:
+                raise WrongKind(f"attribute {a.name!r} is {a.kind}, which has no levels")
+        return grids
 
 
 def build_grids(attributes, rows, class_col: int, level_attrs) -> dict[int, tuple]:
-    """Grids for every attribute index in level_attrs.
-
-    Unlike initial_grid this also accepts nominal and boolean attributes,
-    which arise when an encoding override forces level treatment on an
-    unordered attribute: their declared value order becomes the grid.
-    """
-    grids: dict[int, tuple] = {}
-    for attr in level_attrs:
-        a = attributes[attr]
-        if a.kind == NOMINAL_KIND:
-            assert a.values is not None
-            grids[attr] = tuple(range(len(a.values)))
-        elif a.kind == BOOL_KIND:
-            grids[attr] = (False, True)
-        else:
-            grids[attr] = initial_grid(attributes, rows, attr, class_col)
-    return grids
+    """Grids for every attribute index in level_attrs, fitted on the labeled rows."""
+    return GridFitter(attributes, rows, class_col).grids(level_attrs)

@@ -6,7 +6,9 @@ sizes differ by at most one. Every test row is predicted with its class cell
 masked, against training rows from the other folds only; discretization
 grids and a TrainingIndex are fitted once on each training split, so the
 test rows never influence their own encoding. Leave-one-out shares one
-full-data index and refits the grids for every held-out row.
+full-data index and one full-data GridFitter: a held-out row is a bit
+dropped from the index and a member taken out of the fitter's value groups,
+which are sorted once per evaluation.
 
 All test rows of an evaluation are independent and may be predicted by one
 pool of worker processes. The merge preserves row order and all accumulators
@@ -23,7 +25,7 @@ from multiprocessing import get_context
 from random import Random
 
 from .data import Dataset
-from .discretize import build_grids
+from .discretize import GridFitter, build_grids
 from .encode import MODE_LEVELS, TrainingIndex, attrs_needing_grids
 from .errors import BadParams, BadValue, DatasetTooLarge, TooFewRows
 from .predict import SOURCE_PRIOR, encode_row, mask_class, predict_encoded
@@ -98,11 +100,12 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
     by_class: tuple[list[int], list[int]] = ([], [])
     for i, row in enumerate(d.rows):
         by_class[_class_index(row, d.class_col, f"row {i}")].append(i)
-    rng = Random(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
     for label, rows in zip(d.class_values, by_class):
         if len(rows) < k:
             raise TooFewRows(f"class {label!r} has {len(rows)} rows, fewer than {k} folds")
+    rng = Random(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for rows in by_class:
         rng.shuffle(rows)
         for j, idx in enumerate(rows):
             folds[j % k].append(idx)
@@ -111,7 +114,8 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
 
 # Worker state (dataset, params, mode, overrides, fitted), set by the pool
 # initializer and cleared after an in-process run. fitted holds one (index,
-# grids) pair per fold under k-fold, the full-data index under leave-one-out.
+# grids) pair per fold under k-fold, the full-data (index, grid fitter) pair
+# under leave-one-out.
 _WORKER_STATE = None
 
 
@@ -133,8 +137,9 @@ def _predict_fold_row(item):
 
 
 def _predict_loocv_row(row: int):
-    d, params, mode, overrides, index = _WORKER_STATE
-    return _outcome(predict_encoded(encode_row(d, row, mode, overrides, index), params))
+    d, params, mode, overrides, (index, fitter) = _WORKER_STATE
+    inst = encode_row(d, row, mode, overrides, index, fitter)
+    return _outcome(predict_encoded(inst, params))
 
 
 def available_cpus() -> int:
@@ -217,8 +222,11 @@ def evaluate_loocv(
         )
     for i, row in enumerate(d.rows):
         _class_index(row, d.class_col, f"row {i}")
-    index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    results = _run_pool(threads, (d, params, mode, overrides, index), _predict_loocv_row, range(n))
+    fitted = (
+        TrainingIndex(d.attributes, d.rows, d.class_col),
+        GridFitter(d.attributes, d.rows, d.class_col),
+    )
+    results = _run_pool(threads, (d, params, mode, overrides, fitted), _predict_loocv_row, range(n))
     pooled = _confusion(d.rows, d.class_col, results)
     return _build_report(
         d, params, "loocv", mode, None, None, overrides, (pooled,), results,

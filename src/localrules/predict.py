@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import Dataset, split_for_prediction
-from .discretize import build_grids
+from .discretize import GridFitter
 from .encode import EncodedInstance, TrainingIndex, attrs_needing_grids
 from .rules import Contingency, QualityParams, Rule, contingency, quality, select_target
 from .search import SearchOutcome, search_local_rules
 
-# Per-query encoding goes through this name, so it can be swapped as one layer.
+# Per-query grid fits and encodings go through these names, so each can be
+# swapped as one layer.
+build_grids = GridFitter.grids
 encode = TrainingIndex.encode
 
 SOURCE_COMBINED = "combined_rule"
@@ -125,20 +127,23 @@ def encode_row(
     mode: str = "levels",
     overrides: dict | None = None,
     index: TrainingIndex | None = None,
+    fitter: GridFitter | None = None,
 ) -> EncodedInstance:
     """Encode one dataset row, class masked, against all the other rows.
 
-    index, a TrainingIndex over all of d's rows (built when None), is shared
-    by every such split and the row is dropped from its bitsets; the grids
-    are fitted on the other rows, so the row never influences its encoding.
+    index, a TrainingIndex, and fitter, a GridFitter, both over all of d's
+    rows (each built when None), are shared by every such split: the row is
+    dropped from the index's bitsets and left out of the grid fit, so it
+    never influences its own encoding.
     """
-    pred_row, training = split_for_prediction(d, row)
+    pred_row, _ = split_for_prediction(d, row)  # also checks the row's range
     pred_row = mask_class(pred_row, d.class_col)
     if index is None:
         index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    index.check_labeled(row)  # before the grid fit reads the labels
-    level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
-    grids = build_grids(d.attributes, training, d.class_col, level_attrs)
+    if fitter is None:
+        fitter = GridFitter(d.attributes, d.rows, d.class_col)
+    index.check_labeled(row)
+    grids = build_grids(fitter, attrs_needing_grids(d.attributes, mode, overrides), row)
     return encode(index, pred_row, grids, mode, overrides, held_out=row)
 
 

@@ -184,21 +184,6 @@ def cover_floor_counts(
     )
 
 
-def thresholds(params: QualityParams, n_pos: int, n_neg: int):
-    """Both floor families at the initial acceptance level.
-
-    Returns ((cover count floor per class), (mismatch float floor per class)),
-    positive class first. Cover floors are the minimal acceptable counts, the
-    row-count form of min_cover * class share; mismatch floors stay as float
-    products for the strict > comparison.
-    """
-    if params.weight >= 1.0:
-        cover = (0, 0)  # exclusion-only score; coverage cannot bound it
-    else:
-        cover = cover_floor_counts(params.base_threshold, n_pos, n_neg, params.weight)
-    return cover, mismatch_floors(params, n_pos, n_neg)
-
-
 def format_rule(rule: Rule, components, class_labels: tuple[str, str]) -> str:
     terms = " AND ".join(components[cid].display for cid in rule.term_ids)
     label = class_labels[0] if rule.target else class_labels[1]

@@ -38,6 +38,9 @@ inside every one-term drop: the new term leaves (node - child) rows
 unmatched, and a dropped term leaves (drop - child) rows. The children that
 survive get the remaining checks in canonical order, so the threshold rises
 at the same points as in a walk over every child.
+A child whose predicted class matches fewer rows than that class's coverage
+floor is expanded but not scored: its quality is at most that of a perfect
+rule with the same count, which is below the threshold.
 
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
@@ -68,7 +71,6 @@ from .rules import (
     min_cover_count,
     mismatch_floors,
     quality,
-    select_target,
 )
 
 
@@ -105,6 +107,7 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     max_terms = params.max_terms
     min_corr = 1.0 - params.eps
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
+    tie_target = n_pos >= n_neg
 
     threshold = params.base_threshold
     floor_pos, floor_neg = cover_floor_counts(threshold, n_pos, n_neg, weight)
@@ -162,18 +165,21 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 child_drops.append(d)
             else:  # admissible and not blocked
                 child_match = child_matches[i]
-                table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                target = select_target(table)
-                q = quality(table, target, weight)
                 child_ids = term_ids + (cid,)
-                if q >= threshold:
-                    found.append(Rule(child_ids, child_match, table, target, q))
-                    if best is None or q > best:
-                        best = q
-                        if keep * q > threshold:
-                            threshold = keep * q
-                            floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
-                            floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+                # select_target's choice; a rule covering fewer of its class
+                # than that class's floor scores below the threshold.
+                target = cpos > cneg if cpos != cneg else tie_target
+                if (cpos >= floor_pos) if target else (cneg >= floor_neg):
+                    table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
+                    q = quality(table, target, weight)
+                    if q >= threshold:
+                        found.append(Rule(child_ids, child_match, table, target, q))
+                        if best is None or q > best:
+                            best = q
+                            if keep * q > threshold:
+                                threshold = keep * q
+                                floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
+                                floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
 
                 if leaf or not child_match:
                     continue
@@ -205,8 +211,3 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     final = max(params.base_threshold, keep * best)
     kept = [r for r in found if r.quality >= final]
     return SearchOutcome(_sorted_rules(kept), best, final, visits)
-
-
-def node_visit_count(inst: EncodedInstance, params: QualityParams) -> int:
-    """Instrumentation entry point: candidate sets formed for this instance."""
-    return search_local_rules(inst, params).nodes_visited

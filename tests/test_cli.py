@@ -1,14 +1,20 @@
 """Exit codes, output shape, and flag plumbing of the command line."""
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import localrules
 from localrules.cli import main
+from localrules.evaluate import worker_count
 
 SCHEMA = """\
 flag: bool
@@ -263,3 +269,62 @@ def test_unsplittable_csv_exits_two_naming_the_row(tmp_path, capsys):
     assert out == ""
     assert "row 2" in err and "field larger than field limit" in err
     assert "Traceback" not in err
+
+
+_FLOAT_FLAGS = ("--lambda", "--cmin", "--cmin-mism", "--kappa", "--eps")
+_INT_FLAGS = {
+    "predict": ("--max-depth", "--row"),
+    "rules": ("--max-depth", "--row"),
+    "evaluate": ("--max-depth", "--folds", "--seed"),
+    "discretize": ("--max-depth",),
+}
+
+
+@st.composite
+def _numeric_flags(draw):
+    command = draw(st.sampled_from(sorted(_INT_FLAGS) + ["selftest"]))
+    if command == "selftest":
+        return [command, f"--trials={draw(st.integers(-3, 3))}", f"--seed={draw(st.integers())}"]
+    args = [command]
+    for flag in _FLOAT_FLAGS:
+        if draw(st.booleans()):
+            args.append(f"{flag}={draw(st.floats())!r}")
+    for flag in _INT_FLAGS[command]:
+        if draw(st.booleans()):
+            args.append(f"{flag}={draw(st.integers())}")
+    # Small counts only: huge ones are covered by worker_count below.
+    args.append(f"--threads={draw(st.integers(-2, 2))}")
+    if command == "evaluate" and draw(st.booleans()):
+        args.append("--loocv")
+    return args
+
+
+@pytest.fixture(scope="module")
+def copy_class_files(tmp_path_factory):
+    return _write_copy_class(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_numeric_flags())
+@example(args=["evaluate", "--folds=1000000000000", "--threads=1"])
+@example(args=["predict", "--row=-1", "--max-depth=0", "--threads=1"])
+@example(args=["rules", "--cmin=nan", "--kappa=inf", "--threads=1"])
+def test_numeric_flags_never_raise(copy_class_files, args):
+    data, schema = copy_class_files
+    if args[0] != "selftest":
+        args = args + ["--data", data, "--schema", schema]
+    out, err = io.StringIO(), io.StringIO()
+    # One CPU: every --threads value runs in this process.
+    with mock.patch("localrules.evaluate.available_cpus", lambda: 1), \
+            mock.patch("localrules.cli.available_cpus", lambda: 1), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.integers(0, 10**6), st.integers(1, 512))
+def test_worker_count_never_exceeds_cpus_or_items(threads, n_items, cpus):
+    workers = worker_count(threads, n_items, cpus)
+    assert 1 <= workers <= max(1, min(cpus, n_items))

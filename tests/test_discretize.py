@@ -21,7 +21,7 @@ Frozen oracle values, worked out by hand before implementation:
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -178,15 +178,102 @@ def _continuous_dataset(n=48, seed=3):
 
 def test_build_grids_equal_reference_on_every_leave_one_out_split():
     d = _continuous_dataset()
+    fitter = discretize.GridFitter(d.attributes, d.rows, d.class_col)
     for i in range(len(d.rows)):
         _, training = split_for_prediction(d, i)
         grids = discretize.build_grids(d.attributes, training, d.class_col, [0, 1, 2])
+        assert fitter.grids([0, 1, 2], i) == grids
         assert grids[2] == (0, 1, 2)
         for attr in (0, 1):
             pairs = [(r[attr], r[d.class_col]) for r in training if r[attr] is not None]
             want = helpers.reference_cuts([v for v, _ in pairs], [g for _, g in pairs])
             assert grids[attr] == tuple(want)
         assert grids[0]  # the interval planted on x1 is cut on every split
+
+
+_XC = (Attribute("x", "continuous"), Attribute("c", "class", ("y", "n")))
+
+
+def _assert_fitter_matches_every_split(cells):
+    """GridFitter with each row held out == build_grids and the reference on the rest."""
+    rows = tuple((v, g) for v, g in cells)
+    fitter = discretize.GridFitter(_XC, rows, 1)
+    for held_out in [None, *range(len(rows))]:
+        rest = [r for i, r in enumerate(rows) if i != held_out]
+        got = fitter.grids([0], held_out)[0]
+        split = discretize.build_grids(_XC, rest, 1, [0])[0]
+        known = [(v, g) for v, g in rest if v is not None]
+        want = () if len(known) < 2 else tuple(
+            helpers.reference_cuts([v for v, _ in known], [g for _, g in known])
+        )
+        assert got == split == want, held_out
+        assert repr(got) == repr(split) == repr(want), held_out
+
+
+# Adjacent floats: 5e-324 and 1e-323 have no midpoint strictly between them,
+# so they share a value group with several distinct values.
+_TINY = (5e-324, 1e-323, 1.5e-323, 2e-323)
+
+
+# Columns with few distinct values and a planted threshold (one label in ten
+# flipped): mixed tie groups on both sides of cuts the MDL rule accepts.
+def _planted(t, n, rng):
+    values = [rng.randrange(10) for _ in range(n)]
+    return [(float(v), int((v >= t) != (rng.random() < 0.1))) for v in values]
+
+
+_PLANTED = st.builds(
+    _planted, st.integers(1, 8), st.integers(2, 60), st.randoms(use_true_random=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.tuples(st.one_of(_VALUES, st.sampled_from(_TINY), st.none()), st.integers(0, 1)),
+            min_size=1,
+            max_size=40,
+        ),
+        _PLANTED,
+    )
+)
+@example([(1.0, 0), (2.0, 0), (3.0, 1)])  # single-class once row 2 is out
+@example([(1.0, 0), (None, 1), (2.0, 1)])  # fewer than 2 known values left
+@example([(v, i % 2) for i, v in enumerate([1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0] * 2)])
+@example([(v, g) for v, g in zip(_TINY * 2, [0, 1, 1, 0, 1, 0, 0, 1])])
+@example([(-0.0, 0), (0.0, 1), (-5e-324, 1), (5e-324, 0), (1e308, 1), (-1e308, 0)])
+@example(  # with row 3 out, the lowest cut lies between two mixed groups, one of them its own
+    [
+        (float(v), g)
+        for v, g in zip(
+            [5, 3, 7, 7, 8, 7, 6, 0, 5, 1, 7, 8, 7, 8, 1, 4, 5, 9, 8, 0, 3, 8, 8, 0, 5],
+            [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0],
+        )
+    ]
+)
+def test_grid_fitter_equals_every_leave_one_out_split(cells):
+    _assert_fitter_matches_every_split(cells)
+
+
+def test_grid_fitter_split_cases_are_exercised():
+    # Each held-out case the fitter treats apart, on a column built for it:
+    # a member of a tie group, the sole member of its group (its two gaps
+    # merge), the first and last sorted value, a lone value of a
+    # multi-value group, and a missing value.
+    values = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 5e-324, 1e-323, None, 6.0]
+    labels = [0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0]
+    _assert_fitter_matches_every_split(list(zip(values, labels)))
+    col = discretize.GridFitter(_XC, tuple(zip(values, labels)), 1)._column(0)[0]
+    assert col.refit  # the lone values of the group {5e-324, 1e-323}
+    assert 1 in col.sizes and any(size > 1 for size in col.sizes)
+
+
+def test_grid_fitter_skips_unlabeled_rows():
+    rows = ((1.0, 0), (2.0, 0), (3.0, None), (10.0, 1), (11.0, 1), (12.0, 1))
+    fitter = discretize.GridFitter(_XC, rows, 1)
+    labeled = rows[:2] + rows[3:]
+    assert fitter.grids([0]) == fitter.grids([0], 2) == discretize.build_grids(_XC, labeled, 1, [0])
 
 
 ATTRS = (
@@ -199,27 +286,27 @@ ATTRS = (
 
 
 def test_initial_grid_ordered_uses_all_declared_values():
-    grid = discretize.initial_grid(ATTRS, [], 0, 4)
-    assert grid == (0, 1, 2)
+    assert discretize.build_grids(ATTRS, [], 4, [0]) == {0: (0, 1, 2)}
 
 
 def test_initial_grid_continuous_from_cuts():
     rows = [(None, float(v), None, None, g) for v, g in
             zip([1, 2, 3, 10, 11, 12], [0, 0, 0, 1, 1, 1])]
-    assert discretize.initial_grid(ATTRS, rows, 1, 4) == (6.5,)
+    assert discretize.build_grids(ATTRS, rows, 4, [1]) == {1: (6.5,)}
 
 
 def test_initial_grid_degenerate_cases_are_empty():
-    assert discretize.initial_grid(ATTRS, [(None, 5.0, None, None, 0)], 1, 4) == ()
+    assert discretize.build_grids(ATTRS, [(None, 5.0, None, None, 0)], 4, [1]) == {1: ()}
     rows = [(None, 5.0, None, None, 0), (None, 6.0, None, None, 0)]
-    assert discretize.initial_grid(ATTRS, rows, 1, 4) == ()
+    assert discretize.build_grids(ATTRS, rows, 4, [1]) == {1: ()}
 
 
 def test_initial_grid_wrong_kind():
+    attrs = ATTRS + (Attribute("id", "ignore"),)
     with pytest.raises(WrongKind):
-        discretize.initial_grid(ATTRS, [], 2, 4)
+        discretize.build_grids(attrs, [], 4, [4])
     with pytest.raises(WrongKind):
-        discretize.initial_grid(ATTRS, [], 3, 4)
+        discretize.build_grids(attrs, [], 4, [5])
 
 
 def test_build_grids_covers_forced_unordered_kinds():

@@ -47,7 +47,7 @@ from localrules.encode import attrs_needing_grids, encode
 from localrules.errors import NoComponents, SingleClassTraining
 from localrules.exhaustive import exhaustive_rules
 from localrules.rules import QualityParams
-from localrules.search import node_visit_count, search_local_rules
+from localrules.search import search_local_rules
 
 
 def test_conflicting_components_yield_two_perfect_rules():
@@ -77,7 +77,7 @@ def test_hypercube_forms_every_nonempty_subset_once():
 
 def test_small_hypercube_node_count():
     inst, params = hypercube_instance(4)
-    assert node_visit_count(inst, params) == 15
+    assert search_local_rules(inst, params).nodes_visited == 15
 
 
 def _disjoint_instance():
@@ -105,7 +105,7 @@ def test_raising_min_cover_never_increases_node_count():
     for _ in range(25):
         inst, params = random_instance(rng)
         counts = [
-            node_visit_count(inst, replace(params, min_cover=c))
+            search_local_rules(inst, replace(params, min_cover=c)).nodes_visited
             for c in (0.0, 0.08, 0.25)
         ]
         assert counts[0] >= counts[1] >= counts[2], counts
