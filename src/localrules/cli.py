@@ -36,26 +36,11 @@ class RunConfig:
     data: str
     schema: str
     mode: str
-    weight: float
-    min_cover: float
-    min_mism: float
-    max_terms: int
-    keep_frac: float
-    eps: float
+    params: QualityParams  # built from the flags, so a bad value fails every subcommand
     overrides: dict  # attribute index -> forced mode
     override_names: tuple[str, ...]  # as given, for echoing
     threads: int
     out: str | None
-
-    def params(self) -> QualityParams:
-        return QualityParams(
-            weight=self.weight,
-            min_cover=self.min_cover,
-            min_mism=self.min_mism,
-            max_terms=self.max_terms,
-            keep_frac=self.keep_frac,
-            eps=self.eps,
-        )
 
     def echo_lines(self) -> list[str]:
         # Deliberately omits --threads and --out: the written report must
@@ -67,13 +52,14 @@ class RunConfig:
         ]
         if self.override_names:
             lines.append("overrides=" + ",".join(self.override_names))
+        p = self.params
         lines += [
-            f"weight={self.weight!r}",
-            f"min_cover={self.min_cover!r}",
-            f"min_mism={self.min_mism!r}",
-            f"max_terms={self.max_terms}",
-            f"keep_frac={self.keep_frac!r}",
-            f"eps={self.eps!r}",
+            f"weight={p.weight!r}",
+            f"min_cover={p.min_cover!r}",
+            f"min_mism={p.min_mism!r}",
+            f"max_terms={p.max_terms}",
+            f"keep_frac={p.keep_frac!r}",
+            f"eps={p.eps!r}",
         ]
         return lines
 
@@ -160,12 +146,14 @@ def _config(args) -> tuple[RunConfig, Dataset]:
         data=args.data,
         schema=args.schema,
         mode=args.mode,
-        weight=args.weight,
-        min_cover=args.min_cover,
-        min_mism=args.min_mism,
-        max_terms=args.max_terms,
-        keep_frac=args.keep_frac,
-        eps=args.eps,
+        params=QualityParams(
+            weight=args.weight,
+            min_cover=args.min_cover,
+            min_mism=args.min_mism,
+            max_terms=args.max_terms,
+            keep_frac=args.keep_frac,
+            eps=args.eps,
+        ),
         overrides=overrides,
         override_names=tuple(args.override),
         threads=args.threads if args.threads > 0 else available_cpus(),
@@ -183,7 +171,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_predict(args) -> int:
     cfg, d = _config(args)
     inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    p = predict_encoded(inst, cfg.params())
+    p = predict_encoded(inst, cfg.params)
     lines = cfg.echo_lines() + [
         f"row={args.row}",
         f"class={p.label}",
@@ -201,7 +189,7 @@ def _cmd_predict(args) -> int:
 def _cmd_rules(args) -> int:
     cfg, d = _config(args)
     inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    outcome = search_local_rules(inst, cfg.params())
+    outcome = search_local_rules(inst, cfg.params)
     best = "none" if outcome.best_quality is None else f"{outcome.best_quality:.6f}"
     lines = cfg.echo_lines() + [
         f"row={args.row}",
@@ -221,12 +209,12 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     if args.loocv:
         report = evaluate_loocv(
-            d, cfg.params(), cfg.mode, cfg.overrides, cfg.threads,
+            d, cfg.params, cfg.mode, cfg.overrides, cfg.threads,
             force=args.force, dataset_label=label,
         )
     else:
         report = evaluate_cv(
-            d, cfg.params(), args.folds, args.seed, cfg.mode, cfg.overrides,
+            d, cfg.params, args.folds, args.seed, cfg.mode, cfg.overrides,
             cfg.threads, dataset_label=label,
         )
     text = f"data={cfg.data}\nschema={cfg.schema}\n" + render_report(report)

@@ -7,7 +7,7 @@ which is where the acceptance threshold comes from: base_threshold is the
 score of a perfectly correct rule covering min_cover of its class.
 
 All counts are exact integers; scores are computed from them in one fixed
-float expression (_score) so that every caller (the search, the reference
+float expression (count_quality) so that every caller (the search, the reference
 enumerator, the combined-rule check, and the floor estimates) produces
 bit-identical values for identical counts.
 """
@@ -64,28 +64,35 @@ def select_target(t: Contingency) -> bool:
     return t.n_pos >= t.n_neg
 
 
-def _score(excl_num: int, excl_den: int, cover_num: int, cover_den: int, weight: float) -> float:
-    # The single float expression all quality values flow through.
-    return weight * (excl_num / excl_den) + (1 - weight) * (cover_num / cover_den)
+def count_quality(
+    n_tt: int, n_tf: int, n_pos: int, n_neg: int, target: bool, weight: float
+) -> float:
+    """quality() from a rule's match counts by class and the class totals.
+
+    Holds the single float expression all quality values flow through. The
+    search calls it directly, so a child that is not accepted never builds
+    a Contingency.
+    """
+    if not target:  # score the negative class as the predicted one
+        n_tt, n_tf, n_pos, n_neg = n_tf, n_tt, n_neg, n_pos
+    return weight * ((n_neg - n_tf) / n_neg) + (1 - weight) * (n_tt / n_pos)
 
 
 def quality(t: Contingency, target: bool, weight: float) -> float:
     """Weighted exclusion/coverage score in [0, 1] for the given predicted class."""
     if t.n_pos == 0 or t.n_neg == 0:
         raise DegenerateClassDistribution("both class values need training rows")
-    if target:
-        return _score(t.n_ff, t.n_neg, t.n_tt, t.n_pos, weight)
-    return _score(t.n_ft, t.n_pos, t.n_tf, t.n_neg, weight)
+    return count_quality(t.n_tt, t.n_tf, t.n_pos, t.n_neg, target, weight)
 
 
 def perfect_quality(cover_count: int, class_total: int, weight: float) -> float:
     """Score of a perfectly correct rule covering cover_count of class_total.
 
     Upper bound for any rule whose predicted-class match count is cover_count;
-    evaluated through _score so it is float-identical to quality() on an
-    actual perfect rule with the same counts.
+    evaluated through count_quality (an exclusion ratio of 1/1) so it is
+    float-identical to quality() on an actual perfect rule with the same counts.
     """
-    return _score(1, 1, cover_count, class_total, weight)
+    return count_quality(cover_count, 0, class_total, 1, True, weight)
 
 
 @dataclass(frozen=True)

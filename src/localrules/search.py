@@ -40,7 +40,13 @@ survive get the remaining checks in canonical order, so the threshold rises
 at the same points as in a walk over every child.
 A child whose predicted class matches fewer rows than that class's coverage
 floor is expanded but not scored: its quality is at most that of a perfect
-rule with the same count, which is below the threshold.
+rule with the same count, which is below the threshold. A child that is
+scored is scored on its counts (rules.count_quality); its Contingency and
+Rule are built only when it reaches the threshold.
+
+A path's used boundary groups are one mask over component ids: the union of
+its terms' group masks (an exact component's is 0). A tail candidate in a
+used group is skipped by testing its bit.
 
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
@@ -48,8 +54,12 @@ is independent of the order in which rules are found. The search itself is
 sequential and deterministic; callers parallelize across prediction points.
 
 nodes_visited is the count of children the canonical, unfiltered enumeration
-forms: each expanded node adds every component id above its last term that
-is not in a used group, whether or not the tail still holds it. Children of
+forms: the root forms every component, and an expanded node forms every
+component id above its last term that is not in a used group, whether or not
+the tail still holds it. The parent adds that count (a popcount of the ids
+above the child's term outside the child's used-group mask) when it decides
+to expand a child, and it calls the walk only when a candidate follows the
+child in its tail: without one, the call would only count. Children of
 a pruned node, and of a node with an empty match set, are never formed (every
 term of an empty node's child would have an empty mismatch set, so those
 children are all inadmissible anyway). The count is therefore independent of
@@ -58,7 +68,6 @@ the tail filter and comparable across versions of the search.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .encode import EncodedInstance
@@ -67,10 +76,10 @@ from .rules import (
     Contingency,
     QualityParams,
     Rule,
+    count_quality,
     cover_floor_counts,
     min_cover_count,
     mismatch_floors,
-    quality,
 )
 
 
@@ -93,13 +102,16 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     if inst.n_pos == 0 or inst.n_neg == 0:
         raise SingleClassTraining("training rows contain a single class")
 
-    comps = inst.components
-    bits = [c.match_bits for c in comps]
-    # Each boundary group is one bit of a path's used-group mask; its members
-    # (ascending) feed the nodes_visited count.
-    group_ids = {k: g for g, k in enumerate(inst.groups)}
-    group_bit = [0 if c.group_key is None else 1 << group_ids[c.group_key] for c in comps]
-    group_members = [() if c.group_key is None else inst.groups[c.group_key] for c in comps]
+    bits = [c.match_bits for c in inst.components]
+    # Component-id masks: each component's boundary group (0 for an exact
+    # one), and the ids above each component. A path's used groups are the
+    # union of its terms' group masks.
+    group_mask = [0] * m
+    for members in inst.groups.values():
+        mask = sum(1 << cid for cid in members)
+        for cid in members:
+            group_mask[cid] = mask
+    above = [((1 << m) - 1) >> (cid + 1) << (cid + 1) for cid in range(m)]
     class_bits = inst.class_bits
     n_pos, n_neg = inst.n_pos, inst.n_neg
     weight = params.weight
@@ -114,16 +126,10 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
 
     found: list[Rule] = []
     best: float | None = None
-    visits = 0
+    visits = m  # the root forms every singleton
 
-    def walk(term_ids, match, mpos, mneg, drops, used_mask, used, tail):
+    def walk(term_ids, match, mpos, mneg, drops, used, tail):
         nonlocal threshold, floor_pos, floor_neg, best, visits
-        last_cid = term_ids[-1] if term_ids else -1
-        formed = m - last_cid - 1
-        for members in used:
-            formed -= len(members) - bisect_right(members, last_cid)
-        visits += formed
-
         # One pass over the tail. A candidate that misses the coverage floor
         # or whose new term leaves too few rows unmatched here does so at
         # every descendant too, so it leaves the children's tails.
@@ -132,7 +138,7 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
         child_pos = []
         child_neg = []
         for cid in tail:
-            if group_bit[cid] & used_mask:
+            if used >> cid & 1:
                 continue
             child_match = match & bits[cid]
             cpos = (child_match & class_bits).bit_count()
@@ -146,6 +152,7 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 child_neg.append(cneg)
 
         leaf = len(term_ids) + 1 >= max_terms
+        last = len(cids) - 1
         for i, cid in enumerate(cids):
             cpos = child_pos[i]
             cneg = child_neg[i]
@@ -165,15 +172,14 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 child_drops.append(d)
             else:  # admissible and not blocked
                 child_match = child_matches[i]
-                child_ids = term_ids + (cid,)
                 # select_target's choice; a rule covering fewer of its class
                 # than that class's floor scores below the threshold.
                 target = cpos > cneg if cpos != cneg else tie_target
                 if (cpos >= floor_pos) if target else (cneg >= floor_neg):
-                    table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                    q = quality(table, target, weight)
+                    q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
                     if q >= threshold:
-                        found.append(Rule(child_ids, child_match, table, target, q))
+                        table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
+                        found.append(Rule(term_ids + (cid,), child_match, table, target, q))
                         if best is None or q > best:
                             best = q
                             if keep * q > threshold:
@@ -186,25 +192,26 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 n_match = cpos + cneg
                 if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
                     continue  # pure enough; supersets are blocked by definition
-                child_drops.append(match)
-                gb = group_bit[cid]
-                walk(
-                    child_ids,
-                    child_match,
-                    cpos,
-                    cneg,
-                    child_drops,
-                    used_mask | gb,
-                    used + (group_members[cid],) if gb else used,
-                    cids[i + 1 :],
-                )
+                # Expand the child: it forms every id above cid outside its
+                # used groups, whether or not its tail still holds it.
+                child_used = used | group_mask[cid]
+                visits += (above[cid] & ~child_used).bit_count()
+                if i < last:  # with no candidate after it, the child only counts
+                    child_drops.append(match)
+                    walk(
+                        term_ids + (cid,),
+                        child_match,
+                        cpos,
+                        cneg,
+                        child_drops,
+                        child_used,
+                        cids[i + 1 :],
+                    )
 
-    if max(n_pos, n_neg) >= min_corr * (n_pos + n_neg):
-        # The root is pure enough, so every singleton is blocked by its one
-        # drop (the parent match). Deeper nodes are expanded only when impure.
-        visits = m
-    else:
-        walk((), (1 << inst.n_rows) - 1, n_pos, n_neg, [], 0, (), range(m))
+    if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
+        # Only an impure root is expanded. At a pure enough root every
+        # singleton is blocked by its one drop (the parent match).
+        walk((), (1 << inst.n_rows) - 1, n_pos, n_neg, [], 0, range(m))
 
     if best is None:
         return SearchOutcome((), None, params.base_threshold, visits)

@@ -6,7 +6,8 @@ searches against the unpruned oracle through the one-shot layer functions.
 A refactor that renames one of them, changes a positional signature, or
 routes a layer around its name would break `perfbench/run.py --trace 1`
 or the certification without failing any other test; these tests fail
-instead. perfbench/ is only imported, never modified.
+instead. The seed-1 `cv-monks` reports are compared with their pinned refs
+here as well. perfbench/ is only imported, never modified.
 """
 
 import random
@@ -19,6 +20,7 @@ from localrules.rules import QualityParams
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (found through the path entry above)
+import workloads  # noqa: E402
 
 
 def _continuous_dataset(n=36, seed=5):
@@ -65,3 +67,16 @@ def test_traced_loocv_records_every_required_layer():
     assert tr.counts["predict.queries"] == len(d.rows)
     untraced = evaluate_loocv(d, params, threads=1)
     assert (traced.pooled, traced.mean_nodes) == (untraced.pooled, untraced.mean_nodes)
+
+
+def test_cv_monks_reports_equal_the_pinned_refs():
+    """Seed-1 `cv-monks` reports, rendered as the workload renders them.
+
+    The refs pin mean_nodes too, so a search change that moves a node count
+    fails here without a benchmark run.
+    """
+    w = workloads.WORKLOADS["cv-monks"]
+    seed = workloads.DEFAULT_SEED
+    for name, d in w.setup(w.inputs(seed)).items():
+        report = w.evaluate(d, name, seed, threads=1)
+        assert report.encode() == workloads.pinned_path(f"{w.name}-{name}").read_bytes()

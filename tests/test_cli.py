@@ -159,6 +159,19 @@ def test_bad_parameter_is_a_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", [["--lambda", "5"], ["--cmin", "2"], ["--max-depth", "0"]])
+def test_discretize_rejects_a_bad_quality_flag_like_rules(tmp_path, capsys, flag):
+    data, schema = _write_copy_class(tmp_path)
+    results = [
+        _run([command, "--data", data, "--schema", schema, *flag], capsys)
+        for command in ("discretize", "rules")
+    ]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "must be" in err
+
+
 def test_unknown_override_is_a_usage_error(tmp_path, capsys):
     data, schema = _write_copy_class(tmp_path)
     code, _, err = _run(

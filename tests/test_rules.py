@@ -18,7 +18,7 @@ Frozen oracle values (hand-counted before implementation):
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localrules import rules
@@ -100,6 +100,35 @@ def test_perfectly_correct_rule_identity():
         q = rules.quality(t, True, weight)
         assert q == weight + (1 - weight) * (cover_count / class_total)
         assert q == rules.perfect_quality(cover_count, class_total, weight)
+
+
+@st.composite
+def _match_counts(draw):
+    n_pos = draw(st.integers(1, 500))
+    n_neg = draw(st.integers(1, 500))
+    return draw(st.integers(0, n_pos)), draw(st.integers(0, n_neg)), n_pos, n_neg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_match_counts(), st.floats(0, 1))
+@example((0, 0, 7, 3), 0.75)  # empty match: the tie goes to the larger class
+@example((0, 0, 3, 7), 0.75)
+@example((4, 4, 10, 10), 0.5)  # tie within the match and overall
+@example((4, 4, 9, 12), 0.9)
+@example((5, 0, 5, 8), 1.0)
+@example((0, 8, 5, 8), 0.0)
+def test_count_quality_is_quality_bit_for_bit(counts, weight):
+    n_tt, n_tf, n_pos, n_neg = counts
+    table = rules.Contingency(n_tt, n_tf, n_pos - n_tt, n_neg - n_tf)
+    chosen = rules.select_target(table)
+    for target in (chosen, not chosen):
+        got = rules.count_quality(n_tt, n_tf, n_pos, n_neg, target, weight)
+        assert got.hex() == rules.quality(table, target, weight).hex()
+        # The operation order the pinned reports were computed with.
+        excl, cover = (table.n_ff / n_neg, n_tt / n_pos) if target else (
+            table.n_ft / n_pos, n_tf / n_neg
+        )
+        assert got.hex() == (weight * excl + (1 - weight) * cover).hex()
 
 
 def test_quality_degenerate_distribution():

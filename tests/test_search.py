@@ -26,7 +26,9 @@ Hand-checked expectations frozen here:
 """
 
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +43,19 @@ from helpers import (
     random_instance,
     reference_search,
 )
-from localrules.data import Attribute
-from localrules.discretize import build_grids
-from localrules.encode import attrs_needing_grids, encode
+from localrules.data import Attribute, load_dataset, parse_dataset
+from localrules.discretize import GridFitter, build_grids
+from localrules.encode import TrainingIndex, attrs_needing_grids, encode
+from localrules.evaluate import stratified_kfold
 from localrules.errors import NoComponents, SingleClassTraining
 from localrules.exhaustive import exhaustive_rules
+from localrules.predict import encode_row, mask_class
 from localrules.rules import QualityParams
 from localrules.search import search_local_rules
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import synth  # noqa: E402  (the benchmark's data generator, only imported)
 
 
 def test_conflicting_components_yield_two_perfect_rules():
@@ -290,3 +298,63 @@ def test_varied_cases_exercise_every_path():
     assert all(seen[v][1] >= 5 for v in VARIANTS if v != "pure root")
     assert seen["pure root"][1] == 0
     assert seen["level-heavy"][2] >= 2 and seen["min_mism=0"][2] >= 3
+
+
+# The same walk against the reference on instances shaped like the
+# benchmark's, at the default parameters: deeper paths, more boundary groups
+# and more rows than the random instances above reach.
+
+
+def _data(name):
+    return load_dataset(str(ROOT / "data" / f"{name}.csv"), str(ROOT / "data" / f"{name}.schema"))
+
+
+def _monks_fold_rows(name):
+    """The rows of the seed-1 first fold, encoded as 3-fold CV does."""
+    d = _data(name)
+    fold = stratified_kfold(d, 3, 1)[0]
+    held = frozenset(fold)
+    training = [row for i, row in enumerate(d.rows) if i not in held]
+    grids = build_grids(
+        d.attributes, training, d.class_col, attrs_needing_grids(d.attributes, "levels")
+    )
+    index = TrainingIndex(d.attributes, training, d.class_col)
+    return [
+        index.encode(mask_class(d.rows[row], d.class_col), grids, "levels")
+        for row in fold
+    ]
+
+
+def _tictactoe_level_rows(rows=(0, 157, 420, 663, 901)):
+    d = _data("tictactoe")
+    every_cell = {i: "levels" for i in range(9)}
+    return [encode_row(d, row, "levels", every_cell) for row in rows]
+
+
+def _loocv_continuous_rows(rows=range(0, 400, 10)):
+    d = parse_dataset(*synth.make_continuous(2))
+    index = TrainingIndex(d.attributes, d.rows, d.class_col)
+    fitter = GridFitter(d.attributes, d.rows, d.class_col)
+    return [encode_row(d, row, "levels", None, index, fitter) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        pytest.param(lambda: _monks_fold_rows("monks1"), id="monks1"),
+        pytest.param(lambda: _monks_fold_rows("monks2"), id="monks2"),
+        pytest.param(lambda: _monks_fold_rows("monks3"), id="monks3"),
+        pytest.param(_tictactoe_level_rows, id="tictactoe-levels"),
+        pytest.param(_loocv_continuous_rows, id="loocv-continuous"),
+    ],
+)
+def test_workload_instances_match_the_reference_walk(instances):
+    params = QualityParams()
+    insts = instances()
+    grouped = accepted = 0
+    for inst in insts:
+        out = search_local_rules(inst, params)
+        assert out == reference_search(inst, params)
+        grouped += bool(inst.groups)
+        accepted += bool(out.rules)
+    assert grouped == len(insts) and accepted >= len(insts) // 2
