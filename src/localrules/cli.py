@@ -330,6 +330,8 @@ def run_selftest(trials: int, seed: int) -> tuple[int, int]:
 
 
 def _cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise BadParams(f"--trials must be at least 1, got {args.trials}")
     passed, failed = run_selftest(args.trials, args.seed)
     text = f"trials={args.trials}\npassed={passed}\nfailed={failed}\n"
     _emit(text, args.out)

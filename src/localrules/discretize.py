@@ -17,9 +17,10 @@ groups pure in one class the weighted entropy is strictly concave (Fayyad &
 Irani, Machine Learning 8, 1992), so its minimum never lies inside the run.
 A subrange that does not hold the left-out row has the same contents for
 every split, so its cuts are kept, keyed by its group bounds. In one that
-does, each boundary gap has one side the row leaves untouched and one side
-a row short; the entropy terms of both kinds of side are kept per range
-bound, so a split computes entropies only at the two gaps next to its row.
+does, a boundary gap's weight depends only on the row's label and on which
+side of the row's group the gap lies, so per range and label two tables keep
+the leftmost lowest weight up to and from each gap; a split weighs only the
+two gaps next to its row, against one entry of each table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from operator import add, truediv
+from operator import add, itemgetter, truediv
 from typing import NamedTuple
 
 from .data import (
@@ -65,8 +66,8 @@ def _midpoint(a: float, b: float) -> float | None:
 def _term(rows: int, ones: int) -> float:
     """One side's share of a cut's weighted entropy, times the range's size.
 
-    NaN for impossible counts: a kept term of a side that lacks the
-    left-out row it assumes, which no scan reads.
+    NaN for impossible counts: a table's term of a side that lacks the
+    left-out row it assumes, which no split reads.
     """
     return rows * _entropy(ones, rows - ones) if 0 <= ones <= rows else math.nan
 
@@ -85,6 +86,12 @@ def _lowest(lefts, rights, n: int) -> tuple[int, float] | None:
         return None
     i = min(range(len(ws)), key=ws.__getitem__)
     return i, ws[i]
+
+
+def _running_min(sums, gaps, n: int) -> tuple[array, array]:
+    """Running lowest sum / n, the first kept on ties, and the gap it lies at."""
+    pairs = list(accumulate(zip(map(truediv, sums, repeat(n)), gaps), min))
+    return array("d", [w for w, _ in pairs]), array("l", [k for _, k in pairs])
 
 
 def _purity(size: int, ones: int) -> int:
@@ -175,7 +182,7 @@ class _Column:
             k for k in range(len(sizes) - 1) if pure[k] < 0 or pure[k] != pure[k + 1]
         ]
         self._memo: dict[int, tuple] = {}
-        self._kept_terms: dict[tuple[int, int, int, int], array] = {}
+        self._tables: dict[tuple[int, int, int], tuple[array, array, array, array]] = {}
 
     def _removal(self, p: int) -> _Removal:
         j = self.group_of[p]
@@ -203,66 +210,59 @@ class _Column:
             return _Column(values[:p] + values[p + 1 :], labels[:p] + labels[p + 1 :]).cuts()
         return self._cuts(0, len(self.sizes), self._removal(held_out))
 
-    def _terms(self, bound: int, side: int, less_rows: int, less_ones: int) -> array:
-        """Kept entropy terms of the boundary gaps on one side of a range bound.
-
-        side 0: the left sides of a range from group bound, one term per
-        boundary gap at or after it; side 1: the right sides of a range up
-        to group bound, one per boundary gap before it. Each side is counted
-        without less_rows rows, less_ones of them with the counted label.
+    def _table(self, lo: int, hi: int, n: int, label: int) -> tuple[array, array, array, array]:
+        """Per boundary gap of lo..hi-1 (n rows once a row labelled label is out):
+        weight and gap of the lowest (full left + right a row short) / n up to
+        it, and of the lowest (left a row short + full right) / n from it on.
+        A short side without a row of the label has a NaN term. Those gaps are
+        a tail of the first kind and a head of the second, and lie right and
+        left of the row's group, where no split reads that kind.
         """
-        key = (bound, side, less_rows, less_ones)
-        got = self._kept_terms.get(key)
+        key = (lo, hi, label)
+        got = self._tables.get(key)
         if got is None:
             b, cs, cp = self.boundaries, self.cs, self.cp
-            if side == 0:
-                gaps = b[bisect_left(b, bound) :]
-                rows = [cs[k + 1] - cs[bound] - less_rows for k in gaps]
-                ones = [cp[k + 1] - cp[bound] - less_ones for k in gaps]
-            else:
-                gaps = b[: bisect_left(b, bound - 1)]
-                rows = [cs[bound] - cs[k + 1] - less_rows for k in gaps]
-                ones = [cp[bound] - cp[k + 1] - less_ones for k in gaps]
-            got = self._kept_terms[key] = array("d", map(_term, rows, ones))
+            gaps = b[bisect_left(b, lo) : bisect_left(b, hi - 1)]
+            lefts, rights = _side_terms(cs, cp, lo, hi, gaps)
+            short_lefts = [_term(cs[k + 1] - cs[lo] - 1, cp[k + 1] - cp[lo] - label) for k in gaps]
+            short_rights = [_term(cs[hi] - cs[k + 1] - 1, cp[hi] - cp[k + 1] - label) for k in gaps]
+            firsts = _running_min(map(add, lefts, short_rights), gaps, n)
+            lasts = _running_min(map(add, reversed(short_lefts), reversed(rights)), gaps[::-1], n)
+            got = self._tables[key] = firsts + tuple(a[::-1] for a in lasts)
         return got
 
     def _best(self, lo: int, hi: int, n: int, c: int, rm: _Removal | None):
         """(gap, left rows, left counted labels, weighted entropy) of the lowest cut.
 
-        With rm among the groups, a boundary gap left of rm's group has the
-        full data's left side and a right side one row short; a gap right of
-        it the other way round. Both kinds of side terms are kept per range
-        bound and shared by every split, so such a scan computes only the
-        terms of rm's two neighbouring gaps.
+        With rm among the groups, the lowest boundary gap left of rm's group
+        and the lowest right of it come from the range's table; only rm's two
+        neighbouring gaps are weighed here. Ties go to the leftmost gap.
         """
         b, cs, cp = self.boundaries, self.cs, self.cp
         start, stop = bisect_left(b, lo), bisect_left(b, hi - 1)
         if rm is None:
             gaps = b[start:stop]
-            lefts, rights = _side_terms(cs, cp, lo, hi, gaps)
+            found = _lowest(*_side_terms(cs, cp, lo, hi, gaps), n)
+            if found is None:
+                return None
+            k, w = gaps[found[0]], found[1]
         else:
             j, label = rm.group, rm.label
             mid = max(start, bisect_left(b, j - 1))
             after = max(mid, bisect_right(b, j))
-            gaps = b[start:mid]
-            lefts = list(self._terms(lo, 0, 0, 0)[: mid - start])
-            rights = list(self._terms(hi, 1, 1, label)[start:mid])
+            first_w, first_k, last_w, last_k = self._table(lo, hi, n, label)
+            best = [(first_k[mid - 1 - start], first_w[mid - 1 - start])] if mid > start else []
             for k in (j - 1, j):
                 if k in rm.gaps and lo <= k < hi - 1:
                     shift = k >= j
                     n_left = cs[k + 1] - cs[lo] - shift
                     a = cp[k + 1] - cp[lo] - label * shift
-                    gaps.append(k)
-                    lefts.append(_term(n_left, a))
-                    rights.append(_term(n - n_left, c - a))
-            gaps += b[after:stop]
-            lefts += self._terms(lo, 0, 1, label)[after - start : stop - start]
-            rights += self._terms(hi, 1, 0, 0)[after:stop]
-        found = _lowest(lefts, rights, n)
-        if found is None:
-            return None
-        i, w = found
-        k = gaps[i]
+                    best.append((k, (_term(n_left, a) + _term(n - n_left, c - a)) / n))
+            if after < stop:
+                best.append((last_k[after - start], last_w[after - start]))
+            if not best:
+                return None
+            k, w = min(best, key=itemgetter(1))  # gap order: the leftmost lowest wins
         shift = rm is not None and k >= rm.group
         n_left = cs[k + 1] - cs[lo] - shift
         a = cp[k + 1] - cp[lo] - (rm.label if shift else 0)

@@ -239,6 +239,14 @@ def test_selftest_passes_quick_run(capsys):
     assert "failed=0" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_selftest_without_trials_is_a_usage_error(capsys, trials):
+    code, out, err = _run(["selftest", "--trials", trials], capsys)
+    assert code == 1
+    assert "--trials" in err
+    assert "passed=" not in out
+
+
 @pytest.mark.parametrize("runner", [[sys.executable, "-m", "localrules"]])
 def test_module_entry_point(tmp_path, runner):
     data, schema = _write_copy_class(tmp_path)
