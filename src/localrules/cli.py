@@ -52,16 +52,7 @@ class RunConfig:
         ]
         if self.override_names:
             lines.append("overrides=" + ",".join(self.override_names))
-        p = self.params
-        lines += [
-            f"weight={p.weight!r}",
-            f"min_cover={p.min_cover!r}",
-            f"min_mism={p.min_mism!r}",
-            f"max_terms={p.max_terms}",
-            f"keep_frac={p.keep_frac!r}",
-            f"eps={p.eps!r}",
-        ]
-        return lines
+        return lines + self.params.echo_lines()
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
@@ -298,18 +289,10 @@ def random_instance(rng: random.Random):
 
 
 def _same_outcome(a, b) -> bool:
-    if len(a.rules) != len(b.rules):
-        return False
-    for x, y in zip(a.rules, b.rules):
-        if x.term_ids != y.term_ids or x.target != y.target:
-            return False
-        if abs(x.quality - y.quality) > 1e-12:
-            return False
-    if (a.best_quality is None) != (b.best_quality is None):
-        return False
-    if a.best_quality is not None and abs(a.best_quality - b.best_quality) > 1e-12:
-        return False
-    return abs(a.final_threshold - b.final_threshold) <= 1e-12
+    """Equal rules, best quality and final threshold; both score through count_quality."""
+    return (a.rules, a.best_quality, a.final_threshold) == (
+        b.rules, b.best_quality, b.final_threshold
+    )
 
 
 def run_selftest(trials: int, seed: int) -> tuple[int, int]:

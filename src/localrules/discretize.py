@@ -294,24 +294,6 @@ class _Column:
         return out
 
 
-def best_split(pairs: list[tuple[float, object]]) -> tuple[int, float, float] | None:
-    """Lowest-weighted-entropy cut for a value-sorted (value, label) list.
-
-    Returns (boundary index, cut value, weighted entropy); ties go to the
-    leftmost cut. None when no two distinct values exist. Labels must take at
-    most two values.
-    """
-    col = _Column([v for v, _ in pairs], [g for _, g in pairs])
-    n, c, groups = len(pairs), col.cp[-1], len(col.sizes)
-    # A single-class list scores 0 at every gap, so its leftmost gap wins.
-    gaps = col.boundaries if 0 < c < n else range(groups - 1)
-    found = _lowest(*_side_terms(col.cs, col.cp, 0, groups, gaps), n)
-    if found is None:
-        return None
-    i, w = found
-    return col.cs[gaps[i] + 1] - 1, col.gap_cuts[gaps[i]], w
-
-
 def entropy_mdl_cuts(values, labels) -> list[float]:
     """Cut points for one continuous attribute given binary class labels.
 

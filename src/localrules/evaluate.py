@@ -13,13 +13,11 @@ which are sorted once per evaluation.
 All test rows of an evaluation are independent and may be predicted by one
 pool of worker processes. The merge preserves row order and all accumulators
 are integers, so the rendered report is byte-identical for any worker count.
-Wall-clock time is recorded on the report object but never serialized.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 from random import Random
@@ -54,14 +52,6 @@ class ConfusionCounts:
     def correct(self) -> int:
         return self.pos_pos + self.neg_neg
 
-    def add(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.pos_pos + other.pos_pos,
-            self.pos_neg + other.pos_neg,
-            self.neg_pos + other.neg_pos,
-            self.neg_neg + other.neg_neg,
-        )
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -79,7 +69,6 @@ class EvaluationReport:
     correctness: float
     fallback_fraction: float
     mean_nodes: float
-    wall_seconds: float  # informational only, never serialized
 
     @property
     def n_tests(self) -> int:
@@ -112,16 +101,11 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(fold)) for fold in folds)
 
 
-# Worker state (dataset, params, mode, overrides, fitted), set by the pool
-# initializer and cleared after an in-process run. fitted holds one (index,
-# grids) pair per fold under k-fold, the full-data (index, grid fitter) pair
-# under leave-one-out.
+# Worker state (dataset, params, mode, overrides, fitted), set for the length
+# of one run; forked pool workers inherit it. fitted holds one (index, grids)
+# pair per fold under k-fold, the full-data (index, grid fitter) pair under
+# leave-one-out.
 _WORKER_STATE = None
-
-
-def _init_worker(state) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
 
 
 def _outcome(p):
@@ -154,21 +138,23 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
 
 def _run_pool(threads: int, state, worker, items) -> list:
     """worker(item) for every item, in order, with _WORKER_STATE = state."""
+    global _WORKER_STATE
     threads = worker_count(threads, len(items), available_cpus())
-    if threads == 1:
-        _init_worker(state)
-        try:
+    _WORKER_STATE = state
+    try:
+        if threads == 1:
             return [worker(item) for item in items]
-        finally:
-            _init_worker(None)
-    with get_context("fork").Pool(threads, _init_worker, (state,)) as pool:
-        return pool.map(worker, items)
+        with get_context("fork").Pool(threads) as pool:
+            return pool.map(worker, items)
+    finally:
+        _WORKER_STATE = None
 
 
 def _confusion(rows, class_col: int, results) -> ConfusionCounts:
+    """Counts of (row label, predicted target) pairs; every row is labeled."""
     counts = [[0, 0], [0, 0]]
     for row, (target, _, _) in zip(rows, results):
-        counts[_class_index(row, class_col, "test row")][0 if target else 1] += 1
+        counts[row[class_col]][0 if target else 1] += 1
     return ConfusionCounts(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
 
 
@@ -182,7 +168,6 @@ def evaluate_cv(
     threads: int = 1,
     dataset_label: str = "data",
 ) -> EvaluationReport:
-    started = time.perf_counter()
     folds = stratified_kfold(d, k, seed)
     level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
     fitted = []
@@ -198,9 +183,9 @@ def evaluate_cv(
     fold_counts = tuple(
         _confusion([d.rows[i] for i in fold], d.class_col, in_order) for fold in folds
     )
+    tested = [d.rows[row] for _, row in items]
     return _build_report(
-        d, params, "cv", mode, k, seed, overrides, fold_counts, results,
-        dataset_label, started,
+        d, params, "cv", mode, k, seed, overrides, fold_counts, tested, results, dataset_label
     )
 
 
@@ -214,7 +199,6 @@ def evaluate_loocv(
     force: bool = False,
     dataset_label: str = "data",
 ) -> EvaluationReport:
-    started = time.perf_counter()
     n = len(d.rows)
     if n > cap and not force:
         raise DatasetTooLarge(
@@ -227,19 +211,16 @@ def evaluate_loocv(
         GridFitter(d.attributes, d.rows, d.class_col),
     )
     results = _run_pool(threads, (d, params, mode, overrides, fitted), _predict_loocv_row, range(n))
-    pooled = _confusion(d.rows, d.class_col, results)
     return _build_report(
-        d, params, "loocv", mode, None, None, overrides, (pooled,), results,
-        dataset_label, started,
+        d, params, "loocv", mode, None, None, overrides, (), d.rows, results, dataset_label
     )
 
 
 def _build_report(
-    d, params, method, mode, k, seed, overrides, fold_counts, results, label, started
+    d, params, method, mode, k, seed, overrides, fold_counts, tested, results, label
 ) -> EvaluationReport:
-    pooled = fold_counts[0]
-    for counts in fold_counts[1:]:
-        pooled = pooled.add(counts)
+    """The report over results, the outcomes of the rows tested, in the same order."""
+    pooled = _confusion(tested, d.class_col, results)
     total = pooled.total
     return EvaluationReport(
         dataset_label=label,
@@ -251,12 +232,11 @@ def _build_report(
         overrides=dict(overrides or {}),
         class_labels=d.class_values,
         n_rows=len(d.rows),
-        folds=fold_counts if method == "cv" else (),
+        folds=fold_counts,
         pooled=pooled,
         correctness=pooled.correct / total,
         fallback_fraction=sum(fell_back for _, _, fell_back in results) / total,
         mean_nodes=sum(nodes for _, nodes, _ in results) / total,
-        wall_seconds=time.perf_counter() - started,
     )
 
 
@@ -273,14 +253,7 @@ def render_report(r: EvaluationReport) -> str:
     if r.overrides:
         forced = ",".join(f"{i}:{m}" for i, m in sorted(r.overrides.items()))
         lines.append(f"overrides={forced}")
-    p = r.params
-    lines += [
-        f"weight={p.weight!r}",
-        f"min_cover={p.min_cover!r}",
-        f"min_mism={p.min_mism!r}",
-        f"max_terms={p.max_terms}",
-        f"keep_frac={p.keep_frac!r}",
-        f"eps={p.eps!r}",
+    lines += r.params.echo_lines() + [
         f"rows={r.n_rows}",
         f"tests={r.n_tests}",
         f"correctness={r.correctness:.6f}",

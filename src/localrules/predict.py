@@ -70,9 +70,9 @@ def combine(
 ) -> CombinedRule:
     """Score the union of the rules' match sets as one rule.
 
-    An empty rule set is rejected outright: its empty union carries no
-    evidence even when the score formula alone would clear the threshold
-    (which happens at min_cover = 0).
+    An empty union, from no rules or from rules that match no row (both
+    possible at min_cover = 0), is rejected outright: it carries no evidence
+    even when the score alone clears the threshold, and has no correctness.
     """
     union = 0
     for rule in rules:
@@ -80,7 +80,7 @@ def combine(
     table = contingency(union, class_bits, n_rows)
     target = select_target(table)
     q = quality(table, target, params.weight)
-    accepted = bool(rules) and q >= params.base_threshold
+    accepted = union != 0 and q >= params.base_threshold
     return CombinedRule(union, table, target, q, accepted)
 
 
@@ -142,7 +142,6 @@ def encode_row(
         index = TrainingIndex(d.attributes, d.rows, d.class_col)
     if fitter is None:
         fitter = GridFitter(d.attributes, d.rows, d.class_col)
-    index.check_labeled(row)
     grids = build_grids(fitter, attrs_needing_grids(d.attributes, mode, overrides), row)
     return encode(index, pred_row, grids, mode, overrides, held_out=row)
 

@@ -14,7 +14,7 @@ bit-identical values for identical counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BadParams, DegenerateClassDistribution, LengthMismatch
 
@@ -159,6 +159,10 @@ class QualityParams:
     def base_threshold(self) -> float:
         return self.weight + (1 - self.weight) * self.min_cover
 
+    def echo_lines(self) -> list[str]:
+        """One key=value line per field, in declaration order, for every output to echo."""
+        return [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
+
 
 def mismatch_floors(params: QualityParams, n_pos: int, n_neg: int) -> tuple[float, float]:
     """Per-class row-count floors for the term-redundancy test (strict >)."""
@@ -183,11 +187,10 @@ def cover_floor_counts(
     n_pos: int,
     n_neg: int,
     weight: float,
-    start: tuple[int, int] = (0, 0),
 ) -> tuple[int, int]:
     return (
-        min_cover_count(threshold, n_pos, weight, start[0]),
-        min_cover_count(threshold, n_neg, weight, start[1]),
+        min_cover_count(threshold, n_pos, weight),
+        min_cover_count(threshold, n_neg, weight),
     )
 
 

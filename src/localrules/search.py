@@ -38,10 +38,7 @@ inside every one-term drop: the new term leaves (node - child) rows
 unmatched, and a dropped term leaves (drop - child) rows. The children that
 survive get the remaining checks in canonical order, so the threshold rises
 at the same points as in a walk over every child.
-A child whose predicted class matches fewer rows than that class's coverage
-floor is expanded but not scored: its quality is at most that of a perfect
-rule with the same count, which is below the threshold. A child that is
-scored is scored on its counts (rules.count_quality); its Contingency and
+A child is scored on its counts (rules.count_quality); its Contingency and
 Rule are built only when it reaches the threshold.
 
 A path's used boundary groups are one mask over component ids: the union of
@@ -172,20 +169,18 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 child_drops.append(d)
             else:  # admissible and not blocked
                 child_match = child_matches[i]
-                # select_target's choice; a rule covering fewer of its class
-                # than that class's floor scores below the threshold.
+                # select_target's choice
                 target = cpos > cneg if cpos != cneg else tie_target
-                if (cpos >= floor_pos) if target else (cneg >= floor_neg):
-                    q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
-                    if q >= threshold:
-                        table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                        found.append(Rule(term_ids + (cid,), child_match, table, target, q))
-                        if best is None or q > best:
-                            best = q
-                            if keep * q > threshold:
-                                threshold = keep * q
-                                floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
-                                floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+                q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
+                if q >= threshold:
+                    table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
+                    found.append(Rule(term_ids + (cid,), child_match, table, target, q))
+                    if best is None or q > best:
+                        best = q
+                        if keep * q > threshold:
+                            threshold = keep * q
+                            floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
+                            floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
 
                 if leaf or not child_match:
                     continue

@@ -1,10 +1,13 @@
 """Exit codes, output shape, and flag plumbing of the command line."""
 
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localrules
-from localrules.cli import main
+from localrules.cli import _same_outcome, main, random_instance
 from localrules.evaluate import worker_count
+from localrules.search import search_local_rules
 
 SCHEMA = """\
 flag: bool
@@ -230,6 +234,37 @@ def test_wildcard_override_covers_every_attribute(tmp_path, capsys):
     # specific flag pulled the continuous one back out
     assert "flag: False True" in out
     assert "size:" not in out
+
+
+def test_predict_survives_rules_that_match_no_row(tmp_path, capsys):
+    lines = ["x,c", "999.0,?"] + [f"{float(i)},{'y' if i % 2 == 0 else 'n'}" for i in range(30)]
+    data = tmp_path / "far.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "far.schema"
+    schema.write_text("x: continuous\nc: class {y, n}\n", encoding="utf-8")
+    code, out, err = _run(
+        ["predict", "--data", str(data), "--schema", str(schema), "--mode", "exact",
+         "--cmin", "0"],
+        capsys,
+    )
+    assert code == 0, err
+    assert "source=class_prior" in out
+
+
+def test_same_outcome_tells_apart_a_one_ulp_difference():
+    rng = random.Random(4)
+    outcome = None
+    while outcome is None or not outcome.rules:
+        outcome = search_local_rules(*random_instance(rng))
+    assert _same_outcome(outcome, replace(outcome))
+    up = math.nextafter(outcome.best_quality, 2.0)
+    rule = replace(outcome.rules[0], quality=up)
+    for changed in (
+        replace(outcome, best_quality=up),
+        replace(outcome, final_threshold=math.nextafter(outcome.final_threshold, 2.0)),
+        replace(outcome, rules=(rule,) + outcome.rules[1:]),
+    ):
+        assert not _same_outcome(outcome, changed)
 
 
 def test_selftest_passes_quick_run(capsys):

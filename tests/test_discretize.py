@@ -67,19 +67,9 @@ def test_input_errors():
         discretize.entropy_mdl_cuts([], [])
 
 
-def test_best_split_tie_breaks_leftmost():
-    pairs = [(1.0, "A"), (2.0, "B"), (3.0, "A"), (4.0, "B")]
-    found = discretize.best_split(pairs)
-    assert found is not None
-    split_at, cut, _ = found
-    assert (split_at, cut) == (0, 1.5)
-
-
 def test_three_label_values_raise():
     with pytest.raises(NonBinaryClass):
         discretize.entropy_mdl_cuts([1.0, 2.0, 3.0], [0, 1, 2])
-    with pytest.raises(NonBinaryClass):
-        discretize.best_split([(1.0, "A"), (2.0, "B"), (3.0, "C")])
 
 
 def test_input_order_is_irrelevant():
@@ -145,8 +135,6 @@ def test_cuts_equal_reference_exactly(pairs):
     values = [v for v, _ in pairs]
     _assert_same_cuts(values, [g for _, g in pairs])
     _assert_same_cuts(values, ["neg" if g else "pos" for _, g in pairs])
-    ordered = sorted(pairs, key=lambda p: p[0])
-    assert discretize.best_split(ordered) == helpers.best_split(ordered)
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,8 +148,6 @@ def test_mirrored_labels_tie_break_like_reference(half, repeat):
     labels = half + half[::-1]
     values = [float(i // repeat) for i in range(len(labels))]
     _assert_same_cuts(values, labels)
-    pairs = list(zip(values, labels))
-    assert discretize.best_split(pairs) == helpers.best_split(pairs)
 
 
 def _continuous_dataset(n=48, seed=3):

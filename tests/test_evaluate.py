@@ -1,6 +1,7 @@
 """Stratified folds, confusion pooling, leave-one-out, report rendering."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -123,9 +124,8 @@ def test_copied_class_is_perfect_at_any_fold_count():
 def test_pooled_counts_equal_fold_sums_and_recount():
     d = _noisy_dataset()
     report = evaluate_cv(d, QualityParams(), k=3, seed=1)
-    pooled = ConfusionCounts(0, 0, 0, 0)
-    for counts in report.folds:
-        pooled = pooled.add(counts)
+    cells = ("pos_pos", "pos_neg", "neg_pos", "neg_neg")
+    pooled = ConfusionCounts(*(sum(getattr(c, cell) for c in report.folds) for cell in cells))
     assert pooled == report.pooled
     assert report.correctness == pooled.correct / pooled.total
     assert pooled.total == len(d.rows)
@@ -139,7 +139,6 @@ def test_report_is_identical_for_any_worker_count():
     parallel = evaluate_cv(d, params, k=3, seed=2, threads=3)
     assert render_report(serial) == render_report(parallel)
     assert serial.pooled == parallel.pooled
-    assert serial.wall_seconds != 0  # recorded, but absent from the text
 
 
 def _continuous_dataset(n=60, seed=3):
@@ -172,6 +171,20 @@ def test_in_process_runs_release_the_worker_state():
     assert evaluate._WORKER_STATE is None
     evaluate_loocv(d, QualityParams(), threads=1)
     assert evaluate._WORKER_STATE is None
+    # The parent holds the state while a fork pool runs, and drops it after.
+    with mock.patch.object(evaluate, "available_cpus", return_value=2):
+        evaluate_cv(d, QualityParams(), k=3, seed=1, threads=2)
+    assert evaluate._WORKER_STATE is None
+
+
+def test_rules_matching_no_row_do_not_abort_an_evaluation():
+    # At min_cover 0 a rule matching no training row scores exactly the base
+    # threshold; in exact mode every held-out x matches no training row.
+    attrs = (Attribute("x", "continuous"), Attribute("c", "class", TWO_CLASS))
+    d = Dataset(attrs, tuple((float(i), i % 2) for i in range(30)), 1)
+    report = evaluate_cv(d, QualityParams(min_cover=0.0), k=3, seed=1, mode="exact")
+    assert report.n_tests == 30
+    assert report.fallback_fraction == 1.0
 
 
 def test_wall_time_and_workers_never_reach_the_text():
