@@ -15,7 +15,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import Attribute, Dataset, load_dataset
@@ -29,30 +28,6 @@ from .rules import QualityParams, format_rule
 from .search import search_local_rules
 
 _MODES = ("levels", "exact")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    data: str
-    schema: str
-    mode: str
-    params: QualityParams  # built from the flags, so a bad value fails every subcommand
-    overrides: dict  # attribute index -> forced mode
-    override_names: tuple[str, ...]  # as given, for echoing
-    threads: int
-    out: str | None
-
-    def echo_lines(self) -> list[str]:
-        # Deliberately omits --threads and --out: the written report must
-        # not depend on the worker count or on where it is stored.
-        lines = [
-            f"data={self.data}",
-            f"schema={self.schema}",
-            f"mode={self.mode}",
-        ]
-        if self.override_names:
-            lines.append("overrides=" + ",".join(self.override_names))
-        return lines + self.params.echo_lines()
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
@@ -130,27 +105,32 @@ def _parse_overrides(specs, attributes: tuple[Attribute, ...]):
     return overrides
 
 
-def _config(args) -> tuple[RunConfig, Dataset]:
+def _config(args) -> tuple[Dataset, dict, QualityParams]:
+    # Data first: a missing data file exits 2 even beside an out-of-range flag.
     d = load_dataset(args.data, args.schema)
     overrides = _parse_overrides(args.override, d.attributes)
-    cfg = RunConfig(
-        data=args.data,
-        schema=args.schema,
-        mode=args.mode,
-        params=QualityParams(
-            weight=args.weight,
-            min_cover=args.min_cover,
-            min_mism=args.min_mism,
-            max_terms=args.max_terms,
-            keep_frac=args.keep_frac,
-            eps=args.eps,
-        ),
-        overrides=overrides,
-        override_names=tuple(args.override),
-        threads=args.threads if args.threads > 0 else available_cpus(),
-        out=args.out,
+    params = QualityParams(
+        weight=args.weight,
+        min_cover=args.min_cover,
+        min_mism=args.min_mism,
+        max_terms=args.max_terms,
+        keep_frac=args.keep_frac,
+        eps=args.eps,
     )
-    return cfg, d
+    return d, overrides, params
+
+
+def _echo_lines(args, params: QualityParams) -> list[str]:
+    # Deliberately omits --threads and --out: the written report must
+    # not depend on the worker count or on where it is stored.
+    lines = [
+        f"data={args.data}",
+        f"schema={args.schema}",
+        f"mode={args.mode}",
+    ]
+    if args.override:
+        lines.append("overrides=" + ",".join(args.override))
+    return lines + params.echo_lines()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,10 +140,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_predict(args) -> int:
-    cfg, d = _config(args)
-    inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    p = predict_encoded(inst, cfg.params)
-    lines = cfg.echo_lines() + [
+    d, overrides, params = _config(args)
+    inst = encode_row(d, args.row, args.mode, overrides)
+    p = predict_encoded(inst, params)
+    lines = _echo_lines(args, params) + [
         f"row={args.row}",
         f"class={p.label}",
         f"probability={p.probability:.6f}",
@@ -173,16 +153,16 @@ def _cmd_predict(args) -> int:
     ]
     if args.show_rules:
         lines += [format_rule(r, inst.components, inst.class_labels) for r in p.rules]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_rules(args) -> int:
-    cfg, d = _config(args)
-    inst = encode_row(d, args.row, cfg.mode, cfg.overrides)
-    outcome = search_local_rules(inst, cfg.params)
+    d, overrides, params = _config(args)
+    inst = encode_row(d, args.row, args.mode, overrides)
+    outcome = search_local_rules(inst, params)
     best = "none" if outcome.best_quality is None else f"{outcome.best_quality:.6f}"
-    lines = cfg.echo_lines() + [
+    lines = _echo_lines(args, params) + [
         f"row={args.row}",
         f"rules={len(outcome.rules)}",
         f"best={best}",
@@ -190,35 +170,36 @@ def _cmd_rules(args) -> int:
         f"nodes={outcome.nodes_visited}",
     ]
     lines += [format_rule(r, inst.components, inst.class_labels) for r in outcome.rules]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    cfg, d = _config(args)
-    label = Path(cfg.data).stem
+    d, overrides, params = _config(args)
+    threads = args.threads if args.threads > 0 else available_cpus()
+    label = Path(args.data).stem
     started = time.perf_counter()
     if args.loocv:
         report = evaluate_loocv(
-            d, cfg.params, cfg.mode, cfg.overrides, cfg.threads,
+            d, params, args.mode, overrides, threads,
             force=args.force, dataset_label=label,
         )
     else:
         report = evaluate_cv(
-            d, cfg.params, args.folds, args.seed, cfg.mode, cfg.overrides,
-            cfg.threads, dataset_label=label,
+            d, params, args.folds, args.seed, args.mode, overrides, threads,
+            dataset_label=label,
         )
-    text = f"data={cfg.data}\nschema={cfg.schema}\n" + render_report(report)
-    _emit(text, cfg.out)
+    text = f"data={args.data}\nschema={args.schema}\n" + render_report(report)
+    _emit(text, args.out)
     print(f"wall_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     return 0
 
 
 def _cmd_discretize(args) -> int:
-    cfg, d = _config(args)
-    wanted = attrs_needing_grids(d.attributes, cfg.mode, cfg.overrides)
+    d, overrides, params = _config(args)
+    wanted = attrs_needing_grids(d.attributes, args.mode, overrides)
     grids = build_grids(d.attributes, d.rows, d.class_col, wanted)  # labeled rows only
-    lines = cfg.echo_lines()
+    lines = _echo_lines(args, params)
     for i in wanted:
         attr = d.attributes[i]
         shown = (
@@ -226,7 +207,7 @@ def _cmd_discretize(args) -> int:
             for y in grids.get(i, ())
         )
         lines.append(f"{attr.name}: " + " ".join(shown))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -79,15 +79,6 @@ def _side_terms(cs, cp, lo: int, hi: int, gaps) -> tuple[list[float], list[float
     return lefts, rights
 
 
-def _lowest(lefts, rights, n: int) -> tuple[int, float] | None:
-    """(index, weighted entropy) of the lowest (left + right) / n; ties go to the first."""
-    ws = list(map(truediv, map(add, lefts, rights), repeat(n)))
-    if not ws:
-        return None
-    i = min(range(len(ws)), key=ws.__getitem__)
-    return i, ws[i]
-
-
 def _running_min(sums, gaps, n: int) -> tuple[array, array]:
     """Running lowest sum / n, the first kept on ties, and the gap it lies at."""
     pairs = list(accumulate(zip(map(truediv, sums, repeat(n)), gaps), min))
@@ -242,10 +233,10 @@ class _Column:
         start, stop = bisect_left(b, lo), bisect_left(b, hi - 1)
         if rm is None:
             gaps = b[start:stop]
-            found = _lowest(*_side_terms(cs, cp, lo, hi, gaps), n)
-            if found is None:
+            if not gaps:
                 return None
-            k, w = gaps[found[0]], found[1]
+            ws, ks = _running_min(map(add, *_side_terms(cs, cp, lo, hi, gaps)), gaps, n)
+            k, w = ks[-1], ws[-1]
         else:
             j, label = rm.group, rm.label
             mid = max(start, bisect_left(b, j - 1))

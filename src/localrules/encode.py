@@ -140,15 +140,15 @@ class TrainingIndex:
         labels = list(map(itemgetter(class_col), rows))
         self.unlabeled = [n for n, g in enumerate(labels) if g is None]
         self.class_bits = _bitset(map(eq, labels, repeat(0)))
-        self._ordered: dict[int, list] = {}
+        self._columns: dict[int, list] = {}
         self._bits: dict[tuple, int] = {}
 
-    def _ordered_column(self, i: int) -> list:
-        """Attribute i's cells with NaN for missing."""
-        col = self._ordered.get(i)
+    def _column(self, i: int) -> list:
+        """Attribute i's cells with NaN for missing, which fails ==, <= and > alike."""
+        col = self._columns.get(i)
         if col is None:
             cells = list(map(itemgetter(i), self.rows))
-            col = self._ordered[i] = list(map(_NAN_FOR_NONE.get, cells, cells))
+            col = self._columns[i] = list(map(_NAN_FOR_NONE.get, cells, cells))
         return col
 
     def _rows(self, op, i: int, value) -> int:
@@ -156,9 +156,7 @@ class TrainingIndex:
         key = (op, i, value)
         bits = self._bits.get(key)
         if bits is None:
-            # None equals no value; the ordered comparisons need NaN in its place.
-            cells = map(itemgetter(i), self.rows) if op is eq else self._ordered_column(i)
-            bits = _bitset(map(op, cells, repeat(value)))
+            bits = _bitset(map(op, self._column(i), repeat(value)))
             if op is not eq or self.attributes[i].kind != CONTINUOUS_KIND:
                 self._bits[key] = bits
         return bits

@@ -101,29 +101,18 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(fold)) for fold in folds)
 
 
-# Worker state (dataset, params, mode, overrides, fitted), set for the length
-# of one run; forked pool workers inherit it. fitted holds one (index, grids)
-# pair per fold under k-fold, the full-data (index, grid fitter) pair under
-# leave-one-out.
-_WORKER_STATE = None
+# The per-item function of the run in progress. Forked pool workers inherit
+# it: a closure does not pickle, so the pool maps _call_worker instead.
+_WORKER = None
 
 
-def _outcome(p):
+def _call_worker(item):
+    return _WORKER(item)
+
+
+def _outcome(inst, params):
+    p = predict_encoded(inst, params)
     return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
-
-
-def _predict_fold_row(item):
-    d, params, mode, overrides, fitted = _WORKER_STATE
-    fold, row = item
-    index, grids = fitted[fold]
-    inst = encode(index, mask_class(d.rows[row], d.class_col), grids, mode, overrides)
-    return _outcome(predict_encoded(inst, params))
-
-
-def _predict_loocv_row(row: int):
-    d, params, mode, overrides, (index, fitter) = _WORKER_STATE
-    inst = encode_row(d, row, mode, overrides, index, fitter)
-    return _outcome(predict_encoded(inst, params))
 
 
 def available_cpus() -> int:
@@ -136,18 +125,18 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
     return max(1, min(threads, cpus, n_items))
 
 
-def _run_pool(threads: int, state, worker, items) -> list:
-    """worker(item) for every item, in order, with _WORKER_STATE = state."""
-    global _WORKER_STATE
+def _run_pool(threads: int, worker, items) -> list:
+    """worker(item) for every item, in order, with _WORKER = worker."""
+    global _WORKER
     threads = worker_count(threads, len(items), available_cpus())
-    _WORKER_STATE = state
+    _WORKER = worker
     try:
         if threads == 1:
             return [worker(item) for item in items]
         with get_context("fork").Pool(threads) as pool:
-            return pool.map(worker, items)
+            return pool.map(_call_worker, items)
     finally:
-        _WORKER_STATE = None
+        _WORKER = None
 
 
 def _confusion(rows, class_col: int, results) -> ConfusionCounts:
@@ -177,8 +166,14 @@ def evaluate_cv(
         grids = build_grids(d.attributes, training, d.class_col, level_attrs)
         fitted.append((TrainingIndex(d.attributes, training, d.class_col), grids))
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
-    state = (d, params, mode, overrides, tuple(fitted))
-    results = _run_pool(threads, state, _predict_fold_row, items)
+
+    def predict_row(item):
+        fold, row = item
+        index, grids = fitted[fold]
+        inst = encode(index, mask_class(d.rows[row], d.class_col), grids, mode, overrides)
+        return _outcome(inst, params)
+
+    results = _run_pool(threads, predict_row, items)
     in_order = iter(results)  # each fold's tally takes its rows' results off the front
     fold_counts = tuple(
         _confusion([d.rows[i] for i in fold], d.class_col, in_order) for fold in folds
@@ -195,22 +190,23 @@ def evaluate_loocv(
     mode: str = MODE_LEVELS,
     overrides: dict | None = None,
     threads: int = 1,
-    cap: int = LOOCV_CAP,
     force: bool = False,
     dataset_label: str = "data",
 ) -> EvaluationReport:
     n = len(d.rows)
-    if n > cap and not force:
+    if n > LOOCV_CAP and not force:
         raise DatasetTooLarge(
-            f"{n} rows exceeds the leave-one-out guard of {cap}; pass force to override"
+            f"{n} rows exceeds the leave-one-out guard of {LOOCV_CAP}; pass force to override"
         )
     for i, row in enumerate(d.rows):
         _class_index(row, d.class_col, f"row {i}")
-    fitted = (
-        TrainingIndex(d.attributes, d.rows, d.class_col),
-        GridFitter(d.attributes, d.rows, d.class_col),
-    )
-    results = _run_pool(threads, (d, params, mode, overrides, fitted), _predict_loocv_row, range(n))
+    index = TrainingIndex(d.attributes, d.rows, d.class_col)
+    fitter = GridFitter(d.attributes, d.rows, d.class_col)
+
+    def predict_row(row):
+        return _outcome(encode_row(d, row, mode, overrides, index, fitter), params)
+
+    results = _run_pool(threads, predict_row, range(n))
     return _build_report(
         d, params, "loocv", mode, None, None, overrides, (), d.rows, results, dataset_label
     )

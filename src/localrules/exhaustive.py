@@ -79,6 +79,8 @@ def exhaustive_rules(inst: EncodedInstance, params: QualityParams) -> OracleResu
             match = full_mask
             for cid in combo:
                 match &= comps[cid].match_bits
+            if not match:
+                continue  # a rule must match a training row
             candidates.append(make_rule(combo, match, class_bits, inst.n_rows, params.weight))
 
     best = max((r.quality for r in candidates), default=None)

@@ -70,8 +70,8 @@ def combine(
 ) -> CombinedRule:
     """Score the union of the rules' match sets as one rule.
 
-    An empty union, from no rules or from rules that match no row (both
-    possible at min_cover = 0), is rejected outright: it carries no evidence
+    Every accepted rule matches a training row, so the union is empty only
+    for an empty rule list. It is rejected outright: it carries no evidence
     even when the score alone clears the threshold, and has no correctness.
     """
     union = 0

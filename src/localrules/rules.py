@@ -182,18 +182,6 @@ def min_cover_count(threshold: float, class_total: int, weight: float, start: in
     return class_total + 1
 
 
-def cover_floor_counts(
-    threshold: float,
-    n_pos: int,
-    n_neg: int,
-    weight: float,
-) -> tuple[int, int]:
-    return (
-        min_cover_count(threshold, n_pos, weight),
-        min_cover_count(threshold, n_neg, weight),
-    )
-
-
 def format_rule(rule: Rule, components, class_labels: tuple[str, str]) -> str:
     terms = " AND ".join(components[cid].display for cid in rule.term_ids)
     label = class_labels[0] if rule.target else class_labels[1]

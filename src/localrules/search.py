@@ -39,7 +39,8 @@ unmatched, and a dropped term leaves (drop - child) rows. The children that
 survive get the remaining checks in canonical order, so the threshold rises
 at the same points as in a walk over every child.
 A child is scored on its counts (rules.count_quality); its Contingency and
-Rule are built only when it reaches the threshold.
+Rule are built only when it reaches the threshold and matches a training row
+(an empty match set scores at most the base threshold, so it never raises it).
 
 A path's used boundary groups are one mask over component ids: the union of
 its terms' group masks (an exact component's is 0). A tail candidate in a
@@ -53,9 +54,9 @@ sequential and deterministic; callers parallelize across prediction points.
 nodes_visited is the count of children the canonical, unfiltered enumeration
 forms: the root forms every component, and an expanded node forms every
 component id above its last term that is not in a used group, whether or not
-the tail still holds it. The parent adds that count (a popcount of the ids
-above the child's term outside the child's used-group mask) when it decides
-to expand a child, and it calls the walk only when a candidate follows the
+the tail still holds it. The parent adds that count (the ids above the
+child's term less those in the child's used-group mask) when it decides to
+expand a child, and it calls the walk only when a candidate follows the
 child in its tail: without one, the call would only count. Children of
 a pruned node, and of a node with an empty match set, are never formed (every
 term of an empty node's child would have an empty mismatch set, so those
@@ -74,7 +75,6 @@ from .rules import (
     QualityParams,
     Rule,
     count_quality,
-    cover_floor_counts,
     min_cover_count,
     mismatch_floors,
 )
@@ -100,15 +100,13 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
         raise SingleClassTraining("training rows contain a single class")
 
     bits = [c.match_bits for c in inst.components]
-    # Component-id masks: each component's boundary group (0 for an exact
-    # one), and the ids above each component. A path's used groups are the
-    # union of its terms' group masks.
+    # Each component's boundary group as a component-id mask (0 for an exact
+    # one). A path's used groups are the union of its terms' group masks.
     group_mask = [0] * m
     for members in inst.groups.values():
         mask = sum(1 << cid for cid in members)
         for cid in members:
             group_mask[cid] = mask
-    above = [((1 << m) - 1) >> (cid + 1) << (cid + 1) for cid in range(m)]
     class_bits = inst.class_bits
     n_pos, n_neg = inst.n_pos, inst.n_neg
     weight = params.weight
@@ -119,7 +117,8 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     tie_target = n_pos >= n_neg
 
     threshold = params.base_threshold
-    floor_pos, floor_neg = cover_floor_counts(threshold, n_pos, n_neg, weight)
+    floor_pos = min_cover_count(threshold, n_pos, weight)
+    floor_neg = min_cover_count(threshold, n_neg, weight)
 
     found: list[Rule] = []
     best: float | None = None
@@ -172,7 +171,7 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 # select_target's choice
                 target = cpos > cneg if cpos != cneg else tie_target
                 q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
-                if q >= threshold:
+                if q >= threshold and child_match:
                     table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
                     found.append(Rule(term_ids + (cid,), child_match, table, target, q))
                     if best is None or q > best:
@@ -188,9 +187,10 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
                     continue  # pure enough; supersets are blocked by definition
                 # Expand the child: it forms every id above cid outside its
-                # used groups, whether or not its tail still holds it.
+                # used groups, whether or not its tail still holds it. A
+                # boundary cid's own bit is in child_used, hence the shift past it.
                 child_used = used | group_mask[cid]
-                visits += (above[cid] & ~child_used).bit_count()
+                visits += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
                 if i < last:  # with no candidate after it, the child only counts
                     child_drops.append(match)
                     walk(

@@ -21,7 +21,6 @@ from localrules.rules import (
     Contingency,
     QualityParams,
     Rule,
-    cover_floor_counts,
     min_cover_count,
     mismatch_floors,
     quality,
@@ -335,7 +334,8 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
 
     threshold = params.base_threshold
-    floor_pos, floor_neg = cover_floor_counts(threshold, n_pos, n_neg, weight)
+    floor_pos = min_cover_count(threshold, n_pos, weight)
+    floor_neg = min_cover_count(threshold, n_neg, weight)
 
     found: list[Rule] = []
     best: float | None = None
@@ -378,7 +378,7 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
             target = select_target(table)
             q = quality(table, target, weight)
             child_ids = term_ids + (cid,)
-            if q >= threshold:
+            if q >= threshold and child_match:
                 found.append(Rule(child_ids, child_match, table, target, q))
                 if best is None or q > best:
                     best = q

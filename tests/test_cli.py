@@ -154,6 +154,17 @@ def test_missing_schema_is_a_data_error(tmp_path, capsys):
     assert "absent.schema" in err
 
 
+def test_missing_data_file_wins_over_a_bad_parameter(tmp_path, capsys):
+    _, schema = _write_copy_class(tmp_path)
+    code, _, err = _run(
+        ["rules", "--data", str(tmp_path / "absent.csv"), "--schema", schema,
+         "--lambda", "5"],
+        capsys,
+    )
+    assert code == 2
+    assert "absent.csv" in err
+
+
 def test_bad_parameter_is_a_usage_error(tmp_path, capsys):
     data, schema = _write_copy_class(tmp_path)
     code, _, err = _run(
@@ -236,19 +247,35 @@ def test_wildcard_override_covers_every_attribute(tmp_path, capsys):
     assert "size:" not in out
 
 
-def test_predict_survives_rules_that_match_no_row(tmp_path, capsys):
+def _write_far_query(tmp_path):
+    """Row 0 is x = 999, far from every training x; in exact mode it matches none."""
     lines = ["x,c", "999.0,?"] + [f"{float(i)},{'y' if i % 2 == 0 else 'n'}" for i in range(30)]
     data = tmp_path / "far.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     schema = tmp_path / "far.schema"
     schema.write_text("x: continuous\nc: class {y, n}\n", encoding="utf-8")
+    return str(data), str(schema)
+
+
+def test_predict_survives_rules_that_match_no_row(tmp_path, capsys):
+    data, schema = _write_far_query(tmp_path)
     code, out, err = _run(
-        ["predict", "--data", str(data), "--schema", str(schema), "--mode", "exact",
-         "--cmin", "0"],
+        ["predict", "--data", data, "--schema", schema, "--mode", "exact", "--cmin", "0"],
         capsys,
     )
     assert code == 0, err
     assert "source=class_prior" in out
+
+
+def test_rules_lists_no_rule_that_matches_no_row(tmp_path, capsys):
+    data, schema = _write_far_query(tmp_path)
+    code, out, err = _run(
+        ["rules", "--data", data, "--schema", schema, "--mode", "exact", "--cmin", "0"],
+        capsys,
+    )
+    assert code == 0, err
+    assert "rules=0\nbest=none\n" in out
+    assert "IF " not in out
 
 
 def test_same_outcome_tells_apart_a_one_ulp_difference():

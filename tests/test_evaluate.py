@@ -168,13 +168,13 @@ def test_loocv_report_is_identical_for_any_worker_count():
 def test_in_process_runs_release_the_worker_state():
     d = _noisy_dataset()
     evaluate_cv(d, QualityParams(), k=3, seed=1, threads=1)
-    assert evaluate._WORKER_STATE is None
+    assert evaluate._WORKER is None
     evaluate_loocv(d, QualityParams(), threads=1)
-    assert evaluate._WORKER_STATE is None
+    assert evaluate._WORKER is None
     # The parent holds the state while a fork pool runs, and drops it after.
     with mock.patch.object(evaluate, "available_cpus", return_value=2):
         evaluate_cv(d, QualityParams(), k=3, seed=1, threads=2)
-    assert evaluate._WORKER_STATE is None
+    assert evaluate._WORKER is None
 
 
 def test_rules_matching_no_row_do_not_abort_an_evaluation():
@@ -205,9 +205,10 @@ def test_loocv_counts_every_row_once():
 
 def test_loocv_cap_and_force():
     d = _copy_class_dataset(12)
-    with pytest.raises(DatasetTooLarge):
-        evaluate_loocv(d, QualityParams(), cap=10)
-    report = evaluate_loocv(d, QualityParams(), cap=10, force=True)
+    with mock.patch.object(evaluate, "LOOCV_CAP", 10):
+        with pytest.raises(DatasetTooLarge):
+            evaluate_loocv(d, QualityParams())
+        report = evaluate_loocv(d, QualityParams(), force=True)
     assert report.n_tests == 12
 
 

@@ -72,12 +72,12 @@ def test_no_accepted_rules_fall_back_even_at_even_prior():
 
 def test_rules_matching_no_row_fall_back_to_the_prior():
     # At min_cover 0 the x=999 component, which matches no training row,
-    # scores the base threshold and is accepted; its empty union is not.
+    # scores the base threshold but is not accepted: a rule must match a row.
     attrs = (Attribute("x", "continuous"), Attribute("c", "class", ("pos", "neg")))
     rows = [(float(i), i % 2) for i in range(30)]
     inst = encode(attrs, rows, (999.0, None), 1, {}, "exact")
     p = predict_encoded(inst, QualityParams(min_cover=0.0))
-    assert [r.match_bits for r in p.rules] == [0]
+    assert p.rules == ()
     assert not p.combined.accepted
     assert p.source == SOURCE_PRIOR
     assert p.probability == 0.5

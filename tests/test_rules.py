@@ -201,7 +201,8 @@ def test_floor_identity_and_counts():
         derived = (p.base_threshold - p.weight) * share / (1 - p.weight)
         assert abs(derived - p.min_cover * share) < 1e-12
         assert abs(p.min_cover * share - 0.08 * share) < 1e-15
-    floor_pos, floor_neg = rules.cover_floor_counts(p.base_threshold, 100, 50, p.weight)
+    floor_pos = rules.min_cover_count(p.base_threshold, 100, p.weight)
+    floor_neg = rules.min_cover_count(p.base_threshold, 50, p.weight)
     mism_pos, mism_neg = rules.mismatch_floors(p, 100, 50)
     # a perfect rule covering exactly 8 of 100 sits on the threshold and is kept
     assert floor_pos == 8
@@ -214,7 +215,8 @@ def test_floor_identity_and_counts():
 def test_floor_full_coverage_limit():
     # min_cover = 1: only full-coverage perfect rules reach the threshold
     p = rules.QualityParams(min_cover=1.0)
-    floor_pos, floor_neg = rules.cover_floor_counts(p.base_threshold, 10, 7, p.weight)
+    floor_pos = rules.min_cover_count(p.base_threshold, 10, p.weight)
+    floor_neg = rules.min_cover_count(p.base_threshold, 7, p.weight)
     assert (floor_pos, floor_neg) == (10, 7)
 
 

@@ -108,6 +108,16 @@ def test_empty_match_node_is_counted_but_not_expanded():
         assert rule.match_bits != 0
 
 
+def test_rules_matching_no_row_are_never_accepted():
+    # At weight 1 the empty {x1, x2} scores exactly the base threshold of 1.
+    inst = _disjoint_instance()
+    params = QualityParams(weight=1.0, max_terms=3)
+    out = search_local_rules(inst, params)
+    assert all(rule.match_bits != 0 for rule in out.rules)
+    assert_equivalent(out, exhaustive_rules(inst, params))
+    assert out == reference_search(inst, params)
+
+
 def test_raising_min_cover_never_increases_node_count():
     rng = random.Random(11)
     for _ in range(25):
