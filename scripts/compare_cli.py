@@ -14,7 +14,8 @@ differs; the exit status is 1 if any run differs, 0 otherwise.
 The matrix covers monks1-3 and tictactoe in both modes (k-fold `evaluate` at
 one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
 on rows 0, 5 and 17, `discretize`), `--override '*=levels'`, the usage and
-data error paths, and `selftest --trials 300`.
+data error paths (a negative `--threads` among them), and `selftest
+--trials 300`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def matrix() -> list[list[str]]:
         ["predict"],
         ["no-such-command"],
         ["evaluate", *monks, "--kappa", "0"],
+        ["evaluate", *monks, "--threads", "-1"],
         ["predict", *monks, "--override", "ghost=exact"],
         ["predict", *monks, "--row", "999"],
         ["predict", *missing],

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data import Attribute, Dataset, load_dataset
 from .discretize import build_grids
-from .encode import attrs_needing_grids, encode
+from .encode import attrs_needing_grids
 from .errors import BadParams, DataError
 from .evaluate import available_cpus, evaluate_cv, evaluate_loocv, render_report
 from .exhaustive import exhaustive_rules
@@ -50,7 +50,7 @@ def _add_param_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--override", action="append", default=[], metavar="ATTR=MODE",
                     help="force a mode for one attribute (repeatable)")
     ap.add_argument("--threads", type=int, default=0,
-                    help="worker processes; 0 = all available")
+                    help="evaluate's worker processes, 0 or more; 0 = all available")
     ap.add_argument("--out", help="also write the output text to this file")
 
 
@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=3, help="fold count (default 3)")
     p.add_argument("--seed", type=int, default=1, help="shuffle seed (default 1)")
     p.add_argument("--loocv", action="store_true", help="leave-one-out instead of k-fold")
-    p.add_argument("--force", action="store_true", help="ignore the leave-one-out size guard")
 
     p = sub.add_parser("discretize", help="print induced grids per attribute")
     _add_param_flags(p)
@@ -176,13 +175,14 @@ def _cmd_rules(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     d, overrides, params = _config(args)
-    threads = args.threads if args.threads > 0 else available_cpus()
+    if args.threads < 0:
+        raise BadParams(f"--threads must be at least 0, got {args.threads}")
+    threads = args.threads or available_cpus()
     label = Path(args.data).stem
     started = time.perf_counter()
     if args.loocv:
         report = evaluate_loocv(
-            d, params, args.mode, overrides, threads,
-            force=args.force, dataset_label=label,
+            d, params, args.mode, overrides, threads, dataset_label=label
         )
     else:
         report = evaluate_cv(
@@ -251,10 +251,7 @@ def random_instance(rng: random.Random):
             for i, a in enumerate(attrs[:-1]):
                 if a.kind == "nominal" and rng.random() < 0.5:
                     overrides[i] = "levels"
-        grids = build_grids(
-            attrs, rows, class_col, attrs_needing_grids(attrs, mode, overrides)
-        )
-        inst = encode(attrs, rows, pred, class_col, grids, mode, overrides)
+        inst = encode_row(Dataset(attrs, (pred, *rows), class_col), 0, mode, overrides)
         if not 1 <= inst.n_components <= 12:
             continue
         if inst.n_pos == 0 or inst.n_neg == 0:

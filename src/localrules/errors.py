@@ -73,9 +73,5 @@ class TooFewRows(DataError):
     pass
 
 
-class DatasetTooLarge(DataError):
-    """Leave-one-out over the configured cap without --force."""
-
-
 class TooManyComponents(DataError):
     """Exhaustive reference enumeration guard (it is exponential by design)."""

@@ -23,16 +23,11 @@ from multiprocessing import get_context
 from random import Random
 
 from .data import Dataset
-from .discretize import GridFitter, build_grids
+from .discretize import GridFitter
 from .encode import MODE_LEVELS, TrainingIndex, attrs_needing_grids
-from .errors import BadParams, BadValue, DatasetTooLarge, TooFewRows
-from .predict import SOURCE_PRIOR, encode_row, mask_class, predict_encoded
+from .errors import BadParams, BadValue, TooFewRows
+from .predict import SOURCE_PRIOR, build_grids, encode, encode_row, mask_class, predict_encoded
 from .rules import QualityParams
-
-LOOCV_CAP = 600
-
-# Per-query encoding goes through this name, so it can be swapped as one layer.
-encode = TrainingIndex.encode
 
 
 @dataclass(frozen=True)
@@ -75,23 +70,25 @@ class EvaluationReport:
         return self.pooled.total
 
 
-def _class_index(row, class_col: int, where: str) -> int:
-    g = row[class_col]
-    if g is None:
-        raise BadValue(f"{where} has no class label; evaluation needs labeled rows")
-    return g
+def _rows_by_class(d: Dataset, least: int, what: str) -> tuple[list[int], list[int]]:
+    """Row indices per class; every row labeled, every class with least rows or more."""
+    by_class: tuple[list[int], list[int]] = ([], [])
+    for i, row in enumerate(d.rows):
+        g = row[d.class_col]
+        if g is None:
+            raise BadValue(f"row {i} has no class label; evaluation needs labeled rows")
+        by_class[g].append(i)
+    for label, rows in zip(d.class_values, by_class):
+        if len(rows) < least:
+            raise TooFewRows(f"class {label!r} has {len(rows)} rows, fewer than {least} {what}")
+    return by_class
 
 
 def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Row indices per fold; per-class counts differ by at most one."""
     if k < 2:
         raise BadParams(f"need at least 2 folds, got {k}")
-    by_class: tuple[list[int], list[int]] = ([], [])
-    for i, row in enumerate(d.rows):
-        by_class[_class_index(row, d.class_col, f"row {i}")].append(i)
-    for label, rows in zip(d.class_values, by_class):
-        if len(rows) < k:
-            raise TooFewRows(f"class {label!r} has {len(rows)} rows, fewer than {k} folds")
+    by_class = _rows_by_class(d, k, "folds")
     rng = Random(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for rows in by_class:
@@ -163,7 +160,7 @@ def evaluate_cv(
     for fold in folds:
         test_set = frozenset(fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
-        grids = build_grids(d.attributes, training, d.class_col, level_attrs)
+        grids = build_grids(GridFitter(d.attributes, training, d.class_col), level_attrs)
         fitted.append((TrainingIndex(d.attributes, training, d.class_col), grids))
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
 
@@ -190,23 +187,17 @@ def evaluate_loocv(
     mode: str = MODE_LEVELS,
     overrides: dict | None = None,
     threads: int = 1,
-    force: bool = False,
     dataset_label: str = "data",
 ) -> EvaluationReport:
-    n = len(d.rows)
-    if n > LOOCV_CAP and not force:
-        raise DatasetTooLarge(
-            f"{n} rows exceeds the leave-one-out guard of {LOOCV_CAP}; pass force to override"
-        )
-    for i, row in enumerate(d.rows):
-        _class_index(row, d.class_col, f"row {i}")
+    # A class's lone row, held out, would leave a single-class training split.
+    _rows_by_class(d, 2, "for leave-one-out")
     index = TrainingIndex(d.attributes, d.rows, d.class_col)
     fitter = GridFitter(d.attributes, d.rows, d.class_col)
 
     def predict_row(row):
         return _outcome(encode_row(d, row, mode, overrides, index, fitter), params)
 
-    results = _run_pool(threads, predict_row, range(n))
+    results = _run_pool(threads, predict_row, range(len(d.rows)))
     return _build_report(
         d, params, "loocv", mode, None, None, overrides, (), d.rows, results, dataset_label
     )

@@ -84,19 +84,6 @@ def combine(
     return CombinedRule(union, table, target, q, accepted)
 
 
-def _prior_prediction(inst: EncodedInstance, search, combined) -> Prediction:
-    target = inst.n_pos >= inst.n_neg
-    count = inst.n_pos if target else inst.n_neg
-    return Prediction(
-        target=target,
-        label=inst.class_labels[0 if target else 1],
-        probability=count / inst.n_rows,
-        source=SOURCE_PRIOR,
-        search=search,
-        combined=combined,
-    )
-
-
 def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
     """Search, combine, and fall back to the prior when the union is rejected.
 
@@ -109,16 +96,14 @@ def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
     else:
         outcome = search_local_rules(inst, params)
     combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
-    if not combined.accepted:
-        return _prior_prediction(inst, outcome, combined)
-    return Prediction(
-        target=combined.target,
-        label=inst.class_labels[0 if combined.target else 1],
-        probability=combined.correctness,
-        source=SOURCE_COMBINED,
-        search=outcome,
-        combined=combined,
-    )
+    if combined.accepted:
+        target, probability, source = combined.target, combined.correctness, SOURCE_COMBINED
+    else:
+        target = inst.n_pos >= inst.n_neg
+        probability = (inst.n_pos if target else inst.n_neg) / inst.n_rows
+        source = SOURCE_PRIOR
+    label = inst.class_labels[0 if target else 1]
+    return Prediction(target, label, probability, source, outcome, combined)
 
 
 def encode_row(

@@ -174,6 +174,15 @@ def test_bad_parameter_is_a_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_negative_threads_is_a_usage_error(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    code, out, err = _run(
+        ["evaluate", "--data", data, "--schema", schema, "--threads", "-7"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --threads must be at least 0, got -7\n"
+
+
 @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--cmin", "2"], ["--max-depth", "0"]])
 def test_discretize_rejects_a_bad_quality_flag_like_rules(tmp_path, capsys, flag):
     data, schema = _write_copy_class(tmp_path)

@@ -7,13 +7,7 @@ import pytest
 
 from localrules import evaluate
 from localrules.data import Attribute, Dataset
-from localrules.errors import (
-    BadParams,
-    BadValue,
-    DatasetTooLarge,
-    SingleClassTraining,
-    TooFewRows,
-)
+from localrules.errors import BadParams, BadValue, TooFewRows
 from localrules.evaluate import (
     ConfusionCounts,
     evaluate_cv,
@@ -203,18 +197,15 @@ def test_loocv_counts_every_row_once():
     assert report.folds == ()
 
 
-def test_loocv_cap_and_force():
-    d = _copy_class_dataset(12)
-    with mock.patch.object(evaluate, "LOOCV_CAP", 10):
-        with pytest.raises(DatasetTooLarge):
-            evaluate_loocv(d, QualityParams())
-        report = evaluate_loocv(d, QualityParams(), force=True)
-    assert report.n_tests == 12
+def test_loocv_runs_past_six_hundred_rows():
+    report = evaluate_loocv(_copy_class_dataset(601), QualityParams())
+    assert report.n_tests == 601
+    assert report.correctness == 1.0
 
 
-def test_degenerate_two_row_dataset_propagates_search_guard():
+def test_degenerate_two_row_dataset_is_too_few_rows_for_loocv():
     d = _dataset([0, 1], extra_cols=1)
-    with pytest.raises(SingleClassTraining):
+    with pytest.raises(TooFewRows, match=r"^class 'yes' has 1 rows, .*leave-one-out"):
         evaluate_loocv(d, QualityParams())
 
 

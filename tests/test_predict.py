@@ -173,19 +173,24 @@ def test_predict_for_row_recovers_a_copied_class():
 
 
 def test_encode_row_equals_reference_on_every_split():
-    d = _copy_class_dataset()
-    index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    for mode, overrides in (("levels", None), ("exact", None), ("exact", {1: "levels"})):
-        for row in range(len(d.rows)):
-            pred_row, training = split_for_prediction(d, row)
-            grids = build_grids(
-                d.attributes, training, 2, attrs_needing_grids(d.attributes, mode, overrides)
-            )
-            want = reference_encode(
-                d.attributes, training, mask_class(pred_row, 2), 2, grids, mode, overrides
-            )
-            assert repr(encode_row(d, row, mode, overrides, index)) == repr(want)
-            assert repr(encode_row(d, row, mode, overrides)) == repr(want)
+    labeled = _copy_class_dataset()
+    # A query row may be unlabeled (selftest encodes one this way): it is
+    # held out of the index and the grid fit like any other row.
+    unlabeled = Dataset(
+        labeled.attributes, (mask_class(labeled.rows[0], 2),) + labeled.rows[1:], 2
+    )
+    for d, rows in ((labeled, range(len(labeled.rows))), (unlabeled, [0])):
+        index = TrainingIndex(d.attributes, d.rows, d.class_col)
+        for mode, overrides in (("levels", None), ("exact", None), ("exact", {1: "levels"})):
+            for row in rows:
+                pred_row, training = split_for_prediction(d, row)
+                level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+                grids = build_grids(d.attributes, training, 2, level_attrs)
+                want = reference_encode(
+                    d.attributes, training, mask_class(pred_row, 2), 2, grids, mode, overrides
+                )
+                assert repr(encode_row(d, row, mode, overrides, index)) == repr(want)
+                assert repr(encode_row(d, row, mode, overrides)) == repr(want)
 
 
 def test_prediction_cannot_see_the_test_label():
