@@ -13,9 +13,12 @@ differs; the exit status is 1 if any run differs, 0 otherwise.
 
 The matrix covers monks1-3 and tictactoe in both modes (k-fold `evaluate` at
 one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
-on rows 0, 5 and 17, `discretize`), `--override '*=levels'`, the usage and
-data error paths (a negative `--threads` among them), and `selftest
---trials 300`.
+on rows 0, 5 and 17, `discretize`), `--override '*=levels'`, k-fold
+`evaluate` on monks2 and on tictactoe with every cell as levels at each of
+`--eps 0.2`, `--cmin-mism 0`, `--kappa 0.5` and `--max-depth 2` (search
+branches the default flags rarely take), the usage and data error paths (a
+negative `--threads` for `evaluate` and `predict` among them), and
+`selftest --trials 300`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ def matrix() -> list[list[str]]:
         ["rules", *tictactoe, "--row", "5"],
         ["discretize", *tictactoe],
     ]
+    for flag in (["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"]):
+        runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
+        runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
     monks = _files("monks1")
     missing = ["--data", str(DATA / "absent.csv"), "--schema", str(DATA / "monks1.schema")]
     runs += [
@@ -62,6 +68,7 @@ def matrix() -> list[list[str]]:
         ["no-such-command"],
         ["evaluate", *monks, "--kappa", "0"],
         ["evaluate", *monks, "--threads", "-1"],
+        ["predict", *monks, "--threads", "-7"],
         ["predict", *monks, "--override", "ghost=exact"],
         ["predict", *monks, "--row", "999"],
         ["predict", *missing],

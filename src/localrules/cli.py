@@ -108,6 +108,8 @@ def _config(args) -> tuple[Dataset, dict, QualityParams]:
     # Data first: a missing data file exits 2 even beside an out-of-range flag.
     d = load_dataset(args.data, args.schema)
     overrides = _parse_overrides(args.override, d.attributes)
+    if args.threads < 0:
+        raise BadParams(f"--threads must be at least 0, got {args.threads}")
     params = QualityParams(
         weight=args.weight,
         min_cover=args.min_cover,
@@ -175,8 +177,6 @@ def _cmd_rules(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     d, overrides, params = _config(args)
-    if args.threads < 0:
-        raise BadParams(f"--threads must be at least 0, got {args.threads}")
     threads = args.threads or available_cpus()
     label = Path(args.data).stem
     started = time.perf_counter()

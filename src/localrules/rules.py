@@ -14,6 +14,7 @@ bit-identical values for identical counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .errors import BadParams, DegenerateClassDistribution, LengthMismatch
@@ -172,14 +173,17 @@ def mismatch_floors(params: QualityParams, n_pos: int, n_neg: int) -> tuple[floa
 def min_cover_count(threshold: float, class_total: int, weight: float, start: int = 0) -> int:
     """Smallest per-class match count whose best achievable score reaches threshold.
 
-    Scanned upward on the float-evaluated perfect_quality rather than solved
-    algebraically, so the boundary count agrees exactly with the scorer.
-    Returns class_total + 1 when even full coverage cannot reach threshold.
+    Bisected on the float-evaluated perfect_quality rather than solved
+    algebraically, so the boundary count agrees exactly with the scorer; the
+    bisection is exact because that float expression never falls as the
+    count rises. Counts below start are not considered. Returns
+    class_total + 1 when even full coverage cannot reach threshold.
     """
-    for count in range(start, class_total + 1):
-        if perfect_quality(count, class_total, weight) >= threshold:
-            return count
-    return class_total + 1
+    return start + bisect_left(
+        range(start, class_total + 1),
+        True,
+        key=lambda count: perfect_quality(count, class_total, weight) >= threshold,
+    )
 
 
 def format_rule(rule: Rule, components, class_labels: tuple[str, str]) -> str:

@@ -13,8 +13,8 @@ path), so each set is formed at most once. Five prunes apply at a node:
   4. coverage floor: a node is dropped when, for every class, even a
      perfectly correct descendant at the node's per-class match count could
      not reach the current acceptance threshold. The per-class count floors
-     are found by scanning the same float expression the scorer uses, so a
-     rule sitting exactly on the threshold is never lost.
+     are found by bisecting on the same float expression the scorer uses, so
+     a rule sitting exactly on the threshold is never lost.
   5. term redundancy: every term must uniquely exclude rows. The rows
      matching all other terms but mismatching this one must exceed the
      mismatch floor for at least one class. Mismatch sets only shrink along a
@@ -26,18 +26,32 @@ correctness >= 1 - eps. At eps = 0 a set survives (not blocked, admissible)
 exactly when it properly contains no nonempty pure subset, which is what the
 unpruned reference enumeration checks as a per-set predicate.
 
-Candidate tails (OPUS, Webb 1995; LCM's tail pruning, Uno et al. 2004): an
-expanded node hands its children only the candidates that can still extend
-them. One pass over the node's tail forms each child match set and its class
-counts. A candidate is dropped for the whole subtree when its new term
-excludes too few rows from the node's match set, or when the child misses
-the coverage floor: a descendant's match set is a subset of the node's and
-the floors only rise, so both failures repeat at every descendant. All
-mismatch counts come by subtraction, because a term set's match set lies
-inside every one-term drop: the new term leaves (node - child) rows
-unmatched, and a dropped term leaves (drop - child) rows. The children that
-survive get the remaining checks in canonical order, so the threshold rises
-at the same points as in a walk over every child.
+Candidate tails (OPUS, Webb 1995; LCM's tail pruning, Uno et al. 2004): a
+node forms its children only from the candidates that can still extend it,
+its tail. The parent forms a child's tail when it decides to expand the
+child, in one pass over the candidates after the child in its own tail, and
+enters the child only when a candidate survives. A tail entry is (cid,
+match, pos, neg, drop, drop_pure): the extended set's match set with its two
+class counts, and its drop, the match set one level up (the same candidate
+added to the parent). The drop is the extended set's one-term drop of the
+node's newest term; the parent's pass formed it, with its counts, as that
+candidate's own entry. A candidate leaves the tail of the whole subtree when
+the extended set misses the coverage floor, when its new term excludes too
+few of the node's rows, when the newest term excludes too few of the drop's
+rows, or when the drop holds a single class. Each failure repeats at every
+descendant: there the match sets are subsets of these, the floors only rise,
+and a nonempty subset of a one-class set is pure at any eps (an empty one
+leaves the term no row to exclude). A drop that is pure only within eps
+(drop_pure) blocks its one extended set and leaves the candidate in the
+tail, because a subset of it need not be pure within eps. All mismatch
+counts come by subtraction, because a term set's match set lies inside
+every one-term drop: the new term leaves (node - child) rows unmatched, and
+a dropped term leaves (drop - child) rows. The children in a tail get the
+remaining checks in canonical order (the floor at the current threshold,
+drop_pure, then the redundancy and blocked tests of the drops of the node's
+older terms), so the threshold rises at the same points as in a walk over
+every child. A child of the root has no older term: its drop is the root
+match, which the root's own pass already tested.
 A child is scored on its counts (rules.count_quality); its Contingency and
 Rule are built only when it reaches the threshold and matches a training row
 (an empty match set scores at most the base threshold, so it never raises it).
@@ -54,14 +68,14 @@ sequential and deterministic; callers parallelize across prediction points.
 nodes_visited is the count of children the canonical, unfiltered enumeration
 forms: the root forms every component, and an expanded node forms every
 component id above its last term that is not in a used group, whether or not
-the tail still holds it. The parent adds that count (the ids above the
-child's term less those in the child's used-group mask) when it decides to
-expand a child, and it calls the walk only when a candidate follows the
-child in its tail: without one, the call would only count. Children of
-a pruned node, and of a node with an empty match set, are never formed (every
-term of an empty node's child would have an empty mismatch set, so those
-children are all inadmissible anyway). The count is therefore independent of
-the tail filter and comparable across versions of the search.
+its tail holds it. The parent adds that count (the ids above the child's
+term less those in the child's used-group mask) when it decides to expand a
+child, and it calls the walk only when the child's tail, formed at that
+point, holds a candidate: without one, the call would only count. Children
+of a pruned node, and of a node with an empty match set, are never formed
+(every term of an empty node's child would have an empty mismatch set, so
+those children are all inadmissible anyway). The count is therefore
+independent of the tail filter and comparable across versions of the search.
 """
 
 from __future__ import annotations
@@ -124,36 +138,38 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     best: float | None = None
     visits = m  # the root forms every singleton
 
-    def walk(term_ids, match, mpos, mneg, drops, used, tail):
-        nonlocal threshold, floor_pos, floor_neg, best, visits
-        # One pass over the tail. A candidate that misses the coverage floor
-        # or whose new term leaves too few rows unmatched here does so at
-        # every descendant too, so it leaves the children's tails.
-        cids = []
-        child_matches = []
-        child_pos = []
-        child_neg = []
-        for cid in tail:
+    def extend(tail, start, match, mpos, mneg, used):
+        # The tail of the node with this match, from the candidates of
+        # tail[start:]. Each entry's match set becomes the new entry's drop.
+        # A candidate that fails here fails at every descendant, so it
+        # leaves the whole subtree.
+        out = []
+        for cid, drop, dpos, dneg, _, _ in tail[start:]:
             if used >> cid & 1:
                 continue
             child_match = match & bits[cid]
             cpos = (child_match & class_bits).bit_count()
             cneg = child_match.bit_count() - cpos
-            if (cpos >= floor_pos or cneg >= floor_neg) and (
-                mpos - cpos > mism_floor_pos or mneg - cneg > mism_floor_neg
+            if (
+                (cpos >= floor_pos or cneg >= floor_neg)
+                and (mpos - cpos > mism_floor_pos or mneg - cneg > mism_floor_neg)
+                and (dpos - cpos > mism_floor_pos or dneg - cneg > mism_floor_neg)
+                and dpos
+                and dneg
             ):
-                cids.append(cid)
-                child_matches.append(child_match)
-                child_pos.append(cpos)
-                child_neg.append(cneg)
+                # The drop is nonempty here; pure within eps, it blocks this
+                # one child, but a subset of it need not be.
+                drop_pure = (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
+                out.append((cid, child_match, cpos, cneg, drop, drop_pure))
+        return out
 
+    def walk(term_ids, drops, used, tail):
+        nonlocal threshold, floor_pos, floor_neg, best, visits
         leaf = len(term_ids) + 1 >= max_terms
-        last = len(cids) - 1
-        for i, cid in enumerate(cids):
-            cpos = child_pos[i]
-            cneg = child_neg[i]
-            if cpos < floor_pos and cneg < floor_neg:
-                continue  # no descendant can reach the threshold
+        last = len(tail) - 1
+        for i, (cid, child_match, cpos, cneg, drop, drop_pure) in enumerate(tail):
+            if drop_pure or cpos < floor_pos and cneg < floor_neg:
+                continue  # blocked, or no descendant can reach the threshold
 
             b = bits[cid]
             child_drops = []
@@ -167,7 +183,6 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                     break  # blocked by a pure one-term drop
                 child_drops.append(d)
             else:  # admissible and not blocked
-                child_match = child_matches[i]
                 # select_target's choice
                 target = cpos > cneg if cpos != cneg else tie_target
                 q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
@@ -191,22 +206,23 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 # boundary cid's own bit is in child_used, hence the shift past it.
                 child_used = used | group_mask[cid]
                 visits += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
-                if i < last:  # with no candidate after it, the child only counts
-                    child_drops.append(match)
-                    walk(
-                        term_ids + (cid,),
-                        child_match,
-                        cpos,
-                        cneg,
-                        child_drops,
-                        child_used,
-                        cids[i + 1 :],
-                    )
+                # Without a candidate in its tail, the child only counts.
+                if i == last:
+                    continue
+                child_tail = extend(tail, i + 1, child_match, cpos, cneg, child_used)
+                if child_tail:
+                    if term_ids:  # a root child has no earlier term to drop
+                        child_drops.append(drop)
+                    walk(term_ids + (cid,), child_drops, child_used, child_tail)
 
     if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
         # Only an impure root is expanded. At a pure enough root every
-        # singleton is blocked by its one drop (the parent match).
-        walk((), (1 << inst.n_rows) - 1, n_pos, n_neg, [], 0, range(m))
+        # singleton is blocked by its one drop (the parent match). Every
+        # root candidate's drop is the root match, so there the drop tests
+        # repeat the new-term tests.
+        full = (1 << inst.n_rows) - 1
+        root = [(cid, full, n_pos, n_neg, full, False) for cid in range(m)]
+        walk((), [], 0, extend(root, 0, full, n_pos, n_neg, 0))
 
     if best is None:
         return SearchOutcome((), None, params.base_threshold, visits)

@@ -21,8 +21,8 @@ from localrules.rules import (
     Contingency,
     QualityParams,
     Rule,
-    min_cover_count,
     mismatch_floors,
+    perfect_quality,
     quality,
     select_target,
 )
@@ -310,6 +310,14 @@ def reference_encode(
     )
 
 
+def linear_min_cover_count(threshold, class_total, weight, start=0) -> int:
+    """The reference counterpart of rules.min_cover_count: a scan upward."""
+    for count in range(start, class_total + 1):
+        if perfect_quality(count, class_total, weight) >= threshold:
+            return count
+    return class_total + 1
+
+
 # Reference walk: every child of an expanded node is formed over the full
 # range above the last term, and each of its one-term drops is rebuilt and
 # tested by XOR. The candidate-tail walk in search must return the same
@@ -334,8 +342,8 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
 
     threshold = params.base_threshold
-    floor_pos = min_cover_count(threshold, n_pos, weight)
-    floor_neg = min_cover_count(threshold, n_neg, weight)
+    floor_pos = linear_min_cover_count(threshold, n_pos, weight)
+    floor_neg = linear_min_cover_count(threshold, n_neg, weight)
 
     found: list[Rule] = []
     best: float | None = None
@@ -384,8 +392,8 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
                     best = q
                     if keep * q > threshold:
                         threshold = keep * q
-                        floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
-                        floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+                        floor_pos = linear_min_cover_count(threshold, n_pos, weight, floor_pos)
+                        floor_neg = linear_min_cover_count(threshold, n_neg, weight, floor_neg)
 
             if depth + 1 >= params.max_terms or child_match == 0:
                 continue

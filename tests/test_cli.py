@@ -175,12 +175,14 @@ def test_bad_parameter_is_a_usage_error(tmp_path, capsys):
 
 
 def test_negative_threads_is_a_usage_error(tmp_path, capsys):
+    # --threads is a shared flag: only evaluate uses the count, every subcommand checks it.
     data, schema = _write_copy_class(tmp_path)
-    code, out, err = _run(
-        ["evaluate", "--data", data, "--schema", schema, "--threads", "-7"], capsys
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: --threads must be at least 0, got -7\n"
+    for command in ("evaluate", "predict", "rules", "discretize"):
+        code, out, err = _run(
+            [command, "--data", data, "--schema", schema, "--threads", "-7"], capsys
+        )
+        assert (code, out) == (1, ""), command
+        assert err == "error: --threads must be at least 0, got -7\n"
 
 
 @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--cmin", "2"], ["--max-depth", "0"]])

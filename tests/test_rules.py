@@ -15,12 +15,14 @@ Frozen oracle values (hand-counted before implementation):
   100 rows = 8 (the count-8 perfect rule sits exactly on the threshold).
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import linear_min_cover_count
 from localrules import rules
 from localrules.errors import BadParams, DegenerateClassDistribution, LengthMismatch
 
@@ -222,6 +224,32 @@ def test_floor_full_coverage_limit():
 
 def test_floor_scan_handles_unreachable_threshold():
     assert rules.min_cover_count(2.0, 10, 0.75) == 11
+
+
+@st.composite
+def _floor_cases(draw):
+    """(threshold, class_total, weight, start); thresholds often sit on a count's score."""
+    total = draw(st.integers(1, 400))
+    weight = draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1))
+    on = rules.perfect_quality(draw(st.integers(0, total)), total, weight)
+    threshold = draw(
+        st.sampled_from((on, math.nextafter(on, -math.inf), math.nextafter(on, math.inf)))
+        | st.floats(0, 2)
+    )
+    return threshold, total, weight, draw(st.integers(0, total + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_floor_cases())
+@example((0.77, 100, 0.75, 0))  # count 8 sits exactly on the threshold
+@example((math.nextafter(0.77, 1), 100, 0.75, 0))
+@example((0.77, 100, 0.75, 9))  # start above the floor
+@example((1.0, 10, 1.0, 0))  # weight 1: every count scores 1.0
+@example((math.nextafter(1.0, 2), 10, 1.0, 3))  # unreachable
+@example((0.0, 10, 0.0, 0))  # weight 0: count 0 scores 0.0
+@example((2.0, 10, 0.75, 11))  # start past the last count
+def test_min_cover_count_equals_the_linear_scan(case):
+    assert rules.min_cover_count(*case) == linear_min_cover_count(*case)
 
 
 def test_format_rule():

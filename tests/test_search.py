@@ -311,28 +311,27 @@ def test_varied_cases_exercise_every_path():
 
 
 # The same walk against the reference on instances shaped like the
-# benchmark's, at the default parameters: deeper paths, more boundary groups
-# and more rows than the random instances above reach.
+# benchmark's: deeper paths, more boundary groups and more rows than the
+# random instances above reach. Besides the default parameters, eps=0.2
+# makes drops pure within eps without being single-class, and min_mism=0
+# lets every term that excludes a row pass the redundancy test.
 
 
 def _data(name):
     return load_dataset(str(ROOT / "data" / f"{name}.csv"), str(ROOT / "data" / f"{name}.schema"))
 
 
-def _monks_fold_rows(name):
+def _fold_rows(name, mode):
     """The rows of the seed-1 first fold, encoded as 3-fold CV does."""
     d = _data(name)
     fold = stratified_kfold(d, 3, 1)[0]
     held = frozenset(fold)
     training = [row for i, row in enumerate(d.rows) if i not in held]
     grids = build_grids(
-        d.attributes, training, d.class_col, attrs_needing_grids(d.attributes, "levels")
+        d.attributes, training, d.class_col, attrs_needing_grids(d.attributes, mode)
     )
     index = TrainingIndex(d.attributes, training, d.class_col)
-    return [
-        index.encode(mask_class(d.rows[row], d.class_col), grids, "levels")
-        for row in fold
-    ]
+    return [index.encode(mask_class(d.rows[row], d.class_col), grids, mode) for row in fold]
 
 
 def _tictactoe_level_rows(rows=(0, 157, 420, 663, 901)):
@@ -348,23 +347,38 @@ def _loocv_continuous_rows(rows=range(0, 400, 10)):
     return [encode_row(d, row, "levels", None, index, fitter) for row in rows]
 
 
+WORKLOADS = {
+    "monks1": lambda: _fold_rows("monks1", "levels"),
+    "monks2": lambda: _fold_rows("monks2", "levels"),
+    "monks3": lambda: _fold_rows("monks3", "levels"),
+    "tictactoe-exact": lambda: _fold_rows("tictactoe", "exact"),
+    "tictactoe-levels": _tictactoe_level_rows,
+    "loocv-continuous": _loocv_continuous_rows,
+}
+WORKLOAD_PARAMS = {
+    "": QualityParams(),
+    "eps=0.2": QualityParams(eps=0.2),
+    "min_mism=0": QualityParams(min_mism=0.0),
+}
+
+
 @pytest.mark.parametrize(
-    "instances",
+    "workload, params",
     [
-        pytest.param(lambda: _monks_fold_rows("monks1"), id="monks1"),
-        pytest.param(lambda: _monks_fold_rows("monks2"), id="monks2"),
-        pytest.param(lambda: _monks_fold_rows("monks3"), id="monks3"),
-        pytest.param(_tictactoe_level_rows, id="tictactoe-levels"),
-        pytest.param(_loocv_continuous_rows, id="loocv-continuous"),
+        pytest.param(w, p, id=f"{w}-{name}" if name else w)
+        for name, p in WORKLOAD_PARAMS.items()
+        for w in WORKLOADS
     ],
 )
-def test_workload_instances_match_the_reference_walk(instances):
-    params = QualityParams()
-    insts = instances()
+def test_workload_instances_match_the_reference_walk(workload, params):
+    insts = WORKLOADS[workload]()
     grouped = accepted = 0
     for inst in insts:
         out = search_local_rules(inst, params)
         assert out == reference_search(inst, params)
         grouped += bool(inst.groups)
         accepted += bool(out.rules)
-    assert grouped == len(insts) and accepted >= len(insts) // 2
+    # eps=0.2 cuts more paths at a pure-enough node: monks2 accepts on 23 of 145 rows
+    assert accepted >= len(insts) // (2 if params == QualityParams() else 8)
+    if workload != "tictactoe-exact":  # equality components form no boundary group
+        assert grouped == len(insts)
