@@ -15,9 +15,10 @@ The matrix covers monks1-3 and tictactoe in both modes (k-fold `evaluate` at
 one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
 on rows 0, 5 and 17, `discretize`), `--override '*=levels'`, k-fold
 `evaluate` on monks2 and on tictactoe with every cell as levels at each of
-`--eps 0.2`, `--cmin-mism 0`, `--kappa 0.5` and `--max-depth 2` (search
-branches the default flags rarely take), the usage and data error paths (a
-negative `--threads` for `evaluate` and `predict` among them), and
+`--eps 0.2`, `--cmin-mism 0`, `--kappa 0.5`, `--max-depth 2` (search
+branches the default flags rarely take), `--lambda 0` and `--lambda 1` (the
+weights at which one half of every score is zero), the usage and data error
+paths (a negative `--threads` for `evaluate` and `predict` among them), and
 `selftest --trials 300`.
 """
 
@@ -58,7 +59,10 @@ def matrix() -> list[list[str]]:
         ["rules", *tictactoe, "--row", "5"],
         ["discretize", *tictactoe],
     ]
-    for flag in (["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"]):
+    for flag in (
+        ["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"],
+        ["--lambda", "0"], ["--lambda", "1"],
+    ):
         runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
     monks = _files("monks1")

@@ -257,7 +257,7 @@ def random_instance(rng: random.Random):
         if inst.n_pos == 0 or inst.n_neg == 0:
             continue
         params = QualityParams(
-            weight=rng.choice((0.5, 0.75, 0.9)),
+            weight=rng.choice((0.0, 0.5, 0.75, 0.9, 1.0)),
             min_cover=rng.choice((0.0, 0.02, 0.08, 0.2)),
             min_mism=rng.choice((0.0, 0.02, 0.1)),
             max_terms=rng.randrange(2, 9),
@@ -267,7 +267,11 @@ def random_instance(rng: random.Random):
 
 
 def _same_outcome(a, b) -> bool:
-    """Equal rules, best quality and final threshold; both score through count_quality."""
+    """Equal rules, best quality and final threshold, compared exactly.
+
+    The search scores from rules.score_tables and the reference through
+    rules.count_quality; the two are bit-identical for equal counts.
+    """
     return (a.rules, a.best_quality, a.final_threshold) == (
         b.rules, b.best_quality, b.final_threshold
     )

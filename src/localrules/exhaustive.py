@@ -5,6 +5,18 @@ against the acceptance predicates directly: no subtree reasoning, no
 threshold-driven skipping, every drop mask recomputed from scratch. Slow on
 purpose; guarded to at most 16 components.
 
+It certifies the search at eps = 0 only. There testing the one-term drops
+suffices: a drop's match set lies inside the match set of every subset of
+it, and a nonempty part of a one-class row set holds one class, so a set
+with a pure proper subset has a pure drop (or an empty one, which fails the
+redundancy test). Purity within eps > 0 is not inherited that way, so
+the search, which never expands a node pure within eps, can miss a set this
+enumeration accepts. For example, at eps = 0.4 a prefix matching 6 rows of
+one class and 4 of the other is pure within eps, so the search forms none of
+its supersets, while a superset none of whose own one-term drops is pure
+within eps passes every test here. At eps > 0 the search's contract is the
+reference walk in tests/helpers.py (reference_search).
+
 Group exclusivity is part of the rule-space definition rather than a prune
 (two same-side components of one attribute collapse into one, so such sets
 are duplicates of smaller sets), which keeps set equality with the search

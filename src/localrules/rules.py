@@ -6,16 +6,23 @@ A perfectly correct rule therefore scores weight + (1-weight) * coverage,
 which is where the acceptance threshold comes from: base_threshold is the
 score of a perfectly correct rule covering min_cover of its class.
 
-All counts are exact integers; scores are computed from them in one fixed
-float expression (count_quality) so that every caller (the search, the reference
-enumerator, the combined-rule check, and the floor estimates) produces
-bit-identical values for identical counts.
+All counts are exact integers, and every score is one float expression in
+them: exclusion(n_tf of n_neg) + coverage(n_tt of n_pos), each half computed
+alone and then added (count_quality). So every caller (the search, the
+reference enumerator, the combined-rule check and the floor estimates)
+produces bit-identical values for identical counts. score_tables caches each
+half for every count of one class total and weight; a table entry is the same
+IEEE operations on the same operands as the half computed in place, and a
+sum of two table entries is the same final addition, so a score read from
+the tables equals count_quality bit for bit. The same holds for a perfect
+rule's score, exclusion(0) + coverage(count), which the count floors bisect.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .errors import BadParams, DegenerateClassDistribution, LengthMismatch
 
@@ -65,18 +72,48 @@ def select_target(t: Contingency) -> bool:
     return t.n_pos >= t.n_neg
 
 
+def _exclusion(other_matched: int, other_total: int, weight: float) -> float:
+    """Weighted share of the non-predicted class that the rule leaves out."""
+    return weight * ((other_total - other_matched) / other_total)
+
+
+def _coverage(matched: int, total: int, weight: float) -> float:
+    """Weighted share of the predicted class that the rule covers."""
+    return (1 - weight) * (matched / total)
+
+
 def count_quality(
     n_tt: int, n_tf: int, n_pos: int, n_neg: int, target: bool, weight: float
 ) -> float:
     """quality() from a rule's match counts by class and the class totals.
 
-    Holds the single float expression all quality values flow through. The
-    search calls it directly, so a child that is not accepted never builds
-    a Contingency.
+    Holds the single float expression all quality values flow through, as
+    the sum of its two halves; score_tables holds the same halves per count.
     """
     if not target:  # score the negative class as the predicted one
         n_tt, n_tf, n_pos, n_neg = n_tf, n_tt, n_neg, n_pos
-    return weight * ((n_neg - n_tf) / n_neg) + (1 - weight) * (n_tt / n_pos)
+    return _exclusion(n_tf, n_neg, weight) + _coverage(n_tt, n_pos, weight)
+
+
+@lru_cache(maxsize=8)
+def score_tables(
+    class_total: int, weight: float
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """(exclusion, coverage, perfect) for every count 0..class_total of one class.
+
+    exclusion[k] is the exclusion half when k rows of this class match and
+    it is not the predicted class; coverage[k] the coverage half when it is.
+    A rule predicting the positive class scores neg_exclusion[n_tf] +
+    pos_coverage[n_tt], equal to count_quality bit for bit. perfect[k] =
+    exclusion[0] + coverage[k] is perfect_quality(k, class_total, weight),
+    bit for bit (both exclusion ratios are exactly 1), and never falls as k
+    rises. A search needs the tables of its two class totals at one weight,
+    hence the small cache.
+    """
+    counts = range(class_total + 1)
+    exclusion = tuple(_exclusion(k, class_total, weight) for k in counts)
+    coverage = tuple(_coverage(k, class_total, weight) for k in counts)
+    return exclusion, coverage, tuple(exclusion[0] + c for c in coverage)
 
 
 def quality(t: Contingency, target: bool, weight: float) -> float:
@@ -173,17 +210,13 @@ def mismatch_floors(params: QualityParams, n_pos: int, n_neg: int) -> tuple[floa
 def min_cover_count(threshold: float, class_total: int, weight: float, start: int = 0) -> int:
     """Smallest per-class match count whose best achievable score reaches threshold.
 
-    Bisected on the float-evaluated perfect_quality rather than solved
-    algebraically, so the boundary count agrees exactly with the scorer; the
-    bisection is exact because that float expression never falls as the
+    Bisected on the class's perfect-score table (score_tables) rather than
+    solved algebraically, so the boundary count agrees exactly with the
+    scorer; the bisection is exact because that table never falls as the
     count rises. Counts below start are not considered. Returns
     class_total + 1 when even full coverage cannot reach threshold.
     """
-    return start + bisect_left(
-        range(start, class_total + 1),
-        True,
-        key=lambda count: perfect_quality(count, class_total, weight) >= threshold,
-    )
+    return bisect_left(score_tables(class_total, weight)[2], threshold, start)
 
 
 def format_rule(rule: Rule, components, class_labels: tuple[str, str]) -> str:

@@ -13,8 +13,9 @@ path), so each set is formed at most once. Five prunes apply at a node:
   4. coverage floor: a node is dropped when, for every class, even a
      perfectly correct descendant at the node's per-class match count could
      not reach the current acceptance threshold. The per-class count floors
-     are found by bisecting on the same float expression the scorer uses, so
-     a rule sitting exactly on the threshold is never lost.
+     are found by bisecting the class's table of perfect scores
+     (rules.score_tables), the scorer's own float values, so a rule sitting
+     exactly on the threshold is never lost.
   5. term redundancy: every term must uniquely exclude rows. The rows
      matching all other terms but mismatching this one must exceed the
      mismatch floor for at least one class. Mismatch sets only shrink along a
@@ -24,7 +25,13 @@ path), so each set is formed at most once. Five prunes apply at a node:
 order: a set is blocked when some one-term drop has a nonempty match set of
 correctness >= 1 - eps. At eps = 0 a set survives (not blocked, admissible)
 exactly when it properly contains no nonempty pure subset, which is what the
-unpruned reference enumeration checks as a per-set predicate.
+unpruned reference enumeration (exhaustive.py) checks as a per-set predicate.
+At eps > 0 the two can differ, because purity within eps is not inherited by
+subsets: a node pure within eps is not expanded, so a superset of it is never
+formed even when none of that superset's own one-term drops is pure within
+eps, and the enumeration, which tests only those drops, accepts it. There
+the contract is the reference walk in tests/helpers.py (reference_search),
+which prunes as this search does, without the candidate tails.
 
 Candidate tails (OPUS, Webb 1995; LCM's tail pruning, Uno et al. 2004): a
 node forms its children only from the candidates that can still extend it,
@@ -52,9 +59,22 @@ drop_pure, then the redundancy and blocked tests of the drops of the node's
 older terms), so the threshold rises at the same points as in a walk over
 every child. A child of the root has no older term: its drop is the root
 match, which the root's own pass already tested.
-A child is scored on its counts (rules.count_quality); its Contingency and
-Rule are built only when it reaches the threshold and matches a training row
-(an empty match set scores at most the base threshold, so it never raises it).
+A child is scored on its two class counts as the sum of two table entries
+(rules.score_tables: the exclusion half at the other class's count and the
+coverage half at the predicted class's), which equals rules.count_quality bit
+for bit. Its Contingency and Rule are built only when it reaches the
+threshold and matches a training row (an empty match set scores at most the
+base threshold, so it never raises it).
+
+The walk is one loop over an explicit stack, so its depth takes no
+interpreter stack. The node being expanded is held in locals: the match sets
+of its one-term drops of its older terms, its used-group mask, its tail and
+the index of its next candidate; its terms are one path list. Entering a
+child pushes the node's frame (drops, used, tail, next index) and appends
+the child's term to the path. When a node's tail is done, the loop pops the
+parent's frame and the path's last term, and the parent resumes at the
+candidate after that child, so nodes are entered in canonical depth-first
+order.
 
 A path's used boundary groups are one mask over component ids: the union of
 its terms' group masks (an exact component's is 0). A tail candidate in a
@@ -70,8 +90,8 @@ forms: the root forms every component, and an expanded node forms every
 component id above its last term that is not in a used group, whether or not
 its tail holds it. The parent adds that count (the ids above the child's
 term less those in the child's used-group mask) when it decides to expand a
-child, and it calls the walk only when the child's tail, formed at that
-point, holds a candidate: without one, the call would only count. Children
+child, and it enters the child only when the child's tail, formed at that
+point, holds a candidate: without one, the child would only count. Children
 of a pruned node, and of a node with an empty match set, are never formed
 (every term of an empty node's child would have an empty mismatch set, so
 those children are all inadmissible anyway). The count is therefore
@@ -88,9 +108,9 @@ from .rules import (
     Contingency,
     QualityParams,
     Rule,
-    count_quality,
     min_cover_count,
     mismatch_floors,
+    score_tables,
 )
 
 
@@ -130,6 +150,8 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
     tie_target = n_pos >= n_neg
 
+    ex_pos, cov_pos, _ = score_tables(n_pos, weight)
+    ex_neg, cov_neg, _ = score_tables(n_neg, weight)
     threshold = params.base_threshold
     floor_pos = min_cover_count(threshold, n_pos, weight)
     floor_neg = min_cover_count(threshold, n_neg, weight)
@@ -138,36 +160,32 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     best: float | None = None
     visits = m  # the root forms every singleton
 
-    def extend(tail, start, match, mpos, mneg, used):
-        # The tail of the node with this match, from the candidates of
-        # tail[start:]. Each entry's match set becomes the new entry's drop.
-        # A candidate that fails here fails at every descendant, so it
-        # leaves the whole subtree.
-        out = []
-        for cid, drop, dpos, dneg, _, _ in tail[start:]:
-            if used >> cid & 1:
-                continue
-            child_match = match & bits[cid]
-            cpos = (child_match & class_bits).bit_count()
-            cneg = child_match.bit_count() - cpos
-            if (
-                (cpos >= floor_pos or cneg >= floor_neg)
-                and (mpos - cpos > mism_floor_pos or mneg - cneg > mism_floor_neg)
-                and (dpos - cpos > mism_floor_pos or dneg - cneg > mism_floor_neg)
-                and dpos
-                and dneg
+    # The frame of the node being expanded, whose terms are path: its drops'
+    # match sets, its used groups, its tail and its next candidate's index.
+    drops, used, tail, start = [], 0, [], 0
+    if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
+        # Only an impure root is expanded. At a pure enough root every
+        # singleton is blocked by its one drop (the parent match). Every
+        # root candidate's drop is the root match, so there the drop tests
+        # would repeat the new-term tests, and a root child has no older
+        # term to drop.
+        full = (1 << inst.n_rows) - 1
+        for cid in range(m):
+            match = full & bits[cid]
+            cpos = (match & class_bits).bit_count()
+            cneg = match.bit_count() - cpos
+            if (cpos >= floor_pos or cneg >= floor_neg) and (
+                n_pos - cpos > mism_floor_pos or n_neg - cneg > mism_floor_neg
             ):
-                # The drop is nonempty here; pure within eps, it blocks this
-                # one child, but a subset of it need not be.
-                drop_pure = (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
-                out.append((cid, child_match, cpos, cneg, drop, drop_pure))
-        return out
+                tail.append((cid, match, cpos, cneg, full, False))
+    path: list[int] = []
+    stack = []  # the frames of the node's ancestors, each at its next candidate
 
-    def walk(term_ids, drops, used, tail):
-        nonlocal threshold, floor_pos, floor_neg, best, visits
-        leaf = len(term_ids) + 1 >= max_terms
+    while True:
+        leaf = len(path) + 1 >= max_terms
         last = len(tail) - 1
-        for i, (cid, child_match, cpos, cneg, drop, drop_pure) in enumerate(tail):
+        for i in range(start, last + 1):
+            cid, child_match, cpos, cneg, drop, drop_pure = tail[i]
             if drop_pure or cpos < floor_pos and cneg < floor_neg:
                 continue  # blocked, or no descendant can reach the threshold
 
@@ -183,12 +201,12 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                     break  # blocked by a pure one-term drop
                 child_drops.append(d)
             else:  # admissible and not blocked
-                # select_target's choice
+                # select_target's choice, scored as count_quality from the tables
                 target = cpos > cneg if cpos != cneg else tie_target
-                q = count_quality(cpos, cneg, n_pos, n_neg, target, weight)
+                q = ex_neg[cneg] + cov_pos[cpos] if target else ex_pos[cpos] + cov_neg[cneg]
                 if q >= threshold and child_match:
                     table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                    found.append(Rule(term_ids + (cid,), child_match, table, target, q))
+                    found.append(Rule((*path, cid), child_match, table, target, q))
                     if best is None or q > best:
                         best = q
                         if keep * q > threshold:
@@ -209,20 +227,41 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
                 # Without a candidate in its tail, the child only counts.
                 if i == last:
                     continue
-                child_tail = extend(tail, i + 1, child_match, cpos, cneg, child_used)
+                # The child's tail, from the candidates after it. Each entry's
+                # match set becomes the new entry's drop. A candidate that
+                # fails here fails at every descendant, so it leaves the
+                # whole subtree.
+                child_tail = []
+                for ocid, odrop, dpos, dneg, _, _ in tail[i + 1:]:
+                    if child_used >> ocid & 1:
+                        continue
+                    omatch = child_match & bits[ocid]
+                    opos = (omatch & class_bits).bit_count()
+                    oneg = omatch.bit_count() - opos
+                    if (
+                        (opos >= floor_pos or oneg >= floor_neg)
+                        and (cpos - opos > mism_floor_pos or cneg - oneg > mism_floor_neg)
+                        and (dpos - opos > mism_floor_pos or dneg - oneg > mism_floor_neg)
+                        and dpos
+                        and dneg
+                    ):
+                        # The drop is nonempty here; pure within eps, it
+                        # blocks this one extended set, but a subset of it
+                        # need not be.
+                        odrop_pure = (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
+                        child_tail.append((ocid, omatch, opos, oneg, odrop, odrop_pure))
                 if child_tail:
-                    if term_ids:  # a root child has no earlier term to drop
+                    if path:  # a root child has no older term to drop
                         child_drops.append(drop)
-                    walk(term_ids + (cid,), child_drops, child_used, child_tail)
-
-    if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
-        # Only an impure root is expanded. At a pure enough root every
-        # singleton is blocked by its one drop (the parent match). Every
-        # root candidate's drop is the root match, so there the drop tests
-        # repeat the new-term tests.
-        full = (1 << inst.n_rows) - 1
-        root = [(cid, full, n_pos, n_neg, full, False) for cid in range(m)]
-        walk((), [], 0, extend(root, 0, full, n_pos, n_neg, 0))
+                    stack.append((drops, used, tail, i + 1))
+                    path.append(cid)
+                    drops, used, tail, start = child_drops, child_used, child_tail, 0
+                    break
+        else:  # the node is done: resume its parent, if any
+            if not stack:
+                break
+            drops, used, tail, start = stack.pop()
+            path.pop()
 
     if best is None:
         return SearchOutcome((), None, params.base_threshold, visits)

@@ -112,7 +112,7 @@ def _match_counts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_match_counts(), st.floats(0, 1))
+@given(_match_counts(), st.sampled_from((0.0, 1.0)) | st.floats(0, 1))
 @example((0, 0, 7, 3), 0.75)  # empty match: the tie goes to the larger class
 @example((0, 0, 3, 7), 0.75)
 @example((4, 4, 10, 10), 0.5)  # tie within the match and overall
@@ -131,6 +131,13 @@ def test_count_quality_is_quality_bit_for_bit(counts, weight):
             table.n_ft / n_pos, n_tf / n_neg
         )
         assert got.hex() == (weight * excl + (1 - weight) * cover).hex()
+        # The search's scores: one entry of each per-count half, added.
+        ex_pos, cov_pos, _ = rules.score_tables(n_pos, weight)
+        ex_neg, cov_neg, _ = rules.score_tables(n_neg, weight)
+        summed = ex_neg[n_tf] + cov_pos[n_tt] if target else ex_pos[n_tt] + cov_neg[n_tf]
+        assert summed.hex() == got.hex()
+    perfect = rules.score_tables(n_pos, weight)[2][n_tt]
+    assert perfect.hex() == rules.perfect_quality(n_tt, n_pos, weight).hex()
 
 
 def test_quality_degenerate_distribution():
@@ -249,6 +256,8 @@ def _floor_cases(draw):
 @example((0.0, 10, 0.0, 0))  # weight 0: count 0 scores 0.0
 @example((2.0, 10, 0.75, 11))  # start past the last count
 def test_min_cover_count_equals_the_linear_scan(case):
+    # min_cover_count bisects the cached perfect-score table; the scan
+    # evaluates perfect_quality count by count.
     assert rules.min_cover_count(*case) == linear_min_cover_count(*case)
 
 

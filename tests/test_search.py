@@ -83,6 +83,32 @@ def test_hypercube_forms_every_nonempty_subset_once():
     assert out.best_quality == 0.75048828125
 
 
+def _recursion_depth() -> int:
+    """The caller's call depth as the recursion limit counts it (to within one)."""
+
+    def headroom(n):
+        try:
+            return headroom(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - headroom(0)
+
+
+def test_search_depth_takes_no_interpreter_stack():
+    # The hypercube walk reaches depth 10; the search keeps its path on its
+    # own stack, so a few frames above the caller's depth suffice.
+    inst, params = hypercube_instance(10)
+    expected = search_local_rules(inst, params)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 8)
+    try:
+        out = search_local_rules(inst, params)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected
+
+
 def test_small_hypercube_node_count():
     inst, params = hypercube_instance(4)
     assert search_local_rules(inst, params).nodes_visited == 15
