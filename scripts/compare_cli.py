@@ -13,13 +13,15 @@ differs; the exit status is 1 if any run differs, 0 otherwise.
 
 The matrix covers monks1-3 and tictactoe in both modes (k-fold `evaluate` at
 one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
-on rows 0, 5 and 17, `discretize`), `--override '*=levels'`, k-fold
-`evaluate` on monks2 and on tictactoe with every cell as levels at each of
-`--eps 0.2`, `--cmin-mism 0`, `--kappa 0.5`, `--max-depth 2` (search
-branches the default flags rarely take), `--lambda 0` and `--lambda 1` (the
-weights at which one half of every score is zero), the usage and data error
-paths (a negative `--threads` for `evaluate` and `predict` among them), and
-`selftest --trials 300`.
+on rows 0, 5 and 17, `discretize`), the same commands in levels mode on
+the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
+written once to a temporary directory, so both trees read the same file),
+`--override '*=levels'`, k-fold `evaluate` on monks2 and on tictactoe with
+every cell as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
+0.5`, `--max-depth 2` (search branches the default flags rarely take),
+`--lambda 0` and `--lambda 1` (the weights at which one half of every score
+is zero), the usage and data error paths (a negative `--threads` for
+`evaluate` and `predict` among them), and `selftest --trials 300`.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 DATASETS = ("monks1", "monks2", "monks3", "tictactoe")
 MODES = ("levels", "exact")
 ROWS = ("0", "5", "17")
@@ -39,8 +43,29 @@ def _files(name: str) -> list[str]:
     return ["--data", str(DATA / f"{name}.csv"), "--schema", str(DATA / f"{name}.schema")]
 
 
-def matrix() -> list[list[str]]:
-    runs = []
+def write_continuous(directory: Path) -> list[str]:
+    """The seed-2 synthetic continuous dataset, as files in directory."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import synth  # the benchmark's data generator, only imported
+
+    csv_text, schema_text = synth.make_continuous(2)
+    data, schema = directory / "continuous.csv", directory / "continuous.schema"
+    data.write_text(csv_text, encoding="utf-8")
+    schema.write_text(schema_text, encoding="utf-8")
+    return ["--data", str(data), "--schema", str(schema)]
+
+
+def matrix(continuous: list[str]) -> list[list[str]]:
+    """Every run; continuous holds the --data/--schema flags of write_continuous."""
+    runs = [
+        ["evaluate", *continuous, "--threads", "1"],
+        ["evaluate", *continuous, "--threads", "2"],
+        ["evaluate", *continuous, "--loocv", "--threads", "2"],
+        ["discretize", *continuous],
+    ]
+    for row in ROWS:
+        runs.append(["predict", *continuous, "--row", row, "--show-rules"])
+        runs.append(["rules", *continuous, "--row", row])
     for name in DATASETS:
         for mode in MODES:
             base = _files(name) + ["--mode", mode]
@@ -105,14 +130,17 @@ def main(argv: list[str]) -> int:
             print(f"error: {src} holds no localrules package", file=sys.stderr)
             return 2
     old_src, new_src = (str(Path(src).resolve()) for src in argv)
-    runs = matrix()
     differ = 0
-    for args in runs:
-        old, new = run(old_src, args), run(new_src, args)
-        parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
-        if parts:
-            differ += 1
-            print(f"differs ({', '.join(parts)}): localrules {' '.join(args)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = matrix(write_continuous(Path(tmp)))
+        for args in runs:
+            old, new = run(old_src, args), run(new_src, args)
+            parts = [
+                part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b
+            ]
+            if parts:
+                differ += 1
+                print(f"differs ({', '.join(parts)}): localrules {' '.join(args)}")
     print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 

@@ -137,7 +137,10 @@ def _echo_lines(args, params: QualityParams) -> list[str]:
 def _emit(text: str, out: str | None) -> None:
     sys.stdout.write(text)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise BadParams(f"cannot write --out file {out}: {exc}") from None
 
 
 def _cmd_predict(args) -> int:

@@ -227,7 +227,7 @@ def serialize_csv(d: Dataset) -> str:
 def split_for_prediction(d: Dataset, row: int) -> tuple[tuple, list[tuple]]:
     """Designate one row as the prediction point; the rest keep their order.
 
-    Returns references to the original row tuples, never copies.
+    Returns the original row tuples; the training list is a new list of them.
     """
     if not 0 <= row < len(d.rows):
         raise IndexOutOfRange(f"row {row} out of range 0..{len(d.rows) - 1}")
@@ -236,7 +236,7 @@ def split_for_prediction(d: Dataset, row: int) -> tuple[tuple, list[tuple]]:
 
 
 def load_dataset(data_path: str, schema_path: str) -> Dataset:
-    """File-level entry point used by the CLI; missing files become DataErrors.
+    """File-level entry point used by the CLI; missing or non-UTF-8 files become DataErrors.
 
     Both files are read as UTF-8 with an optional byte-order mark, which
     spreadsheet exports often put before the header.
@@ -244,11 +244,11 @@ def load_dataset(data_path: str, schema_path: str) -> Dataset:
     try:
         with open(schema_path, "r", encoding="utf-8-sig") as fh:
             schema_text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaMismatch(f"cannot read schema file {schema_path}: {exc}") from None
     try:
         with open(data_path, "r", encoding="utf-8-sig") as fh:
             csv_text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadValue(f"cannot read data file {data_path}: {exc}") from None
     return parse_dataset(csv_text, schema_text)

@@ -80,21 +80,15 @@ class EncodedInstance:
         return len(self.components)
 
 
-def effective_mode(attr: Attribute, mode: str, overrides: dict | None, index: int) -> str:
-    if attr.kind in (CLASS_KIND, IGNORE_KIND):
-        return ""
-    if overrides and index in overrides:
-        return overrides[index]
-    if mode == MODE_LEVELS and attr.kind in (ORDERED_KIND, CONTINUOUS_KIND):
-        return MODE_LEVELS
-    return MODE_EXACT
-
-
 def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) -> list[int]:
+    """Level-mode attributes: per overrides, else ordered and continuous ones in levels mode."""
+    overrides = overrides or {}
     return [
         i
         for i, a in enumerate(attributes)
-        if effective_mode(a, mode, overrides, i) == MODE_LEVELS
+        if a.kind not in (CLASS_KIND, IGNORE_KIND)
+        and overrides.get(i, mode if a.kind in (ORDERED_KIND, CONTINUOUS_KIND) else MODE_EXACT)
+        == MODE_LEVELS
     ]
 
 
@@ -168,44 +162,33 @@ class TrainingIndex:
                 raise BadValue(f"row {n}: training row has a missing class value")
 
     def encode(
-        self,
-        pred_row,
-        grids: dict | None = None,
-        mode: str = MODE_LEVELS,
-        overrides: dict | None = None,
-        held_out: int | None = None,
+        self, pred_row, grids: dict | None = None, held_out: int | None = None
     ) -> EncodedInstance:
         """Build the component set for pred_row against the indexed rows.
 
         held_out = n leaves row n out exactly as if it had never been
         indexed: every bitset loses bit n and the bits above it move down.
-        grids maps attribute index -> ascending level tuple and is required
-        for every attribute that ends up in level mode (empty tuple = the
-        attribute contributes nothing). Component ids are dense and
+        grids maps each level-mode attribute index -> ascending level tuple
+        (empty tuple = the attribute contributes nothing); every other
+        attribute is compared for equality. Component ids are dense and
         canonically ordered: equality components first by attribute, then
         boundary components by (attribute, level).
         """
         self.check_labeled(held_out)
-        attributes = self.attributes
-        exact_cols: list[int] = []
-        level_cols: list[int] = []
-        for i, attr in enumerate(attributes):
-            eff = effective_mode(attr, mode, overrides, i)
-            if not eff or pred_row[i] is None:
-                continue
-            (level_cols if eff == MODE_LEVELS else exact_cols).append(i)
-
+        grids = grids or {}
         components: list[Component] = []
-        for i in exact_cols:
-            attr, v0 = attributes[i], pred_row[i]
+        for i, attr in enumerate(self.attributes):
+            v0 = pred_row[i]
+            if v0 is None or i in grids or attr.kind in (CLASS_KIND, IGNORE_KIND):
+                continue
             bits = _without(self._rows(eq, i, v0), held_out)
             display = f"{attr.name}={format_cell(v0, attr)}"
             components.append(Component(len(components), i, EXACT, bits, display, value=v0))
         groups: dict = {}
-        for i in level_cols:
-            if grids is None or i not in grids:
-                raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
-            attr, v0 = attributes[i], pred_row[i]
+        for i in sorted(grids):
+            attr, v0 = self.attributes[i], pred_row[i]
+            if v0 is None:
+                continue
             for l, y in enumerate(grids[i]):
                 if v0 <= y:
                     kind, op, bits = UPPER, "<=", self._rows(le, i, y)
@@ -240,7 +223,17 @@ def encode(
     mode: str = MODE_LEVELS,
     overrides: dict | None = None,
 ) -> EncodedInstance:
-    """TrainingIndex(attributes, training_rows, class_col).encode(...), for one query."""
-    return TrainingIndex(attributes, training_rows, class_col).encode(
-        pred_row, grids, mode, overrides
-    )
+    """TrainingIndex(attributes, training_rows, class_col).encode(...), for one query.
+
+    grids may hold more attributes than mode and overrides put in level mode;
+    a level-mode attribute with a known prediction value needs a grid.
+    """
+    index = TrainingIndex(attributes, training_rows, class_col)
+    index.check_labeled()
+    level_grids = {}
+    for i in attrs_needing_grids(attributes, mode, overrides):
+        if grids is not None and i in grids:
+            level_grids[i] = grids[i]
+        elif pred_row[i] is not None:
+            raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
+    return index.encode(pred_row, level_grids)

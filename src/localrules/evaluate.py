@@ -3,12 +3,12 @@
 Stratified k-fold cross-validation: each class's rows are shuffled with a
 seeded generator and dealt round-robin over the folds, so per-class fold
 sizes differ by at most one. Every test row is predicted with its class cell
-masked, against training rows from the other folds only; discretization
-grids and a TrainingIndex are fitted once on each training split, so the
-test rows never influence their own encoding. Leave-one-out shares one
-full-data index and one full-data GridFitter: a held-out row is a bit
-dropped from the index and a member taken out of the fitter's value groups,
-which are sorted once per evaluation.
+masked, against training rows from the other folds only: each fold's
+training split gets one query encoder (predict.query_encoder), shared by
+every test row of the fold, so the test rows never influence their own
+encoding. Leave-one-out uses one encoder over all rows: a held-out row is a
+bit dropped from the index and a member taken out of the grid fit's value
+groups, which are sorted once per evaluation.
 
 All test rows of an evaluation are independent and may be predicted by one
 pool of worker processes. The merge preserves row order and all accumulators
@@ -23,10 +23,11 @@ from multiprocessing import get_context
 from random import Random
 
 from .data import Dataset
-from .discretize import GridFitter
-from .encode import MODE_LEVELS, TrainingIndex, attrs_needing_grids
+from .encode import MODE_LEVELS
 from .errors import BadParams, BadValue, TooFewRows
-from .predict import SOURCE_PRIOR, build_grids, encode, encode_row, mask_class, predict_encoded
+from .predict import SOURCE_PRIOR, predict_encoded, query_encoder
+# Unused here, but perfbench/tracing.py wraps these names in this module too.
+from .predict import build_grids, encode, mask_class  # noqa: F401
 from .rules import QualityParams
 
 
@@ -155,20 +156,16 @@ def evaluate_cv(
     dataset_label: str = "data",
 ) -> EvaluationReport:
     folds = stratified_kfold(d, k, seed)
-    level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
-    fitted = []
+    encoders = []
     for fold in folds:
         test_set = frozenset(fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
-        grids = build_grids(GridFitter(d.attributes, training, d.class_col), level_attrs)
-        fitted.append((TrainingIndex(d.attributes, training, d.class_col), grids))
+        encoders.append(query_encoder(d, training, mode, overrides))
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
 
     def predict_row(item):
         fold, row = item
-        index, grids = fitted[fold]
-        inst = encode(index, mask_class(d.rows[row], d.class_col), grids, mode, overrides)
-        return _outcome(inst, params)
+        return _outcome(encoders[fold](d.rows[row]), params)
 
     results = _run_pool(threads, predict_row, items)
     in_order = iter(results)  # each fold's tally takes its rows' results off the front
@@ -191,11 +188,10 @@ def evaluate_loocv(
 ) -> EvaluationReport:
     # A class's lone row, held out, would leave a single-class training split.
     _rows_by_class(d, 2, "for leave-one-out")
-    index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    fitter = GridFitter(d.attributes, d.rows, d.class_col)
+    encode_query = query_encoder(d, d.rows, mode, overrides)
 
     def predict_row(row):
-        return _outcome(encode_row(d, row, mode, overrides, index, fitter), params)
+        return _outcome(encode_query(d.rows[row], row), params)
 
     results = _run_pool(threads, predict_row, range(len(d.rows)))
     return _build_report(

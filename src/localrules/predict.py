@@ -1,4 +1,8 @@
-"""Conflict resolution and the final class prediction for one instance.
+"""Query encoding, conflict resolution and the class prediction for one row.
+
+Every prediction encodes its row through query_encoder, which indexes one
+training split once for all of its queries and holds a query out of the
+split when it is one of the split's rows.
 
 Accepted rules may disagree, so no single rule decides. Their match sets are
 merged into one combined match set and that union is scored exactly like a
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, split_for_prediction
 from .discretize import GridFitter
-from .encode import EncodedInstance, TrainingIndex, attrs_needing_grids
+from .encode import MODE_LEVELS, EncodedInstance, TrainingIndex, attrs_needing_grids
 from .rules import Contingency, QualityParams, Rule, contingency, quality, select_target
 from .search import SearchOutcome, search_local_rules
 
@@ -106,36 +110,38 @@ def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
     return Prediction(target, label, probability, source, outcome, combined)
 
 
-def encode_row(
-    d: Dataset,
-    row: int,
-    mode: str = "levels",
-    overrides: dict | None = None,
-    index: TrainingIndex | None = None,
-    fitter: GridFitter | None = None,
-) -> EncodedInstance:
-    """Encode one dataset row, class masked, against all the other rows.
+def query_encoder(d: Dataset, rows, mode: str = MODE_LEVELS, overrides: dict | None = None):
+    """encode(row, held_out=None): a row of d, class masked, against the split rows.
 
-    index, a TrainingIndex, and fitter, a GridFitter, both over all of d's
-    rows (each built when None), are shared by every such split: the row is
-    dropped from the index's bitsets and left out of the grid fit, so it
-    never influences its own encoding.
+    rows, a training split of d, is indexed and sorted for grid fits once,
+    and every query shares that work. held_out = n leaves rows[n] out of
+    the grid fit and the index, so a query that is row n never influences
+    its own encoding.
     """
+    index = TrainingIndex(d.attributes, rows, d.class_col)
+    fitter = GridFitter(d.attributes, rows, d.class_col)
+    level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+
+    def encode_query(row: tuple, held_out: int | None = None) -> EncodedInstance:
+        pred_row = mask_class(row, d.class_col)  # first: a traced query starts here
+        return encode(index, pred_row, build_grids(fitter, level_attrs, held_out), held_out)
+
+    return encode_query
+
+
+def encode_row(
+    d: Dataset, row: int, mode: str = MODE_LEVELS, overrides: dict | None = None
+) -> EncodedInstance:
+    """Encode one dataset row, class masked, against all the other rows."""
     pred_row, _ = split_for_prediction(d, row)  # also checks the row's range
-    pred_row = mask_class(pred_row, d.class_col)
-    if index is None:
-        index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    if fitter is None:
-        fitter = GridFitter(d.attributes, d.rows, d.class_col)
-    grids = build_grids(fitter, attrs_needing_grids(d.attributes, mode, overrides), row)
-    return encode(index, pred_row, grids, mode, overrides, held_out=row)
+    return query_encoder(d, d.rows, mode, overrides)(pred_row, held_out=row)
 
 
 def predict_for_row(
     d: Dataset,
     row: int,
     params: QualityParams,
-    mode: str = "levels",
+    mode: str = MODE_LEVELS,
     overrides: dict | None = None,
 ) -> Prediction:
     """Predict one dataset row from all the others."""

@@ -9,12 +9,12 @@ from localrules.data import Attribute, format_cell
 from localrules.encode import (
     EXACT,
     LOWER,
+    MODE_EXACT,
     MODE_LEVELS,
     UPPER,
     Component,
     EncodedInstance,
     _level_token,
-    effective_mode,
 )
 from localrules.errors import MissingGrid, NoComponents, SingleClassTraining
 from localrules.rules import (
@@ -248,6 +248,17 @@ def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Compon
             )
         )
     return out
+
+
+def effective_mode(attr: Attribute, mode: str, overrides: dict | None, index: int) -> str:
+    """One attribute's mode: "" for the class and ignored columns."""
+    if attr.kind in ("class", "ignore"):
+        return ""
+    if overrides and index in overrides:
+        return overrides[index]
+    if mode == MODE_LEVELS and attr.kind in ("ordered", "continuous"):
+        return MODE_LEVELS
+    return MODE_EXACT
 
 
 def reference_encode(

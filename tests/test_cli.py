@@ -165,6 +165,32 @@ def test_missing_data_file_wins_over_a_bad_parameter(tmp_path, capsys):
     assert "absent.csv" in err
 
 
+@pytest.mark.parametrize("which", ["data", "schema"])
+def test_non_utf8_file_is_a_data_error(tmp_path, capsys, which):
+    files = dict(zip(("data", "schema"), _write_copy_class(tmp_path)))
+    bad = Path(files[which])
+    bad.write_bytes(bad.read_bytes() + b"\xe9\n")  # a Latin-1 byte
+    code, out, err = _run(
+        ["predict", "--data", files["data"], "--schema", files["schema"]], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {which} file {bad}" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    target = tmp_path / "absent" / "report.txt"
+    code, out, err = _run(
+        ["predict", "--data", data, "--schema", schema, "--out", str(target)], capsys
+    )
+    assert code == 1
+    assert "class=on" in out  # the report is printed before the write fails
+    assert err.startswith(f"error: cannot write --out file {target}: ")
+    assert "Traceback" not in err
+
+
 def test_bad_parameter_is_a_usage_error(tmp_path, capsys):
     data, schema = _write_copy_class(tmp_path)
     code, _, err = _run(

@@ -298,20 +298,28 @@ def test_training_index_equals_reference_scan(case):
     n = len(rows)
     for held_out in (None, 0, n // 2, n - 1):  # one index serves every split
         training = [r for j, r in enumerate(rows) if j != held_out]
-        got = _outcome(lambda: index.encode(pred, grids, mode, overrides, held_out))
         want = _outcome(
             lambda: reference_encode(attrs, training, pred, class_col, grids, mode, overrides)
         )
+        # The one-shot encode decides the level-mode attributes itself and
+        # raises MissingGrid where the reference does (a grid was dropped).
+        one_shot = _outcome(
+            lambda: encode.encode(attrs, training, pred, class_col, grids, mode, overrides)
+        )
+        assert repr(one_shot) == repr(want)
+        if want is MissingGrid:
+            continue
+        # The index takes the grids' keys as the level-mode attributes.
+        got = index.encode(pred, grids, held_out)
         assert got == want
         assert repr(got) == repr(want)  # signed zeros in values, levels and displays
-        if want is not MissingGrid:
-            assert [c.match_bits for c in got.components] == [
-                c.match_bits for c in want.components
-            ]
-            assert (got.class_bits, got.n_pos, got.n_neg, got.n_rows) == (
-                want.class_bits, want.n_pos, want.n_neg, want.n_rows
-            )
-            assert got.groups == want.groups
+        assert [c.match_bits for c in got.components] == [
+            c.match_bits for c in want.components
+        ]
+        assert (got.class_bits, got.n_pos, got.n_neg, got.n_rows) == (
+            want.class_bits, want.n_pos, want.n_neg, want.n_rows
+        )
+        assert got.groups == want.groups
 
 
 def test_unlabeled_rows_raise_unless_held_out():
@@ -336,6 +344,6 @@ def test_index_keeps_no_bitsets_for_exact_continuous_queries():
     rows = [(float(j), j % 2, j % 3 % 2) for j in range(60)]
     index = encode.TrainingIndex(attrs, rows, 2)
     for j in range(60):
-        inst = index.encode((float(j), j % 2, None), mode="exact")
+        inst = index.encode((float(j), j % 2, None))  # no grids: all exact
         assert inst.components[0].match_bits == 1 << j
     assert len(index._bits) == 2

@@ -12,7 +12,8 @@ import random
 from helpers import conflict_instance, random_instance, reference_encode
 from localrules.data import Attribute, Dataset, split_for_prediction
 from localrules.discretize import build_grids
-from localrules.encode import TrainingIndex, attrs_needing_grids, encode
+from localrules.encode import attrs_needing_grids, encode
+from localrules.evaluate import stratified_kfold
 from localrules.predict import (
     SOURCE_COMBINED,
     SOURCE_PRIOR,
@@ -21,6 +22,7 @@ from localrules.predict import (
     mask_class,
     predict_encoded,
     predict_for_row,
+    query_encoder,
 )
 from localrules.rules import QualityParams, contingency, quality, select_target
 from localrules.search import search_local_rules
@@ -172,6 +174,9 @@ def test_predict_for_row_recovers_a_copied_class():
         assert p.probability == 1.0
 
 
+_MODE_CASES = (("levels", None), ("exact", None), ("exact", {1: "levels"}))
+
+
 def test_encode_row_equals_reference_on_every_split():
     labeled = _copy_class_dataset()
     # A query row may be unlabeled (selftest encodes one this way): it is
@@ -180,17 +185,32 @@ def test_encode_row_equals_reference_on_every_split():
         labeled.attributes, (mask_class(labeled.rows[0], 2),) + labeled.rows[1:], 2
     )
     for d, rows in ((labeled, range(len(labeled.rows))), (unlabeled, [0])):
-        index = TrainingIndex(d.attributes, d.rows, d.class_col)
-        for mode, overrides in (("levels", None), ("exact", None), ("exact", {1: "levels"})):
+        for mode, overrides in _MODE_CASES:
+            level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+            leave_one_out = query_encoder(d, d.rows, mode, overrides)  # shared by every row
             for row in rows:
                 pred_row, training = split_for_prediction(d, row)
-                level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
                 grids = build_grids(d.attributes, training, 2, level_attrs)
                 want = reference_encode(
                     d.attributes, training, mask_class(pred_row, 2), 2, grids, mode, overrides
                 )
-                assert repr(encode_row(d, row, mode, overrides, index)) == repr(want)
+                assert repr(leave_one_out(d.rows[row], row)) == repr(want)
                 assert repr(encode_row(d, row, mode, overrides)) == repr(want)
+    # One encoder per k-fold training split serves every test row of the fold.
+    d = labeled
+    for mode, overrides in _MODE_CASES:
+        level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+        for k in (2, 3):
+            for fold in stratified_kfold(d, k, 1):
+                training = [r for i, r in enumerate(d.rows) if i not in fold]
+                encode_query = query_encoder(d, training, mode, overrides)
+                grids = build_grids(d.attributes, training, 2, level_attrs)
+                for row in fold:
+                    pred_row = mask_class(d.rows[row], 2)
+                    want = reference_encode(
+                        d.attributes, training, pred_row, 2, grids, mode, overrides
+                    )
+                    assert repr(encode_query(d.rows[row])) == repr(want)
 
 
 def test_prediction_cannot_see_the_test_label():

@@ -44,12 +44,12 @@ from helpers import (
     reference_search,
 )
 from localrules.data import Attribute, load_dataset, parse_dataset
-from localrules.discretize import GridFitter, build_grids
-from localrules.encode import TrainingIndex, attrs_needing_grids, encode
+from localrules.discretize import build_grids
+from localrules.encode import attrs_needing_grids, encode
 from localrules.evaluate import stratified_kfold
 from localrules.errors import NoComponents, SingleClassTraining
 from localrules.exhaustive import exhaustive_rules
-from localrules.predict import encode_row, mask_class
+from localrules.predict import encode_row, query_encoder
 from localrules.rules import QualityParams
 from localrules.search import search_local_rules
 
@@ -353,11 +353,8 @@ def _fold_rows(name, mode):
     fold = stratified_kfold(d, 3, 1)[0]
     held = frozenset(fold)
     training = [row for i, row in enumerate(d.rows) if i not in held]
-    grids = build_grids(
-        d.attributes, training, d.class_col, attrs_needing_grids(d.attributes, mode)
-    )
-    index = TrainingIndex(d.attributes, training, d.class_col)
-    return [index.encode(mask_class(d.rows[row], d.class_col), grids, mode) for row in fold]
+    encode_query = query_encoder(d, training, mode)
+    return [encode_query(d.rows[row]) for row in fold]
 
 
 def _tictactoe_level_rows(rows=(0, 157, 420, 663, 901)):
@@ -368,9 +365,8 @@ def _tictactoe_level_rows(rows=(0, 157, 420, 663, 901)):
 
 def _loocv_continuous_rows(rows=range(0, 400, 10)):
     d = parse_dataset(*synth.make_continuous(2))
-    index = TrainingIndex(d.attributes, d.rows, d.class_col)
-    fitter = GridFitter(d.attributes, d.rows, d.class_col)
-    return [encode_row(d, row, "levels", None, index, fitter) for row in rows]
+    encode_query = query_encoder(d, d.rows, "levels")  # as leave-one-out shares it
+    return [encode_query(d.rows[row], row) for row in rows]
 
 
 WORKLOADS = {
