@@ -16,8 +16,10 @@ one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
 on rows 0, 5 and 17, `discretize`), the same commands in levels mode on
 the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
 written once to a temporary directory, so both trees read the same file),
-`--override '*=levels'`, k-fold `evaluate` on monks2 and on tictactoe with
-every cell as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
+tictactoe with `--override '*=levels'` (`evaluate`, `discretize`, and
+`rules` on rows 0, 5 and 17, which print the level displays of nominal
+attributes), k-fold `evaluate` on monks2 and on tictactoe with every cell
+as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
 0.5`, `--max-depth 2` (search branches the default flags rarely take),
 `--lambda 0` and `--lambda 1` (the weights at which one half of every score
 is zero), the usage and data error paths (a negative `--threads` for
@@ -79,11 +81,8 @@ def matrix(continuous: list[str]) -> list[list[str]]:
                 runs.append(["predict", *base, "--row", row, "--show-rules"])
                 runs.append(["rules", *base, "--row", row])
     tictactoe = _files("tictactoe") + ["--mode", "exact", "--override", "*=levels"]
-    runs += [
-        ["evaluate", *tictactoe, "--threads", "2"],
-        ["rules", *tictactoe, "--row", "5"],
-        ["discretize", *tictactoe],
-    ]
+    runs += [["evaluate", *tictactoe, "--threads", "2"], ["discretize", *tictactoe]]
+    runs += [["rules", *tictactoe, "--row", row] for row in ROWS]  # level displays of nominals
     for flag in (
         ["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"],
         ["--lambda", "0"], ["--lambda", "1"],

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq, gt, itemgetter, le
+from typing import NamedTuple
 
 from .data import (
     CLASS_KIND,
@@ -47,8 +48,7 @@ MODE_EXACT = "exact"
 MODE_LEVELS = "levels"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     cid: int
     attr: int
     kind: str  # EXACT, LOWER, or UPPER
@@ -100,6 +100,7 @@ def _level_token(attr: Attribute, level) -> str:
     return repr(level)
 
 
+_SIGNS = {eq: "=", le: "<=", gt: ">"}
 _NAN_FOR_NONE = {None: math.nan}  # NaN compares false with every value
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -120,11 +121,14 @@ class TrainingIndex:
     A bitset ("== v", "<= y" or "> y" on one attribute, Eclat's tid-lists) is
     built in one pass over the rows when a query first needs it. An index made
     for one query thus does no more work than scanning the rows that query
-    needs. Bitsets whose keys are few are kept, so later queries look them up:
-    "== v" on a bool, nominal or ordered attribute and "<= y"/"> y" on a grid
-    level. "== v" on a continuous attribute may take a new v for every query
-    and is rebuilt each time, so the kept bitsets never outgrow the grids and
-    the declared values.
+    needs. Bitsets whose keys are few are kept, each next to its component's
+    display string, so later queries look both up: "== v" on a bool, nominal
+    or ordered attribute and "<= y"/"> y" on a grid level. "== v" on a
+    continuous attribute may take a new v for every query and is rebuilt each
+    time, so the kept bitsets never outgrow the grids and the declared values.
+    Keys compare by value, so two levels of one attribute that are equal but
+    print differently (2 and 2.0, or -0.0 and 0.0) would share one display;
+    no fitted grid holds such a pair.
     """
 
     def __init__(self, attributes: tuple[Attribute, ...], rows, class_col: int):
@@ -135,7 +139,7 @@ class TrainingIndex:
         self.unlabeled = [n for n, g in enumerate(labels) if g is None]
         self.class_bits = _bitset(map(eq, labels, repeat(0)))
         self._columns: dict[int, list] = {}
-        self._bits: dict[tuple, int] = {}
+        self._bits: dict[tuple, tuple[int, str]] = {}  # key -> (bitset, display)
 
     def _column(self, i: int) -> list:
         """Attribute i's cells with NaN for missing, which fails ==, <= and > alike."""
@@ -145,15 +149,17 @@ class TrainingIndex:
             col = self._columns[i] = list(map(_NAN_FOR_NONE.get, cells, cells))
         return col
 
-    def _rows(self, op, i: int, value) -> int:
-        """Rows whose known value of attribute i satisfies op(value_of_row, value)."""
+    def _entry(self, op, i: int, value) -> tuple[int, str]:
+        """(rows whose known value of attribute i satisfies op(value_of_row, value), display)."""
         key = (op, i, value)
-        bits = self._bits.get(key)
-        if bits is None:
-            bits = _bitset(map(op, self._column(i), repeat(value)))
-            if op is not eq or self.attributes[i].kind != CONTINUOUS_KIND:
-                self._bits[key] = bits
-        return bits
+        got = self._bits.get(key)
+        if got is None:
+            attr = self.attributes[i]
+            token = format_cell(value, attr) if op is eq else _level_token(attr, value)
+            got = _bitset(map(op, self._column(i), repeat(value))), attr.name + _SIGNS[op] + token
+            if op is not eq or attr.kind != CONTINUOUS_KIND:
+                self._bits[key] = got
+        return got
 
     def check_labeled(self, held_out: int | None = None) -> None:
         """Raise BadValue naming an unlabeled row other than held_out."""
@@ -181,20 +187,17 @@ class TrainingIndex:
             v0 = pred_row[i]
             if v0 is None or i in grids or attr.kind in (CLASS_KIND, IGNORE_KIND):
                 continue
-            bits = _without(self._rows(eq, i, v0), held_out)
-            display = f"{attr.name}={format_cell(v0, attr)}"
-            components.append(Component(len(components), i, EXACT, bits, display, value=v0))
+            bits, display = self._entry(eq, i, v0)
+            bits = _without(bits, held_out)
+            components.append(Component(len(components), i, EXACT, bits, display, None, None, v0))
         groups: dict = {}
         for i in sorted(grids):
-            attr, v0 = self.attributes[i], pred_row[i]
+            v0 = pred_row[i]
             if v0 is None:
                 continue
             for l, y in enumerate(grids[i]):
-                if v0 <= y:
-                    kind, op, bits = UPPER, "<=", self._rows(le, i, y)
-                else:
-                    kind, op, bits = LOWER, ">", self._rows(gt, i, y)
-                display = f"{attr.name}{op}{_level_token(attr, y)}"
+                kind, op = (UPPER, le) if v0 <= y else (LOWER, gt)
+                bits, display = self._entry(op, i, y)
                 groups.setdefault((i, kind), []).append(len(components))
                 components.append(
                     Component(len(components), i, kind, _without(bits, held_out), display, l, y)

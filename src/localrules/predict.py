@@ -2,7 +2,8 @@
 
 Every prediction encodes its row through query_encoder, which indexes one
 training split once for all of its queries and holds a query out of the
-split when it is one of the split's rows.
+split when it is one of the split's rows. encode_row keeps the encoder it
+built last, so repeated predict_for_row calls on one dataset share it.
 
 Accepted rules may disagree, so no single rule decides. Their match sets are
 merged into one combined match set and that union is scored exactly like a
@@ -129,12 +130,32 @@ def query_encoder(d: Dataset, rows, mode: str = MODE_LEVELS, overrides: dict | N
     return encode_query
 
 
+# (dataset, mode, overrides copy, encoder) of the encoder encode_row built last.
+_last_encoder: tuple | None = None
+
+
 def encode_row(
     d: Dataset, row: int, mode: str = MODE_LEVELS, overrides: dict | None = None
 ) -> EncodedInstance:
-    """Encode one dataset row, class masked, against all the other rows."""
+    """Encode one dataset row, class masked, against all the other rows.
+
+    The row's range is checked first. The leave-one-out encoder of d over
+    all its rows is kept in one slot, so later calls for rows of the same
+    Dataset object, with equal mode and overrides, share its index and its
+    sorted columns; a call with another dataset, mode or overrides content
+    replaces it. Datasets are frozen, and the overrides are copied into the
+    key, so changing them in place between calls builds a new encoder.
+    """
+    global _last_encoder
     pred_row, _ = split_for_prediction(d, row)  # also checks the row's range
-    return query_encoder(d, d.rows, mode, overrides)(pred_row, held_out=row)
+    key = dict(overrides or {})
+    slot = _last_encoder
+    if slot is not None and slot[0] is d and slot[1] == mode and slot[2] == key:
+        encode_query = slot[3]
+    else:
+        encode_query = query_encoder(d, d.rows, mode, overrides)
+        _last_encoder = (d, mode, key, encode_query)
+    return encode_query(pred_row, held_out=row)
 
 
 def predict_for_row(
@@ -144,5 +165,5 @@ def predict_for_row(
     mode: str = MODE_LEVELS,
     overrides: dict | None = None,
 ) -> Prediction:
-    """Predict one dataset row from all the others."""
+    """Predict one dataset row from all the others, through encode_row's kept encoder."""
     return predict_encoded(encode_row(d, row, mode, overrides), params)

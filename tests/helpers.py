@@ -107,7 +107,7 @@ def permuted_copy(inst: EncodedInstance, perm):
     """Same instance with components relabeled by perm (new id = position)."""
     from dataclasses import replace
 
-    comps = [replace(inst.components[old], cid=new) for new, old in enumerate(perm)]
+    comps = [inst.components[old]._replace(cid=new) for new, old in enumerate(perm)]
     groups = {}
     for c in comps:
         if c.group_key is not None:

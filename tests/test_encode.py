@@ -120,6 +120,32 @@ def test_override_forces_levels_on_nominal():
     ]
 
 
+def test_warm_index_components_equal_a_cold_index_field_for_field():
+    # Kept entries hold each key's bitset and display: a query encoded
+    # again through a warm index, or through a fresh one, yields the same
+    # components, display included.
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("n", "nominal", ("u", "v", "w")),
+        Attribute("b", "bool"),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = [(float(j % 6), j % 3, j % 2 == 0, j % 4 % 2) for j in range(12)]
+    grids = {0: (0.5, 2.5, 4.5), 1: (0, 1, 2)}  # n forced to levels
+    pred = (3.0, 1, True, None)
+    index = encode.TrainingIndex(attrs, rows, 3)
+    for held_out in (None, 4):
+        first = index.encode(pred, grids, held_out).components
+        again = index.encode(pred, grids, held_out).components
+        cold = encode.TrainingIndex(attrs, rows, 3).encode(pred, grids, held_out).components
+        assert [c._asdict() for c in first] == [c._asdict() for c in cold]
+        assert [c._asdict() for c in again] == [c._asdict() for c in cold]
+    assert [c.display for c in cold] == ["b=T", "x>0.5", "x>2.5", "x<=4.5", "n>u", "n<=v", "n<=w"]
+    assert [c.group_key for c in cold[:3]] == [None, (0, "lower"), (0, "lower")]
+    with pytest.raises(AttributeError):
+        cold[0].display = "b=F"  # components are immutable records
+
+
 def test_missing_grid_raises():
     with pytest.raises(MissingGrid):
         encode.encode(CONT, TRAIN, (4.0, None), 1, grids={})

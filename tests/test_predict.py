@@ -9,9 +9,12 @@ breaks the tie toward the positive class.
 
 import random
 
+import pytest
+
 from helpers import conflict_instance, random_instance, reference_encode
 from localrules.data import Attribute, Dataset, split_for_prediction
 from localrules.discretize import build_grids
+from localrules.errors import IndexOutOfRange
 from localrules.encode import attrs_needing_grids, encode
 from localrules.evaluate import stratified_kfold
 from localrules.predict import (
@@ -211,6 +214,47 @@ def test_encode_row_equals_reference_on_every_split():
                         d.attributes, training, pred_row, 2, grids, mode, overrides
                     )
                     assert repr(encode_query(d.rows[row])) == repr(want)
+
+
+def test_predict_for_row_reuses_its_encoder_only_for_the_same_query_setup():
+    # predict_for_row keeps the encoder it built last, keyed on the Dataset
+    # object and on the content of mode and overrides. Interleaved calls
+    # must each predict what a fresh encoder of their own setup predicts.
+    d = _copy_class_dataset()
+    flipped = Dataset(d.attributes, tuple(r[:2] + (1 - r[2],) for r in d.rows), 2)
+    twin = Dataset(d.attributes, d.rows, 2)  # equal to d, another object
+    every_cell = {0: "levels", 1: "levels"}
+    shared: dict = {}  # changed in place between calls
+    params = QualityParams()
+
+    def check(ds, row, mode, overrides):
+        fresh = query_encoder(ds, ds.rows, mode, overrides)(ds.rows[row], held_out=row)
+        want = predict_encoded(fresh, params)
+        assert repr(predict_for_row(ds, row, params, mode, overrides)) == repr(want)
+
+    for row in (0, 5, 23):
+        for mode in ("levels", "exact"):
+            for overrides in (None, every_cell):
+                for ds in (d, flipped, twin, d):  # only the dataset changes
+                    check(ds, row, mode, overrides)
+        for ds in (d, flipped):
+            for overrides in (None, every_cell):
+                for mode in ("levels", "exact", "levels"):  # only the mode changes
+                    check(ds, row, mode, overrides)
+            for mode in ("levels", "exact"):
+                for overrides in (None, every_cell, None):  # only the overrides change
+                    check(ds, row, mode, overrides)
+        for ds in (d, d, flipped):
+            for setting in ("levels", "exact"):
+                shared[0] = setting
+                check(ds, row, "exact", shared)
+                shared[1] = setting
+                check(ds, row, "exact", shared)
+            shared.clear()
+            check(ds, row, "exact", shared)
+        for bad in (-1, len(d.rows)):  # the kept encoder is d's, warm
+            with pytest.raises(IndexOutOfRange):
+                predict_for_row(d, bad, params, "exact", shared)
 
 
 def test_prediction_cannot_see_the_test_label():
