@@ -16,7 +16,9 @@ one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
 on rows 0, 5 and 17, `discretize`), the same commands in levels mode on
 the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
 written once to a temporary directory, so both trees read the same file),
-tictactoe with `--override '*=levels'` (`evaluate`, `discretize`, and
+`rules` on that dataset's rows 0, 5 and 17 with `--override '*=levels'
+--kappa 0.9` (which print bool, nominal, ordered and continuous level
+displays), tictactoe with `--override '*=levels'` (`evaluate`, `discretize`, and
 `rules` on rows 0, 5 and 17, which print the level displays of nominal
 attributes), k-fold `evaluate` on monks2 and on tictactoe with every cell
 as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
@@ -68,6 +70,8 @@ def matrix(continuous: list[str]) -> list[list[str]]:
     for row in ROWS:
         runs.append(["predict", *continuous, "--row", row, "--show-rules"])
         runs.append(["rules", *continuous, "--row", row])
+    every_level = ["--override", "*=levels", "--kappa", "0.9"]
+    runs += [["rules", *continuous, *every_level, "--row", row] for row in ROWS]
     for name in DATASETS:
         for mode in MODES:
             base = _files(name) + ["--mode", mode]

@@ -17,9 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-from .data import Attribute, Dataset, load_dataset
+from .data import (BOOL_KIND, CLASS_KIND, CONTINUOUS_KIND, IGNORE_KIND, NOMINAL_KIND,
+                   ORDERED_KIND, Attribute, Dataset, load_dataset)
 from .discretize import build_grids
-from .encode import attrs_needing_grids
+from .encode import MODE_EXACT, MODE_LEVELS, attrs_needing_grids
 from .errors import BadParams, DataError
 from .evaluate import available_cpus, evaluate_cv, evaluate_loocv, render_report
 from .exhaustive import exhaustive_rules
@@ -27,7 +28,7 @@ from .predict import encode_row, predict_encoded
 from .rules import QualityParams, format_rule
 from .search import search_local_rules
 
-_MODES = ("levels", "exact")
+_MODES = (MODE_LEVELS, MODE_EXACT)
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
@@ -45,7 +46,7 @@ def _add_param_flags(ap: argparse.ArgumentParser) -> None:
                     help="keep rules within this fraction of the best (default 1.0)")
     ap.add_argument("--eps", type=float, default=0.0,
                     help="correctness slack for the perfect cutoff (default 0)")
-    ap.add_argument("--mode", choices=_MODES, default="levels",
+    ap.add_argument("--mode", choices=_MODES, default=MODE_LEVELS,
                     help="ordered/continuous comparison mode (default levels)")
     ap.add_argument("--override", action="append", default=[], metavar="ATTR=MODE",
                     help="force a mode for one attribute (repeatable)")
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_overrides(specs, attributes: tuple[Attribute, ...]):
     names = {a.name: i for i, a in enumerate(attributes)}
-    skip = {i for i, a in enumerate(attributes) if a.kind in ("class", "ignore")}
+    skip = {i for i, a in enumerate(attributes) if a.kind in (CLASS_KIND, IGNORE_KIND)}
     overrides: dict[int, str] = {}
     for spec in specs:  # left to right, so a later flag wins
         name, sep, mode = spec.partition("=")
@@ -215,23 +216,23 @@ def _cmd_discretize(args) -> int:
 
 
 _POOL = (
-    Attribute("b1", "bool"),
-    Attribute("b2", "bool"),
-    Attribute("n1", "nominal", ("u", "v", "w")),
-    Attribute("n2", "nominal", ("p", "q")),
-    Attribute("o1", "ordered", ("1", "2", "3", "4")),
-    Attribute("o2", "ordered", ("lo", "hi")),
-    Attribute("x1", "continuous"),
-    Attribute("x2", "continuous"),
+    Attribute("b1", BOOL_KIND),
+    Attribute("b2", BOOL_KIND),
+    Attribute("n1", NOMINAL_KIND, ("u", "v", "w")),
+    Attribute("n2", NOMINAL_KIND, ("p", "q")),
+    Attribute("o1", ORDERED_KIND, ("1", "2", "3", "4")),
+    Attribute("o2", ORDERED_KIND, ("lo", "hi")),
+    Attribute("x1", CONTINUOUS_KIND),
+    Attribute("x2", CONTINUOUS_KIND),
 )
 
 
 def _random_cell(rng: random.Random, attr: Attribute):
     if rng.random() < 0.08:
         return None
-    if attr.kind == "bool":
+    if attr.kind == BOOL_KIND:
         return rng.random() < 0.5
-    if attr.kind in ("nominal", "ordered"):
+    if attr.kind in (NOMINAL_KIND, ORDERED_KIND):
         return rng.randrange(len(attr.values))
     return float(rng.randrange(20))
 
@@ -240,7 +241,7 @@ def random_instance(rng: random.Random):
     """A random encoded instance with mixed component kinds, plus params."""
     while True:
         attrs = tuple(rng.sample(_POOL, rng.randrange(2, 5))) + (
-            Attribute("c", "class", ("y", "n")),
+            Attribute("c", CLASS_KIND, ("y", "n")),
         )
         class_col = len(attrs) - 1
         rows = [
@@ -248,12 +249,12 @@ def random_instance(rng: random.Random):
             for _ in range(rng.randrange(12, 201))
         ]
         pred = tuple(_random_cell(rng, a) for a in attrs[:-1]) + (None,)
-        mode = "exact" if rng.random() < 0.25 else "levels"
+        mode = MODE_EXACT if rng.random() < 0.25 else MODE_LEVELS
         overrides = {}
         if rng.random() < 0.25:
             for i, a in enumerate(attrs[:-1]):
-                if a.kind == "nominal" and rng.random() < 0.5:
-                    overrides[i] = "levels"
+                if a.kind == NOMINAL_KIND and rng.random() < 0.5:
+                    overrides[i] = MODE_LEVELS
         inst = encode_row(Dataset(attrs, (pred, *rows), class_col), 0, mode, overrides)
         if not 1 <= inst.n_components <= 12:
             continue

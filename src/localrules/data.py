@@ -214,16 +214,6 @@ def format_cell(value, attr: Attribute) -> str:
     return str(value)
 
 
-def serialize_csv(d: Dataset) -> str:
-    """Emit canonical CSV; reparsing with the same schema reproduces d exactly."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([a.name for a in d.attributes])
-    for row in d.rows:
-        writer.writerow([format_cell(v, a) for v, a in zip(row, d.attributes)])
-    return buf.getvalue()
-
-
 def split_for_prediction(d: Dataset, row: int) -> tuple[tuple, list[tuple]]:
     """Designate one row as the prediction point; the rest keep their order.
 

@@ -39,7 +39,7 @@ from .data import (
     ORDERED_KIND,
     Attribute,
 )
-from .errors import EmptyInput, LengthMismatch, NonBinaryClass, WrongKind
+from .errors import NonBinaryClass, WrongKind
 
 
 def _entropy(a: int, b: int) -> float:
@@ -292,21 +292,6 @@ class _Column:
         if rm is None:
             self._memo[key] = out
         return out
-
-
-def entropy_mdl_cuts(values, labels) -> list[float]:
-    """Cut points for one continuous attribute given binary class labels.
-
-    Inputs must be missing-free and of equal length >= 2, with at most two
-    label values (more raise NonBinaryClass); the result is a strictly
-    increasing (possibly empty) list of thresholds, each strictly between two
-    adjacent observed values.
-    """
-    if len(values) != len(labels):
-        raise LengthMismatch(f"{len(values)} values vs {len(labels)} labels")
-    if len(values) < 2:
-        raise EmptyInput("need at least 2 values to consider a cut")
-    return list(_Column(values, labels).cuts())
 
 
 class GridFitter:

@@ -54,9 +54,6 @@ class Component(NamedTuple):
     kind: str  # EXACT, LOWER, or UPPER
     match_bits: int
     display: str
-    level_index: int | None = None
-    level: object = None  # grid threshold for LOWER/UPPER
-    value: object = None  # prediction-row value for EXACT
 
     @property
     def group_key(self) -> tuple[int, str] | None:
@@ -72,7 +69,6 @@ class EncodedInstance:
     class_bits: int  # bit n set = training row n has the positive class
     n_pos: int
     n_neg: int
-    groups: dict
     class_labels: tuple[str, str]
 
     @property
@@ -90,14 +86,6 @@ def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) ->
         and overrides.get(i, mode if a.kind in (ORDERED_KIND, CONTINUOUS_KIND) else MODE_EXACT)
         == MODE_LEVELS
     ]
-
-
-def _level_token(attr: Attribute, level) -> str:
-    if attr.values is not None:
-        return attr.values[level]
-    if isinstance(level, bool):
-        return "T" if level else "F"
-    return repr(level)
 
 
 _SIGNS = {eq: "=", le: "<=", gt: ">"}
@@ -155,8 +143,8 @@ class TrainingIndex:
         got = self._bits.get(key)
         if got is None:
             attr = self.attributes[i]
-            token = format_cell(value, attr) if op is eq else _level_token(attr, value)
-            got = _bitset(map(op, self._column(i), repeat(value))), attr.name + _SIGNS[op] + token
+            display = attr.name + _SIGNS[op] + format_cell(value, attr)
+            got = _bitset(map(op, self._column(i), repeat(value))), display
             if op is not eq or attr.kind != CONTINUOUS_KIND:
                 self._bits[key] = got
         return got
@@ -189,18 +177,16 @@ class TrainingIndex:
                 continue
             bits, display = self._entry(eq, i, v0)
             bits = _without(bits, held_out)
-            components.append(Component(len(components), i, EXACT, bits, display, None, None, v0))
-        groups: dict = {}
+            components.append(Component(len(components), i, EXACT, bits, display))
         for i in sorted(grids):
             v0 = pred_row[i]
             if v0 is None:
                 continue
-            for l, y in enumerate(grids[i]):
+            for y in grids[i]:
                 kind, op = (UPPER, le) if v0 <= y else (LOWER, gt)
                 bits, display = self._entry(op, i, y)
-                groups.setdefault((i, kind), []).append(len(components))
                 components.append(
-                    Component(len(components), i, kind, _without(bits, held_out), display, l, y)
+                    Component(len(components), i, kind, _without(bits, held_out), display)
                 )
 
         class_bits = _without(self.class_bits, held_out)
@@ -212,7 +198,6 @@ class TrainingIndex:
             class_bits=class_bits,
             n_pos=n_pos,
             n_neg=n - n_pos,
-            groups={k: tuple(v) for k, v in groups.items()},
             class_labels=self.class_labels,
         )
 

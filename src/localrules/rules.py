@@ -105,10 +105,10 @@ def score_tables(
     it is not the predicted class; coverage[k] the coverage half when it is.
     A rule predicting the positive class scores neg_exclusion[n_tf] +
     pos_coverage[n_tt], equal to count_quality bit for bit. perfect[k] =
-    exclusion[0] + coverage[k] is perfect_quality(k, class_total, weight),
-    bit for bit (both exclusion ratios are exactly 1), and never falls as k
-    rises. A search needs the tables of its two class totals at one weight,
-    hence the small cache.
+    exclusion[0] + coverage[k], a perfect rule's score, is count_quality(k,
+    0, class_total, 1, True, weight) bit for bit (both exclusion ratios are
+    exactly 1), and never falls as k rises. A search needs the tables of its
+    two class totals at one weight, hence the small cache.
     """
     counts = range(class_total + 1)
     exclusion = tuple(_exclusion(k, class_total, weight) for k in counts)
@@ -121,16 +121,6 @@ def quality(t: Contingency, target: bool, weight: float) -> float:
     if t.n_pos == 0 or t.n_neg == 0:
         raise DegenerateClassDistribution("both class values need training rows")
     return count_quality(t.n_tt, t.n_tf, t.n_pos, t.n_neg, target, weight)
-
-
-def perfect_quality(cover_count: int, class_total: int, weight: float) -> float:
-    """Score of a perfectly correct rule covering cover_count of class_total.
-
-    Upper bound for any rule whose predicted-class match count is cover_count;
-    evaluated through count_quality (an exclusion ratio of 1/1) so it is
-    float-identical to quality() on an actual perfect rule with the same counts.
-    """
-    return count_quality(cover_count, 0, class_total, 1, True, weight)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encode import EncodedInstance
+from .encode import EXACT, EncodedInstance
 from .errors import NoComponents, SingleClassTraining
 from .rules import (
     Contingency,
@@ -136,11 +136,11 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
     bits = [c.match_bits for c in inst.components]
     # Each component's boundary group as a component-id mask (0 for an exact
     # one). A path's used groups are the union of its terms' group masks.
-    group_mask = [0] * m
-    for members in inst.groups.values():
-        mask = sum(1 << cid for cid in members)
-        for cid in members:
-            group_mask[cid] = mask
+    masks: dict = {}
+    for c in inst.components:
+        if c.kind != EXACT:  # (attr, kind) is the component's group_key
+            masks[c.attr, c.kind] = masks.get((c.attr, c.kind), 0) | 1 << c.cid
+    group_mask = [masks.get((c.attr, c.kind), 0) for c in inst.components]
     class_bits = inst.class_bits
     n_pos, n_neg = inst.n_pos, inst.n_neg
     weight = params.weight

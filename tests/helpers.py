@@ -1,11 +1,14 @@
 """Shared builders for search/equivalence tests."""
 
+import csv
+import io
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
-from localrules import cli, encode
-from localrules.data import Attribute, format_cell
+from localrules import cli, discretize, encode
+from localrules.data import Attribute, Dataset, format_cell
 from localrules.encode import (
     EXACT,
     LOWER,
@@ -14,15 +17,14 @@ from localrules.encode import (
     UPPER,
     Component,
     EncodedInstance,
-    _level_token,
 )
 from localrules.errors import MissingGrid, NoComponents, SingleClassTraining
 from localrules.rules import (
     Contingency,
     QualityParams,
     Rule,
+    count_quality,
     mismatch_floors,
-    perfect_quality,
     quality,
     select_target,
 )
@@ -73,14 +75,14 @@ def hypercube_instance(m: int):
 random_instance = cli.random_instance
 
 
-def component_truth_ladder(attr_components, row_value) -> tuple[bool, ...]:
-    """Per-level predicate truths (value <= y_l) for one attribute's components.
+def component_truth_ladder(attr_components) -> tuple[bool, ...]:
+    """The prediction value's predicate truths (value <= y_l) along one grid.
 
-    The components must be that attribute's boundary components sorted by
-    level index, and row_value must not be missing.
+    The components must be one attribute's boundary components in id order,
+    which is grid order: the l-th holds level y_l, and it is UPPER exactly
+    when the prediction value satisfies value <= y_l.
     """
-    assert row_value is not None
-    return tuple(row_value <= c.level for c in attr_components)
+    return tuple(c.kind == UPPER for c in attr_components)
 
 
 def outcome_key(rules):
@@ -105,18 +107,23 @@ def assert_equivalent(search_out, oracle_out):
 
 def permuted_copy(inst: EncodedInstance, perm):
     """Same instance with components relabeled by perm (new id = position)."""
-    from dataclasses import replace
-
     comps = [inst.components[old]._replace(cid=new) for new, old in enumerate(perm)]
-    groups = {}
-    for c in comps:
-        if c.group_key is not None:
-            groups.setdefault(c.group_key, []).append(c.cid)
-    return replace(
-        inst,
-        components=tuple(comps),
-        groups={k: tuple(v) for k, v in groups.items()},
-    )
+    return replace(inst, components=tuple(comps))
+
+
+def entropy_mdl_cuts(values, labels) -> list[float]:
+    """The entropy-MDL cuts of one missing-free column, as GridFitter fits them."""
+    return list(discretize._Column(values, labels).cuts())
+
+
+def serialize_csv(d: Dataset) -> str:
+    """Emit canonical CSV; reparsing with the same schema reproduces d exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([a.name for a in d.attributes])
+    for row in d.rows:
+        writer.writerow([format_cell(v, a) for v, a in zip(row, d.attributes)])
+    return buf.getvalue()
 
 
 # Reference entropy-MDL cut search: a Counter recount at every candidate cut
@@ -196,7 +203,7 @@ def _recurse(pairs: list[tuple[float, object]], out: list[float]) -> None:
 
 
 def reference_cuts(values, labels) -> list[float]:
-    """The reference counterpart of discretize.entropy_mdl_cuts."""
+    """The reference counterpart of entropy_mdl_cuts."""
     pairs = sorted(zip(values, labels), key=lambda p: p[0])
     out: list[float] = []
     _recurse(pairs, out)
@@ -218,7 +225,6 @@ def _exact_component(cid, i, attr, v0, training_rows) -> Component:
         kind=EXACT,
         match_bits=bits,
         display=f"{attr.name}={format_cell(v0, attr)}",
-        value=v0,
     )
 
 
@@ -242,9 +248,7 @@ def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Compon
                 attr=i,
                 kind=kind,
                 match_bits=bits,
-                display=f"{attr.name}{op}{_level_token(attr, y)}",
-                level_index=l,
-                level=y,
+                display=f"{attr.name}{op}{format_cell(y, attr)}",
             )
         )
     return out
@@ -302,12 +306,6 @@ def reference_encode(
             class_bits |= 1 << row_index
     n_pos = class_bits.bit_count()
 
-    groups: dict = {}
-    for c in components:
-        if c.group_key is not None:
-            groups.setdefault(c.group_key, []).append(c.cid)
-    groups = {k: tuple(v) for k, v in groups.items()}
-
     class_values = attributes[class_col].values
     assert class_values is not None
     return EncodedInstance(
@@ -316,15 +314,18 @@ def reference_encode(
         class_bits=class_bits,
         n_pos=n_pos,
         n_neg=n - n_pos,
-        groups=groups,
         class_labels=(class_values[0], class_values[1]),
     )
 
 
 def linear_min_cover_count(threshold, class_total, weight, start=0) -> int:
-    """The reference counterpart of rules.min_cover_count: a scan upward."""
+    """The reference counterpart of rules.min_cover_count: a scan upward.
+
+    It scores a perfect rule covering count rows of the class in place, by
+    count_quality with an exclusion ratio of 1/1, not from rules.score_tables.
+    """
     for count in range(start, class_total + 1):
-        if perfect_quality(count, class_total, weight) >= threshold:
+        if count_quality(count, 0, class_total, 1, True, weight) >= threshold:
             return count
     return class_total + 1
 

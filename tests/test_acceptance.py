@@ -226,15 +226,13 @@ def test_equality_collapses_to_boundary_pair():
         inst_levels = encode(attrs, rows, pred, 1, grids, "levels")
         inst_exact = encode(attrs, rows, pred, 1, None, "exact")
         (eq,) = inst_exact.components
-        upper = next(
-            c for c in inst_levels.components if c.kind == UPPER and c.level == pred[0]
-        )
+        # The grid is every value 0..k-1, one boundary component per level in order.
+        upper = inst_levels.components[pred[0]]
+        assert upper.kind == UPPER
         collapsed = upper.match_bits
         if pred[0] > 0:
-            lower = next(
-                c for c in inst_levels.components
-                if c.kind == LOWER and c.level == pred[0] - 1
-            )
+            lower = inst_levels.components[pred[0] - 1]
+            assert lower.kind == LOWER
             collapsed &= lower.match_bits
         assert collapsed == eq.match_bits
     _verdict("conjunction collapse", True, "boundary pair AND == equality bits, 100 instances")
@@ -252,8 +250,7 @@ def test_boundary_ladder_is_monotone():
         pred = (rng.randrange(k), None)
         grids = build_grids(attrs, rows, 1, [0])
         inst = encode(attrs, rows, pred, 1, grids, "levels")
-        comps = sorted(inst.components, key=lambda c: c.level_index)
-        ladder = component_truth_ladder(comps, rng.randrange(k))
+        ladder = component_truth_ladder(inst.components)
         assert list(ladder) == sorted(ladder), f"non-monotone ladder {ladder}"
     _verdict("boundary ladder", True, "predicate truths monotone along every grid")
 

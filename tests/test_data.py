@@ -16,6 +16,8 @@ from localrules.errors import (
     SchemaMismatch,
 )
 
+from helpers import serialize_csv
+
 MINI_SCHEMA = "a: bool\nc: class {yes,no}\n"
 
 
@@ -203,7 +205,7 @@ def test_round_trip(d):
     for a in d.attributes:
         spec = a.kind if a.values is None else f"{a.kind} {{{','.join(a.values)}}}"
         schema_lines.append(f"{a.name}: {spec}")
-    reparsed = data.parse_dataset(data.serialize_csv(d), "\n".join(schema_lines))
+    reparsed = data.parse_dataset(serialize_csv(d), "\n".join(schema_lines))
     assert reparsed == d
 
 

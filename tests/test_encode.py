@@ -27,8 +27,8 @@ def bits(*rows):
 def test_grid_135_point_above_two_levels():
     # prediction value 4: predicate truths (F,F,T) -> two lower, one upper
     inst = encode.encode(CONT, TRAIN, (4.0, None), 1, GRID)
-    kinds = [(c.kind, c.level_index) for c in inst.components]
-    assert kinds == [("lower", 0), ("lower", 1), ("upper", 2)]
+    assert [c.kind for c in inst.components] == ["lower", "lower", "upper"]
+    assert [c.display for c in inst.components] == ["x>1.0", "x>3.0", "x<=5.0"]
     lower0, lower1, upper2 = inst.components
     assert lower0.match_bits == bits(1, 2, 3)  # value > 1
     assert lower1.match_bits == bits(2, 3)  # value > 3
@@ -83,17 +83,16 @@ def test_canonical_component_order_and_groups():
     inst = encode.encode(
         attrs, train, (1, 3.0, True, 0, None), 4, {0: (0, 1), 1: (2.5,)}
     )
-    order = [(c.attr, c.kind, c.level_index) for c in inst.components]
-    assert order == [
-        (2, "exact", None),
-        (3, "exact", None),
-        (0, "lower", 0),
-        (0, "upper", 1),
-        (1, "lower", 0),
-    ]
+    order = [(c.attr, c.kind) for c in inst.components]
+    assert order == [(2, "exact"), (3, "exact"), (0, "lower"), (0, "upper"), (1, "lower")]
     assert [c.cid for c in inst.components] == list(range(5))
-    assert inst.groups == {(0, "lower"): (2,), (0, "upper"): (3,), (1, "lower"): (4,)}
-    assert inst.components[0].group_key is None
+    assert [c.group_key for c in inst.components] == [
+        None,
+        None,
+        (0, "lower"),
+        (0, "upper"),
+        (1, "lower"),
+    ]
     assert inst.components[0].display == "b=T"
     assert inst.components[2].display == "o>a"
     assert inst.components[3].display == "o<=b"
@@ -113,11 +112,8 @@ def test_override_forces_levels_on_nominal():
     inst = encode.encode(
         attrs, train, (1, None), 1, grids={0: (0, 1, 2)}, overrides={0: "levels"}
     )
-    assert [(c.kind, c.level_index) for c in inst.components] == [
-        ("lower", 0),
-        ("upper", 1),
-        ("upper", 2),
-    ]
+    assert [c.kind for c in inst.components] == ["lower", "upper", "upper"]
+    assert [c.display for c in inst.components] == ["n>u", "n<=v", "n<=w"]
 
 
 def test_warm_index_components_equal_a_cold_index_field_for_field():
@@ -172,9 +168,10 @@ def test_attrs_needing_grids():
 
 
 def test_truth_ladder_examples():
-    inst = encode.encode(CONT, TRAIN, (4.0, None), 1, GRID)
-    assert component_truth_ladder(inst.components, 4.0) == (False, False, True)
-    assert component_truth_ladder(inst.components, 0.0) == (True, True, True)
+    above = encode.encode(CONT, TRAIN, (4.0, None), 1, GRID)
+    below = encode.encode(CONT, TRAIN, (0.0, None), 1, GRID)
+    assert component_truth_ladder(above.components) == (False, False, True)
+    assert component_truth_ladder(below.components) == (True, True, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,7 +185,8 @@ def test_truth_ladder_is_monotone(value, levels):
     inst = encode.encode(
         attrs, [(0.0, 0), (1.0, 1)], (value, None), 1, grids={0: grid}
     )
-    ladder = component_truth_ladder(inst.components, value)
+    ladder = component_truth_ladder(inst.components)
+    assert ladder == tuple(value <= y for y in grid)  # the l-th component holds y_l
     for a, b in zip(ladder, ladder[1:]):
         assert (not a) or b  # once true, stays true at higher levels
 
@@ -220,14 +218,13 @@ def test_conjunction_collapse_bit_exact():
     rng = random.Random(42)
     for _ in range(50):
         inst = _random_instance(rng)
-        by_cid = {c.cid: c for c in inst.components}
-        for (_, side), cids in inst.groups.items():
-            for i, c1 in enumerate(cids):
-                for c2 in cids[i + 1 :]:
-                    a, b = by_cid[c1], by_cid[c2]
-                    lo, hi = sorted((a, b), key=lambda c: c.level_index)
-                    collapsed = hi if side == "lower" else lo
-                    assert a.match_bits & b.match_bits == collapsed.match_bits
+        for a in inst.components:
+            for b in inst.components[a.cid + 1 :]:
+                if a.group_key is None or a.group_key != b.group_key:
+                    continue
+                # ids follow the grid, so a holds the lower level
+                collapsed = b if a.kind == "lower" else a
+                assert a.match_bits & b.match_bits == collapsed.match_bits
 
 
 def test_exact_equals_boundary_pair():
@@ -242,9 +239,10 @@ def test_exact_equals_boundary_pair():
             pred = (a, None)
             exact = encode.encode(attrs, rows, pred, 1, mode="exact")
             levels = encode.encode(attrs, rows, pred, 1, grids=grid)
-            comp = {(c.kind, c.level_index): c for c in levels.components}
-            lower_below = comp[("lower", a - 1)]  # matches value > a-1
-            upper_at = comp[("upper", a)]  # matches value <= a
+            # one boundary component per grid level, in grid order
+            lower_below = levels.components[a - 1]  # matches value > a-1
+            upper_at = levels.components[a]  # matches value <= a
+            assert (lower_below.kind, upper_at.kind) == ("lower", "upper")
             assert (
                 exact.components[0].match_bits
                 == lower_below.match_bits & upper_at.match_bits
@@ -338,14 +336,13 @@ def test_training_index_equals_reference_scan(case):
         # The index takes the grids' keys as the level-mode attributes.
         got = index.encode(pred, grids, held_out)
         assert got == want
-        assert repr(got) == repr(want)  # signed zeros in values, levels and displays
+        assert repr(got) == repr(want)  # signed zeros in displays
         assert [c.match_bits for c in got.components] == [
             c.match_bits for c in want.components
         ]
         assert (got.class_bits, got.n_pos, got.n_neg, got.n_rows) == (
             want.class_bits, want.n_pos, want.n_neg, want.n_rows
         )
-        assert got.groups == want.groups
 
 
 def test_unlabeled_rows_raise_unless_held_out():

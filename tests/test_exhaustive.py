@@ -72,7 +72,6 @@ def test_component_cap():
         class_bits=1,
         n_pos=1,
         n_neg=1,
-        groups={},
         class_labels=("y", "n"),
     )
     with pytest.raises(TooManyComponents):
@@ -82,7 +81,7 @@ def test_component_cap():
 def test_guard_errors():
     inst, params = conflict_instance()
     with pytest.raises(NoComponents):
-        exhaustive_rules(replace(inst, components=(), groups={}), params)
+        exhaustive_rules(replace(inst, components=()), params)
     with pytest.raises(SingleClassTraining):
         exhaustive_rules(replace(inst, class_bits=0, n_pos=0, n_neg=100), params)
 

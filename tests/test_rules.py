@@ -101,7 +101,7 @@ def test_perfectly_correct_rule_identity():
         t = rules.Contingency(cover_count, 0, class_total - cover_count, 6)
         q = rules.quality(t, True, weight)
         assert q == weight + (1 - weight) * (cover_count / class_total)
-        assert q == rules.perfect_quality(cover_count, class_total, weight)
+        assert q == rules.score_tables(class_total, weight)[2][cover_count]
 
 
 @st.composite
@@ -137,7 +137,7 @@ def test_count_quality_is_quality_bit_for_bit(counts, weight):
         summed = ex_neg[n_tf] + cov_pos[n_tt] if target else ex_pos[n_tt] + cov_neg[n_tf]
         assert summed.hex() == got.hex()
     perfect = rules.score_tables(n_pos, weight)[2][n_tt]
-    assert perfect.hex() == rules.perfect_quality(n_tt, n_pos, weight).hex()
+    assert perfect.hex() == rules.count_quality(n_tt, 0, n_pos, 1, True, weight).hex()
 
 
 def test_quality_degenerate_distribution():
@@ -215,8 +215,9 @@ def test_floor_identity_and_counts():
     mism_pos, mism_neg = rules.mismatch_floors(p, 100, 50)
     # a perfect rule covering exactly 8 of 100 sits on the threshold and is kept
     assert floor_pos == 8
-    assert rules.perfect_quality(8, 100, 0.75) >= p.base_threshold
-    assert rules.perfect_quality(7, 100, 0.75) < p.base_threshold
+    perfect = rules.score_tables(100, 0.75)[2]
+    assert perfect[8] >= p.base_threshold
+    assert perfect[7] < p.base_threshold
     assert floor_neg == 4
     assert (mism_pos, mism_neg) == (0.02 * 100, 0.02 * 50)
 
@@ -238,7 +239,7 @@ def _floor_cases(draw):
     """(threshold, class_total, weight, start); thresholds often sit on a count's score."""
     total = draw(st.integers(1, 400))
     weight = draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1))
-    on = rules.perfect_quality(draw(st.integers(0, total)), total, weight)
+    on = rules.count_quality(draw(st.integers(0, total)), 0, total, 1, True, weight)
     threshold = draw(
         st.sampled_from((on, math.nextafter(on, -math.inf), math.nextafter(on, math.inf)))
         | st.floats(0, 2)
@@ -257,7 +258,7 @@ def _floor_cases(draw):
 @example((2.0, 10, 0.75, 11))  # start past the last count
 def test_min_cover_count_equals_the_linear_scan(case):
     # min_cover_count bisects the cached perfect-score table; the scan
-    # evaluates perfect_quality count by count.
+    # scores a perfect rule with count_quality count by count.
     assert rules.min_cover_count(*case) == linear_min_cover_count(*case)
 
 

@@ -28,6 +28,7 @@ Hand-checked expectations frozen here:
 import random
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -169,8 +170,12 @@ def test_keep_frac_one_accepts_only_ties_for_best():
 
 def test_component_relabeling_leaves_accepted_set_invariant():
     rng = random.Random(17)
-    for _ in range(20):
-        inst, params = random_instance(rng)
+    drawn = (random_instance(rng) for _ in range(20))
+    # Tictactoe with every cell as levels: up to 18 boundary groups, whose
+    # ids the shuffle scatters, so each group mask holds non-contiguous ids.
+    rows = sorted(random.Random(5).sample(range(958), 20))
+    every_cell = ((inst, QualityParams()) for inst in _tictactoe_level_rows(rows))
+    for inst, params in chain(drawn, every_cell):
         perm = list(range(inst.n_components))
         rng.shuffle(perm)
         base = search_local_rules(inst, params)
@@ -221,7 +226,7 @@ def test_nonzero_eps_runs_and_keeps_rules_sorted():
 
 def test_no_components_raises():
     inst, params = conflict_instance()
-    broken = replace(inst, components=(), groups={})
+    broken = replace(inst, components=())
     with pytest.raises(NoComponents):
         search_local_rules(broken, params)
 
@@ -320,6 +325,11 @@ def test_candidate_tails_match_the_reference_walk(seed, variant):
         assert out.rules == () and out.nodes_visited == inst.n_components
 
 
+def _grouped(inst) -> bool:
+    """Whether the instance holds a boundary component, hence a group."""
+    return any(c.group_key for c in inst.components)
+
+
 def test_varied_cases_exercise_every_path():
     """The property's instances reach groups, accepted rules and deep paths."""
     seen = {v: [0, 0, 0] for v in VARIANTS}  # grouped instances, with rules, max terms
@@ -327,7 +337,7 @@ def test_varied_cases_exercise_every_path():
         for v in VARIANTS:
             inst, params = _varied_case(seed, v)
             out = search_local_rules(inst, params)
-            seen[v][0] += bool(inst.groups)
+            seen[v][0] += _grouped(inst)
             seen[v][1] += bool(out.rules)
             seen[v][2] = max([seen[v][2]] + [len(r.term_ids) for r in out.rules])
     assert seen["level-heavy"][0] == 40
@@ -398,7 +408,7 @@ def test_workload_instances_match_the_reference_walk(workload, params):
     for inst in insts:
         out = search_local_rules(inst, params)
         assert out == reference_search(inst, params)
-        grouped += bool(inst.groups)
+        grouped += _grouped(inst)
         accepted += bool(out.rules)
     # eps=0.2 cuts more paths at a pure-enough node: monks2 accepts on 23 of 145 rows
     assert accepted >= len(insts) // (2 if params == QualityParams() else 8)
