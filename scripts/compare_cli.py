@@ -18,7 +18,8 @@ the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
 written once to a temporary directory, so both trees read the same file),
 `rules` on that dataset's rows 0, 5 and 17 with `--override '*=levels'
 --kappa 0.9` (which print bool, nominal, ordered and continuous level
-displays), tictactoe with `--override '*=levels'` (`evaluate`, `discretize`, and
+displays) and `discretize` with `--override '*=levels'` on it, tictactoe
+with `--override '*=levels'` (`evaluate`, `discretize`, and
 `rules` on rows 0, 5 and 17, which print the level displays of nominal
 attributes), k-fold `evaluate` on monks2 and on tictactoe with every cell
 as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
@@ -26,6 +27,13 @@ as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
 `--lambda 0` and `--lambda 1` (the weights at which one half of every score
 is zero), the usage and data error paths (a negative `--threads` for
 `evaluate` and `predict` among them), and `selftest --trials 300`.
+
+The data error paths include one run per malformed input that write_malformed
+puts in the temporary directory: a schema with an unknown kind, a non-boolean
+token, an undeclared class value, a header that does not match the schema, a
+field over the csv limit, `rules` on a row whose every cell is `?`, and
+`evaluate --loocv` with a one-row class. Every data error exits 2 with its
+message, so these runs compare each message byte for byte.
 """
 
 from __future__ import annotations
@@ -59,13 +67,41 @@ def write_continuous(directory: Path) -> list[str]:
     return ["--data", str(data), "--schema", str(schema)]
 
 
-def matrix(continuous: list[str]) -> list[list[str]]:
-    """Every run; continuous holds the --data/--schema flags of write_continuous."""
+def write_malformed(directory: Path) -> list[list[str]]:
+    """One failing run per malformed input, written as small files into directory."""
+    schema = "a: bool\nc: class {y,n}\n"
+    oversized = "T" * 140000  # one field over the csv module's limit
+    inputs = {
+        "kind": ("a,c\nT,y\nF,n\n", "a: frobnicate\nc: class {y,n}\n"),
+        "token": ("a,c\nT,y\nmaybe,n\n", schema),
+        "label": ("a,c\nT,y\nF,maybe\n", schema),
+        "header": ("c,a\ny,T\nn,F\n", schema),
+        "field": (f"a,c\nT,y\n{oversized},n\n", schema),
+        "blank": ("a,c\n?,?\nT,y\nF,n\n", schema),
+        "lone": ("a,c\nT,y\nF,n\nF,n\n", schema),
+    }
+    files = {}
+    for name, (csv_text, schema_text) in inputs.items():
+        data, schema_path = directory / f"{name}.csv", directory / f"{name}.schema"
+        data.write_text(csv_text, encoding="utf-8")
+        schema_path.write_text(schema_text, encoding="utf-8")
+        files[name] = ["--data", str(data), "--schema", str(schema_path)]
+    runs = [["predict", *files[name]] for name in ("kind", "token", "label", "header", "field")]
+    return runs + [["rules", *files["blank"]], ["evaluate", *files["lone"], "--loocv"]]
+
+
+def matrix(continuous: list[str], malformed: list[list[str]]) -> list[list[str]]:
+    """Every run.
+
+    continuous holds the --data/--schema flags of write_continuous, and
+    malformed the runs of write_malformed.
+    """
     runs = [
         ["evaluate", *continuous, "--threads", "1"],
         ["evaluate", *continuous, "--threads", "2"],
         ["evaluate", *continuous, "--loocv", "--threads", "2"],
         ["discretize", *continuous],
+        ["discretize", *continuous, "--override", "*=levels"],
     ]
     for row in ROWS:
         runs.append(["predict", *continuous, "--row", row, "--show-rules"])
@@ -108,7 +144,7 @@ def matrix(continuous: list[str]) -> list[list[str]]:
         ["selftest", "--trials", "0"],
         ["selftest", "--trials", "300"],
     ]
-    return runs
+    return runs + malformed
 
 
 def run(src: str, args: list[str]) -> tuple[int, str, str]:
@@ -135,7 +171,7 @@ def main(argv: list[str]) -> int:
     old_src, new_src = (str(Path(src).resolve()) for src in argv)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = matrix(write_continuous(Path(tmp)))
+        runs = matrix(write_continuous(Path(tmp)), write_malformed(Path(tmp)))
         for args in runs:
             old, new = run(old_src, args), run(new_src, args)
             parts = [

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from .data import (BOOL_KIND, CLASS_KIND, CONTINUOUS_KIND, IGNORE_KIND, NOMINAL_KIND,
-                   ORDERED_KIND, Attribute, Dataset, load_dataset)
+                   ORDERED_KIND, Attribute, Dataset, format_cell, load_dataset)
 from .discretize import build_grids
 from .encode import MODE_EXACT, MODE_LEVELS, attrs_needing_grids
 from .errors import BadParams, DataError
@@ -206,10 +206,7 @@ def _cmd_discretize(args) -> int:
     lines = _echo_lines(args, params)
     for i in wanted:
         attr = d.attributes[i]
-        shown = (
-            attr.values[y] if attr.values is not None else repr(y)
-            for y in grids.get(i, ())
-        )
+        shown = (format_cell(y, attr) for y in grids.get(i, ()))
         lines.append(f"{attr.name}: " + " ".join(shown))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

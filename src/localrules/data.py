@@ -21,15 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    BadValue,
-    EmptyInput,
-    IndexOutOfRange,
-    MalformedCsv,
-    NoClassColumn,
-    NonBinaryClass,
-    SchemaMismatch,
-)
+from .errors import DataError
 
 BOOL_KIND = "bool"
 NOMINAL_KIND = "nominal"
@@ -77,36 +69,36 @@ def parse_schema(schema_text: str) -> tuple[Attribute, ...]:
             continue
         name, sep, kind_spec = line.partition(":")
         if not sep or not name.strip():
-            raise SchemaMismatch(f"schema line {lineno}: expected 'name: kind'")
+            raise DataError(f"schema line {lineno}: expected 'name: kind'")
         name = name.strip()
         m = _KIND_RE.match(" ".join(kind_spec.split()))
         if not m:
-            raise SchemaMismatch(f"schema line {lineno}: unrecognized kind {kind_spec!r}")
+            raise DataError(f"schema line {lineno}: unrecognized kind {kind_spec!r}")
         kind, braces, inner = m.group(1), m.group(2), m.group(3)
         values: tuple[str, ...] | None = None
         if kind in _VALUED_KINDS:
             if braces is None:
-                raise SchemaMismatch(f"schema line {lineno}: {kind} needs a value list")
+                raise DataError(f"schema line {lineno}: {kind} needs a value list")
             values = tuple(v.strip() for v in inner.split(","))
             if any(not v for v in values):
-                raise SchemaMismatch(f"schema line {lineno}: empty value in list")
+                raise DataError(f"schema line {lineno}: empty value in list")
             if len(set(values)) != len(values):
-                raise SchemaMismatch(f"schema line {lineno}: duplicate value in list")
+                raise DataError(f"schema line {lineno}: duplicate value in list")
         elif braces is not None:
-            raise SchemaMismatch(f"schema line {lineno}: {kind} takes no value list")
+            raise DataError(f"schema line {lineno}: {kind} takes no value list")
         if kind == CLASS_KIND and len(values or ()) != 2:
-            raise NonBinaryClass(f"schema line {lineno}: class needs exactly 2 values")
+            raise DataError(f"schema line {lineno}: class needs exactly 2 values")
         attributes.append(Attribute(name=name, kind=kind, values=values))
     if not attributes:
-        raise EmptyInput("schema declares no attributes")
+        raise DataError("schema declares no attributes")
     names = [a.name for a in attributes]
     if len(set(names)) != len(names):
-        raise SchemaMismatch("duplicate attribute name in schema")
+        raise DataError("duplicate attribute name in schema")
     class_count = sum(1 for a in attributes if a.kind == CLASS_KIND)
     if class_count == 0:
-        raise NoClassColumn("schema declares no class attribute")
+        raise DataError("schema declares no class attribute")
     if class_count > 1:
-        raise SchemaMismatch("schema declares more than one class attribute")
+        raise DataError("schema declares more than one class attribute")
     return tuple(attributes)
 
 
@@ -120,24 +112,24 @@ def _parse_cell(token: str, attr: Attribute, where: str):
             return True
         if low in _FALSE_TOKENS:
             return False
-        raise BadValue(f"{where}: {token!r} is not a boolean token")
+        raise DataError(f"{where}: {token!r} is not a boolean token")
     if attr.kind == CONTINUOUS_KIND:
         try:
             x = float(token)
         except ValueError:
-            raise BadValue(f"{where}: {token!r} is not a number") from None
+            raise DataError(f"{where}: {token!r} is not a number") from None
         if not math.isfinite(x):
-            raise BadValue(f"{where}: {token!r} is not finite")
+            raise DataError(f"{where}: {token!r} is not finite")
         return x
     if attr.kind == CLASS_KIND:
         assert attr.values is not None
         if token not in attr.values:
-            raise NonBinaryClass(f"{where}: class value {token!r} not among {attr.values}")
+            raise DataError(f"{where}: class value {token!r} not among {attr.values}")
         return attr.values.index(token)
     if attr.kind in (NOMINAL_KIND, ORDERED_KIND):
         assert attr.values is not None
         if token not in attr.values:
-            raise BadValue(f"{where}: {token!r} not a declared {attr.kind} value")
+            raise DataError(f"{where}: {token!r} not a declared {attr.kind} value")
         return attr.values.index(token)
     assert attr.kind == IGNORE_KIND
     return token
@@ -146,7 +138,7 @@ def _parse_cell(token: str, attr: Attribute, where: str):
 def _csv_records(csv_text: str):
     """The CSV records in order: the header, then row 0, row 1, ...
 
-    A record the csv module cannot split raises MalformedCsv naming it.
+    A record the csv module cannot split raises DataError naming it.
     """
     reader = csv.reader(io.StringIO(csv_text))
     recno = -1  # the header
@@ -157,7 +149,7 @@ def _csv_records(csv_text: str):
             return
         except csv.Error as exc:
             where = "header" if recno < 0 else f"row {recno}"
-            raise MalformedCsv(f"{where} (line {reader.line_num}): {exc}") from None
+            raise DataError(f"{where} (line {reader.line_num}): {exc}") from None
         yield record
         recno += 1
 
@@ -169,21 +161,21 @@ def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
     records = _csv_records(csv_text)
     header = next(records, None)
     if header is None:
-        raise EmptyInput("CSV has no header row")
+        raise DataError("CSV has no header row")
     header = [h.strip() for h in header]
     names = [a.name for a in attributes]
     if header != names:
         unknown = [h for h in header if h not in names]
         if unknown:
-            raise SchemaMismatch(f"unknown column(s) in header: {unknown}")
-        raise SchemaMismatch(f"header {header} does not match schema order {names}")
+            raise DataError(f"unknown column(s) in header: {unknown}")
+        raise DataError(f"header {header} does not match schema order {names}")
 
     rows: list[tuple] = []
     for recno, record in enumerate(records):
         if not record:
             continue
         if len(record) != len(attributes):
-            raise SchemaMismatch(
+            raise DataError(
                 f"row {recno}: expected {len(attributes)} fields, got {len(record)}"
             )
         where_base = f"row {recno}"
@@ -194,10 +186,10 @@ def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
             )
         )
     if len(rows) < 2:
-        raise EmptyInput("need a prediction row plus at least one training row")
+        raise DataError("need a prediction row plus at least one training row")
     for n, row in enumerate(rows):
         if n != 0 and row[class_col] is None:
-            raise BadValue(f"row {n}: training row has a missing class value")
+            raise DataError(f"row {n}: training row has a missing class value")
     return Dataset(attributes=attributes, rows=tuple(rows), class_col=class_col)
 
 
@@ -220,7 +212,7 @@ def split_for_prediction(d: Dataset, row: int) -> tuple[tuple, list[tuple]]:
     Returns the original row tuples; the training list is a new list of them.
     """
     if not 0 <= row < len(d.rows):
-        raise IndexOutOfRange(f"row {row} out of range 0..{len(d.rows) - 1}")
+        raise DataError(f"row {row} out of range 0..{len(d.rows) - 1}")
     training = [r for i, r in enumerate(d.rows) if i != row]
     return d.rows[row], training
 
@@ -235,10 +227,10 @@ def load_dataset(data_path: str, schema_path: str) -> Dataset:
         with open(schema_path, "r", encoding="utf-8-sig") as fh:
             schema_text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaMismatch(f"cannot read schema file {schema_path}: {exc}") from None
+        raise DataError(f"cannot read schema file {schema_path}: {exc}") from None
     try:
         with open(data_path, "r", encoding="utf-8-sig") as fh:
             csv_text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise BadValue(f"cannot read data file {data_path}: {exc}") from None
+        raise DataError(f"cannot read data file {data_path}: {exc}") from None
     return parse_dataset(csv_text, schema_text)

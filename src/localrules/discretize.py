@@ -39,7 +39,7 @@ from .data import (
     ORDERED_KIND,
     Attribute,
 )
-from .errors import NonBinaryClass, WrongKind
+from .errors import DataError
 
 
 def _entropy(a: int, b: int) -> float:
@@ -123,7 +123,7 @@ class _Column:
     def __init__(self, values, labels):
         kinds = len(set(labels))
         if kinds > 2:
-            raise NonBinaryClass(f"entropy cuts need at most 2 label values, got {kinds}")
+            raise DataError(f"entropy cuts need at most 2 label values, got {kinds}")
         self.values, self.labels = values, labels
         self.first = labels[0] if labels else None  # the counted label
         order = sorted(range(len(values)), key=values.__getitem__)
@@ -343,7 +343,7 @@ class GridFitter:
                 col, position = self._column(attr)
                 grids[attr] = col.cuts(None if held_out is None else position[held_out])
             else:
-                raise WrongKind(f"attribute {a.name!r} is {a.kind}, which has no levels")
+                raise DataError(f"attribute {a.name!r} is {a.kind}, which has no levels")
         return grids
 
 

@@ -38,7 +38,7 @@ from .data import (
     Attribute,
     format_cell,
 )
-from .errors import BadValue, MissingGrid
+from .errors import DataError
 
 EXACT = "exact"
 LOWER = "lower"
@@ -67,13 +67,19 @@ class EncodedInstance:
     components: tuple[Component, ...]
     n_rows: int
     class_bits: int  # bit n set = training row n has the positive class
-    n_pos: int
-    n_neg: int
     class_labels: tuple[str, str]
 
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    @property
+    def n_pos(self) -> int:
+        return self.class_bits.bit_count()
+
+    @property
+    def n_neg(self) -> int:
+        return self.n_rows - self.n_pos
 
 
 def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) -> list[int]:
@@ -150,10 +156,10 @@ class TrainingIndex:
         return got
 
     def check_labeled(self, held_out: int | None = None) -> None:
-        """Raise BadValue naming an unlabeled row other than held_out."""
+        """Raise DataError naming an unlabeled row other than held_out."""
         for n in self.unlabeled:
             if n != held_out:
-                raise BadValue(f"row {n}: training row has a missing class value")
+                raise DataError(f"row {n}: training row has a missing class value")
 
     def encode(
         self, pred_row, grids: dict | None = None, held_out: int | None = None
@@ -189,15 +195,10 @@ class TrainingIndex:
                     Component(len(components), i, kind, _without(bits, held_out), display)
                 )
 
-        class_bits = _without(self.class_bits, held_out)
-        n = len(self.rows) - (held_out is not None)
-        n_pos = class_bits.bit_count()
         return EncodedInstance(
             components=tuple(components),
-            n_rows=n,
-            class_bits=class_bits,
-            n_pos=n_pos,
-            n_neg=n - n_pos,
+            n_rows=len(self.rows) - (held_out is not None),
+            class_bits=_without(self.class_bits, held_out),
             class_labels=self.class_labels,
         )
 
@@ -223,5 +224,5 @@ def encode(
         if grids is not None and i in grids:
             level_grids[i] = grids[i]
         elif pred_row[i] is not None:
-            raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
+            raise DataError(f"attribute {attributes[i].name!r} needs a level grid")
     return index.encode(pred_row, level_grids)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import get_context
 from random import Random
 
 from .data import Dataset
 from .encode import MODE_LEVELS
-from .errors import BadParams, BadValue, TooFewRows
+from .errors import BadParams, DataError
 from .predict import SOURCE_PRIOR, predict_encoded, query_encoder
 # Unused here, but perfbench/tracing.py wraps these names in this module too.
 from .predict import build_grids, encode, mask_class  # noqa: F401
@@ -77,11 +78,11 @@ def _rows_by_class(d: Dataset, least: int, what: str) -> tuple[list[int], list[i
     for i, row in enumerate(d.rows):
         g = row[d.class_col]
         if g is None:
-            raise BadValue(f"row {i} has no class label; evaluation needs labeled rows")
+            raise DataError(f"row {i} has no class label; evaluation needs labeled rows")
         by_class[g].append(i)
     for label, rows in zip(d.class_values, by_class):
         if len(rows) < least:
-            raise TooFewRows(f"class {label!r} has {len(rows)} rows, fewer than {least} {what}")
+            raise DataError(f"class {label!r} has {len(rows)} rows, fewer than {least} {what}")
     return by_class
 
 
@@ -108,11 +109,6 @@ def _call_worker(item):
     return _WORKER(item)
 
 
-def _outcome(inst, params):
-    p = predict_encoded(inst, params)
-    return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
-
-
 def available_cpus() -> int:
     counter = getattr(os, "process_cpu_count", os.cpu_count)
     return counter() or 1
@@ -137,11 +133,27 @@ def _run_pool(threads: int, worker, items) -> list:
         _WORKER = None
 
 
-def _confusion(rows, class_col: int, results) -> ConfusionCounts:
+def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, threads: int) -> list:
+    """(label, predicted target, nodes, fell back) per row, fold by fold.
+
+    encoders[f] encodes the rows of folds[f]; held_out says that they are
+    rows of its training split, to be left out of their own encoding.
+    """
+    items = [(f, row) for f, fold in enumerate(folds) for row in fold]
+
+    def predict_row(item):
+        f, row = item
+        p = predict_encoded(encoders[f](d.rows[row], row if held_out else None), params)
+        return d.rows[row][d.class_col], p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
+
+    return _run_pool(threads, predict_row, items)
+
+
+def _confusion(results) -> ConfusionCounts:
     """Counts of (row label, predicted target) pairs; every row is labeled."""
     counts = [[0, 0], [0, 0]]
-    for row, (target, _, _) in zip(rows, results):
-        counts[row[class_col]][0 if target else 1] += 1
+    for label, target, _, _ in results:
+        counts[label][0 if target else 1] += 1
     return ConfusionCounts(counts[0][0], counts[0][1], counts[1][0], counts[1][1])
 
 
@@ -161,20 +173,11 @@ def evaluate_cv(
         test_set = frozenset(fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
         encoders.append(query_encoder(d, training, mode, overrides))
-    items = [(f, row) for f, fold in enumerate(folds) for row in fold]
-
-    def predict_row(item):
-        fold, row = item
-        return _outcome(encoders[fold](d.rows[row]), params)
-
-    results = _run_pool(threads, predict_row, items)
+    results = _predict_rows(d, params, encoders, folds, False, threads)
     in_order = iter(results)  # each fold's tally takes its rows' results off the front
-    fold_counts = tuple(
-        _confusion([d.rows[i] for i in fold], d.class_col, in_order) for fold in folds
-    )
-    tested = [d.rows[row] for _, row in items]
+    fold_counts = tuple(_confusion(islice(in_order, len(fold))) for fold in folds)
     return _build_report(
-        d, params, "cv", mode, k, seed, overrides, fold_counts, tested, results, dataset_label
+        d, params, "cv", mode, k, seed, overrides, fold_counts, results, dataset_label
     )
 
 
@@ -188,22 +191,18 @@ def evaluate_loocv(
 ) -> EvaluationReport:
     # A class's lone row, held out, would leave a single-class training split.
     _rows_by_class(d, 2, "for leave-one-out")
-    encode_query = query_encoder(d, d.rows, mode, overrides)
-
-    def predict_row(row):
-        return _outcome(encode_query(d.rows[row], row), params)
-
-    results = _run_pool(threads, predict_row, range(len(d.rows)))
+    encoders = (query_encoder(d, d.rows, mode, overrides),)
+    results = _predict_rows(d, params, encoders, (range(len(d.rows)),), True, threads)
     return _build_report(
-        d, params, "loocv", mode, None, None, overrides, (), d.rows, results, dataset_label
+        d, params, "loocv", mode, None, None, overrides, (), results, dataset_label
     )
 
 
 def _build_report(
-    d, params, method, mode, k, seed, overrides, fold_counts, tested, results, label
+    d, params, method, mode, k, seed, overrides, fold_counts, results, label
 ) -> EvaluationReport:
-    """The report over results, the outcomes of the rows tested, in the same order."""
-    pooled = _confusion(tested, d.class_col, results)
+    """The report over results, the outcomes of the rows tested."""
+    pooled = _confusion(results)
     total = pooled.total
     return EvaluationReport(
         dataset_label=label,
@@ -218,8 +217,8 @@ def _build_report(
         folds=fold_counts,
         pooled=pooled,
         correctness=pooled.correct / total,
-        fallback_fraction=sum(fell_back for _, _, fell_back in results) / total,
-        mean_nodes=sum(nodes for _, nodes, _ in results) / total,
+        fallback_fraction=sum(fell_back for _, _, _, fell_back in results) / total,
+        mean_nodes=sum(nodes for _, _, nodes, _ in results) / total,
     )
 
 

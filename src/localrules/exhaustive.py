@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .encode import EncodedInstance
-from .errors import NoComponents, SingleClassTraining, TooManyComponents
+from .errors import DataError
 from .rules import QualityParams, Rule, make_rule, mismatch_floors
 
 MAX_COMPONENTS = 16
@@ -46,11 +46,11 @@ class OracleResult:
 def exhaustive_rules(inst: EncodedInstance, params: QualityParams) -> OracleResult:
     m = inst.n_components
     if m == 0:
-        raise NoComponents("prediction point yields no components")
+        raise DataError("prediction point yields no components")
     if m > MAX_COMPONENTS:
-        raise TooManyComponents(f"{m} components; reference enumeration allows {MAX_COMPONENTS}")
+        raise DataError(f"{m} components; reference enumeration allows {MAX_COMPONENTS}")
     if inst.n_pos == 0 or inst.n_neg == 0:
-        raise SingleClassTraining("training rows contain a single class")
+        raise DataError("training rows contain a single class")
 
     comps = inst.components
     class_bits = inst.class_bits

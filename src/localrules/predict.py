@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .data import Dataset, split_for_prediction
 from .discretize import GridFitter
 from .encode import MODE_LEVELS, EncodedInstance, TrainingIndex, attrs_needing_grids
-from .rules import Contingency, QualityParams, Rule, contingency, quality, select_target
+from .rules import QualityParams, Rule, make_rule
 from .search import SearchOutcome, search_local_rules
 
 # Per-query grid fits and encodings go through these names, so each can be
@@ -43,17 +43,10 @@ def mask_class(row: tuple, class_col: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class CombinedRule:
-    match_bits: int  # union over accepted rules
-    table: Contingency
-    target: bool
-    quality: float
-    accepted: bool
+class CombinedRule(Rule):
+    """The union of the accepted rules' match sets, scored as a rule without terms."""
 
-    @property
-    def correctness(self) -> float:
-        covered = self.table.n_tt if self.target else self.table.n_tf
-        return covered / self.table.n_match
+    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -82,11 +75,9 @@ def combine(
     union = 0
     for rule in rules:
         union |= rule.match_bits
-    table = contingency(union, class_bits, n_rows)
-    target = select_target(table)
-    q = quality(table, target, params.weight)
-    accepted = union != 0 and q >= params.base_threshold
-    return CombinedRule(union, table, target, q, accepted)
+    scored = make_rule((), union, class_bits, n_rows, params.weight)
+    accepted = union != 0 and scored.quality >= params.base_threshold
+    return CombinedRule(**vars(scored), accepted=accepted)
 
 
 def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:

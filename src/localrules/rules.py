@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .errors import BadParams, DegenerateClassDistribution, LengthMismatch
+from .errors import BadParams, DataError
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class Contingency:
     n_tf: int
     n_ft: int
     n_ff: int
-
-    @property
-    def n(self) -> int:
-        return self.n_tt + self.n_tf + self.n_ft + self.n_ff
 
     @property
     def n_pos(self) -> int:
@@ -55,7 +51,7 @@ class Contingency:
 
 def contingency(match_bits: int, class_bits: int, n_rows: int) -> Contingency:
     if match_bits >> n_rows or class_bits >> n_rows:
-        raise LengthMismatch(f"bit vector longer than {n_rows} rows")
+        raise DataError(f"bit vector longer than {n_rows} rows")
     n_tt = (match_bits & class_bits).bit_count()
     n_tf = match_bits.bit_count() - n_tt
     n_ft = class_bits.bit_count() - n_tt
@@ -119,7 +115,7 @@ def score_tables(
 def quality(t: Contingency, target: bool, weight: float) -> float:
     """Weighted exclusion/coverage score in [0, 1] for the given predicted class."""
     if t.n_pos == 0 or t.n_neg == 0:
-        raise DegenerateClassDistribution("both class values need training rows")
+        raise DataError("both class values need training rows")
     return count_quality(t.n_tt, t.n_tf, t.n_pos, t.n_neg, target, weight)
 
 
@@ -138,10 +134,6 @@ class Rule:
     @property
     def class_total(self) -> int:
         return self.table.n_pos if self.target else self.table.n_neg
-
-    @property
-    def coverage(self) -> float:
-        return self.cover_count / self.class_total
 
     @property
     def correctness(self) -> float:

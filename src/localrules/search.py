@@ -103,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .encode import EXACT, EncodedInstance
-from .errors import NoComponents, SingleClassTraining
+from .errors import DataError
 from .rules import (
     Contingency,
     QualityParams,
@@ -129,9 +129,10 @@ def _sorted_rules(found: list[Rule]) -> tuple[Rule, ...]:
 def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
     m = inst.n_components
     if m == 0:
-        raise NoComponents("prediction point yields no components")
-    if inst.n_pos == 0 or inst.n_neg == 0:
-        raise SingleClassTraining("training rows contain a single class")
+        raise DataError("prediction point yields no components")
+    n_pos, n_neg = inst.n_pos, inst.n_neg
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("training rows contain a single class")
 
     bits = [c.match_bits for c in inst.components]
     # Each component's boundary group as a component-id mask (0 for an exact
@@ -142,7 +143,6 @@ def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOu
             masks[c.attr, c.kind] = masks.get((c.attr, c.kind), 0) | 1 << c.cid
     group_mask = [masks.get((c.attr, c.kind), 0) for c in inst.components]
     class_bits = inst.class_bits
-    n_pos, n_neg = inst.n_pos, inst.n_neg
     weight = params.weight
     keep = params.keep_frac
     max_terms = params.max_terms

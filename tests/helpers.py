@@ -18,7 +18,7 @@ from localrules.encode import (
     Component,
     EncodedInstance,
 )
-from localrules.errors import MissingGrid, NoComponents, SingleClassTraining
+from localrules.errors import DataError
 from localrules.rules import (
     Contingency,
     QualityParams,
@@ -290,7 +290,7 @@ def reference_encode(
         )
     for i in level_cols:
         if grids is None or i not in grids:
-            raise MissingGrid(f"attribute {attributes[i].name!r} needs a level grid")
+            raise DataError(f"attribute {attributes[i].name!r} needs a level grid")
         components.extend(
             _level_components(
                 len(components), i, attributes[i], pred_row[i], grids[i], training_rows
@@ -304,7 +304,6 @@ def reference_encode(
         assert g is not None, "training rows must be labeled"
         if g == 0:
             class_bits |= 1 << row_index
-    n_pos = class_bits.bit_count()
 
     class_values = attributes[class_col].values
     assert class_values is not None
@@ -312,8 +311,6 @@ def reference_encode(
         components=tuple(components),
         n_rows=n,
         class_bits=class_bits,
-        n_pos=n_pos,
-        n_neg=n - n_pos,
         class_labels=(class_values[0], class_values[1]),
     )
 
@@ -340,9 +337,9 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
     """The reference counterpart of search.search_local_rules."""
     m = inst.n_components
     if m == 0:
-        raise NoComponents("prediction point yields no components")
+        raise DataError("prediction point yields no components")
     if inst.n_pos == 0 or inst.n_neg == 0:
-        raise SingleClassTraining("training rows contain a single class")
+        raise DataError("training rows contain a single class")
 
     comps = inst.components
     class_bits = inst.class_bits

@@ -280,7 +280,7 @@ def test_wildcard_override_covers_every_attribute(tmp_path, capsys):
     assert "overrides=*=levels,size=exact" in out
     # the wildcard put the boolean attribute in level mode; the later
     # specific flag pulled the continuous one back out
-    assert "flag: False True" in out
+    assert "flag: F T" in out
     assert "size:" not in out
 
 

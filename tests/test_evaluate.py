@@ -7,7 +7,7 @@ import pytest
 
 from localrules import evaluate
 from localrules.data import Attribute, Dataset
-from localrules.errors import BadParams, BadValue, TooFewRows
+from localrules.errors import BadParams, DataError
 from localrules.evaluate import (
     ConfusionCounts,
     evaluate_cv,
@@ -90,19 +90,19 @@ def test_same_seed_same_folds():
 
 
 def test_fold_guards():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="^class 'yes' has 2 rows, fewer than 3 folds$"):
         stratified_kfold(_dataset([0] * 2 + [1] * 9), 3, seed=1)
     with pytest.raises(BadParams):
         stratified_kfold(_dataset([0] * 5 + [1] * 5), 1, seed=1)
-    with pytest.raises(BadValue):
+    with pytest.raises(DataError, match="^row 5 has no class label; evaluation needs"):
         stratified_kfold(_dataset([0] * 5 + [None] + [1] * 5), 2, seed=1)
 
 
 def test_unlabeled_row_is_the_same_error_in_both_evaluate_modes():
     d = _dataset([0] * 5 + [None] + [1] * 5, extra_cols=1)
-    with pytest.raises(BadValue, match="^row 5 has no class label; evaluation needs"):
+    with pytest.raises(DataError, match="^row 5 has no class label; evaluation needs"):
         evaluate_cv(d, QualityParams(), k=2)
-    with pytest.raises(BadValue, match="^row 5 has no class label; evaluation needs"):
+    with pytest.raises(DataError, match="^row 5 has no class label; evaluation needs"):
         evaluate_loocv(d, QualityParams())
 
 
@@ -205,7 +205,7 @@ def test_loocv_runs_past_six_hundred_rows():
 
 def test_degenerate_two_row_dataset_is_too_few_rows_for_loocv():
     d = _dataset([0, 1], extra_cols=1)
-    with pytest.raises(TooFewRows, match=r"^class 'yes' has 1 rows, .*leave-one-out"):
+    with pytest.raises(DataError, match=r"^class 'yes' has 1 rows, .*leave-one-out"):
         evaluate_loocv(d, QualityParams())
 
 

@@ -21,7 +21,7 @@ from helpers import conflict_instance, random_instance
 from localrules.data import Attribute
 from localrules.discretize import build_grids
 from localrules.encode import Component, EncodedInstance, encode
-from localrules.errors import NoComponents, SingleClassTraining, TooManyComponents
+from localrules.errors import DataError
 from localrules.exhaustive import MAX_COMPONENTS, exhaustive_rules
 from localrules.rules import QualityParams
 
@@ -70,20 +70,19 @@ def test_component_cap():
         components=comps,
         n_rows=2,
         class_bits=1,
-        n_pos=1,
-        n_neg=1,
         class_labels=("y", "n"),
     )
-    with pytest.raises(TooManyComponents):
+    cap = f"^{MAX_COMPONENTS + 1} components; reference enumeration allows {MAX_COMPONENTS}$"
+    with pytest.raises(DataError, match=cap):
         exhaustive_rules(inst, QualityParams())
 
 
 def test_guard_errors():
     inst, params = conflict_instance()
-    with pytest.raises(NoComponents):
+    with pytest.raises(DataError, match="^prediction point yields no components$"):
         exhaustive_rules(replace(inst, components=()), params)
-    with pytest.raises(SingleClassTraining):
-        exhaustive_rules(replace(inst, class_bits=0, n_pos=0, n_neg=100), params)
+    with pytest.raises(DataError, match="^training rows contain a single class$"):
+        exhaustive_rules(replace(inst, class_bits=0), params)
 
 
 def test_rules_sorted_by_quality_then_ids():

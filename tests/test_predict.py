@@ -14,7 +14,7 @@ import pytest
 from helpers import conflict_instance, random_instance, reference_encode
 from localrules.data import Attribute, Dataset, split_for_prediction
 from localrules.discretize import build_grids
-from localrules.errors import IndexOutOfRange
+from localrules.errors import DataError
 from localrules.encode import attrs_needing_grids, encode
 from localrules.evaluate import stratified_kfold
 from localrules.predict import (
@@ -253,7 +253,8 @@ def test_predict_for_row_reuses_its_encoder_only_for_the_same_query_setup():
             shared.clear()
             check(ds, row, "exact", shared)
         for bad in (-1, len(d.rows)):  # the kept encoder is d's, warm
-            with pytest.raises(IndexOutOfRange):
+            out_of_range = f"^row {bad} out of range 0\\.\\.{len(d.rows) - 1}$"
+            with pytest.raises(DataError, match=out_of_range):
                 predict_for_row(d, bad, params, "exact", shared)
 
 

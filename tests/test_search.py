@@ -48,7 +48,7 @@ from localrules.data import Attribute, load_dataset, parse_dataset
 from localrules.discretize import build_grids
 from localrules.encode import attrs_needing_grids, encode
 from localrules.evaluate import stratified_kfold
-from localrules.errors import NoComponents, SingleClassTraining
+from localrules.errors import DataError
 from localrules.exhaustive import exhaustive_rules
 from localrules.predict import encode_row, query_encoder
 from localrules.rules import QualityParams
@@ -227,14 +227,14 @@ def test_nonzero_eps_runs_and_keeps_rules_sorted():
 def test_no_components_raises():
     inst, params = conflict_instance()
     broken = replace(inst, components=())
-    with pytest.raises(NoComponents):
+    with pytest.raises(DataError, match="^prediction point yields no components$"):
         search_local_rules(broken, params)
 
 
 def test_single_class_training_raises():
     inst, params = conflict_instance()
-    broken = replace(inst, class_bits=0, n_pos=0, n_neg=inst.n_rows)
-    with pytest.raises(SingleClassTraining):
+    broken = replace(inst, class_bits=0)
+    with pytest.raises(DataError, match="^training rows contain a single class$"):
         search_local_rules(broken, params)
 
 
