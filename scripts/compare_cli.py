@@ -16,6 +16,10 @@ one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
 on rows 0, 5 and 17, `discretize`), the same commands in levels mode on
 the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
 written once to a temporary directory, so both trees read the same file),
+`evaluate --loocv` on that dataset at one worker as well (the benchmark's
+configuration), k-fold and leave-one-out `evaluate` at one worker on monks2
+cut to `a1, a2, a5` (written to the temporary directory by write_cut; most
+of its rows share their projection, so most of their searches are shared),
 `rules` on that dataset's rows 0, 5 and 17 with `--override '*=levels'
 --kappa 0.9` (which print bool, nominal, ordered and continuous level
 displays) and `discretize` with `--override '*=levels'` on it, tictactoe
@@ -26,7 +30,8 @@ as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
 0.5`, `--max-depth 2` (search branches the default flags rarely take),
 `--lambda 0` and `--lambda 1` (the weights at which one half of every score
 is zero), the usage and data error paths (a negative `--threads` for
-`evaluate` and `predict` among them), and `selftest --trials 300`.
+`evaluate` and `predict` among them, and `--folds` given with `--loocv`),
+and `selftest --trials 300`.
 
 The data error paths include one run per malformed input that write_malformed
 puts in the temporary directory: a schema with an unknown kind, a non-boolean
@@ -38,6 +43,7 @@ message, so these runs compare each message byte for byte.
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -67,6 +73,20 @@ def write_continuous(directory: Path) -> list[str]:
     return ["--data", str(data), "--schema", str(schema)]
 
 
+def write_cut(directory: Path, name: str, keep: tuple[str, ...]) -> list[str]:
+    """Dataset name with only the columns in keep, as files in directory."""
+    header, *rows = csv.reader((DATA / f"{name}.csv").read_text(encoding="utf-8").splitlines())
+    schema = (DATA / f"{name}.schema").read_text(encoding="utf-8").splitlines()
+    kept = [line for line in schema if line.split(":")[0] in keep]
+    names = [line.split(":")[0] for line in kept]
+    cols = [header.index(n) for n in names]
+    lines = [",".join(names)] + [",".join(row[i] for i in cols) for row in rows]
+    data, schema_path = directory / f"{name}-cut.csv", directory / f"{name}-cut.schema"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    return ["--data", str(data), "--schema", str(schema_path)]
+
+
 def write_malformed(directory: Path) -> list[list[str]]:
     """One failing run per malformed input, written as small files into directory."""
     schema = "a: bool\nc: class {y,n}\n"
@@ -90,16 +110,19 @@ def write_malformed(directory: Path) -> list[list[str]]:
     return runs + [["rules", *files["blank"]], ["evaluate", *files["lone"], "--loocv"]]
 
 
-def matrix(continuous: list[str], malformed: list[list[str]]) -> list[list[str]]:
+def matrix(continuous: list[str], cut: list[str], malformed: list[list[str]]) -> list[list[str]]:
     """Every run.
 
-    continuous holds the --data/--schema flags of write_continuous, and
-    malformed the runs of write_malformed.
+    continuous and cut hold the --data/--schema flags of write_continuous
+    and write_cut, and malformed the runs of write_malformed.
     """
     runs = [
         ["evaluate", *continuous, "--threads", "1"],
         ["evaluate", *continuous, "--threads", "2"],
+        ["evaluate", *continuous, "--loocv", "--threads", "1"],
         ["evaluate", *continuous, "--loocv", "--threads", "2"],
+        ["evaluate", *cut, "--threads", "1"],
+        ["evaluate", *cut, "--loocv", "--threads", "1"],
         ["discretize", *continuous],
         ["discretize", *continuous, "--override", "*=levels"],
     ]
@@ -136,6 +159,7 @@ def matrix(continuous: list[str], malformed: list[list[str]]) -> list[list[str]]
         ["no-such-command"],
         ["evaluate", *monks, "--kappa", "0"],
         ["evaluate", *monks, "--threads", "-1"],
+        ["evaluate", *monks, "--loocv", "--folds", "5"],
         ["predict", *monks, "--threads", "-7"],
         ["predict", *monks, "--override", "ghost=exact"],
         ["predict", *monks, "--row", "999"],
@@ -171,7 +195,12 @@ def main(argv: list[str]) -> int:
     old_src, new_src = (str(Path(src).resolve()) for src in argv)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = matrix(write_continuous(Path(tmp)), write_malformed(Path(tmp)))
+        directory = Path(tmp)
+        runs = matrix(
+            write_continuous(directory),
+            write_cut(directory, "monks2", ("a1", "a2", "a5", "c")),
+            write_malformed(directory),
+        )
         for args in runs:
             old, new = run(old_src, args), run(new_src, args)
             parts = [

@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="cross-validated average correctness")
     _add_param_flags(p)
-    p.add_argument("--folds", type=int, default=3, help="fold count (default 3)")
-    p.add_argument("--seed", type=int, default=1, help="shuffle seed (default 1)")
+    # None tells an unset flag apart, so --loocv can reject a given one.
+    p.add_argument("--folds", type=int, default=None, help="fold count (default 3)")
+    p.add_argument("--seed", type=int, default=None, help="shuffle seed (default 1)")
     p.add_argument("--loocv", action="store_true", help="leave-one-out instead of k-fold")
 
     p = sub.add_parser("discretize", help="print induced grids per attribute")
@@ -185,12 +186,16 @@ def _cmd_evaluate(args) -> int:
     label = Path(args.data).stem
     started = time.perf_counter()
     if args.loocv:
+        for flag, value in (("--folds", args.folds), ("--seed", args.seed)):
+            if value is not None:
+                raise BadParams(f"{flag} does not apply to --loocv")
         report = evaluate_loocv(
             d, params, args.mode, overrides, threads, dataset_label=label
         )
     else:
         report = evaluate_cv(
-            d, params, args.folds, args.seed, args.mode, overrides, threads,
+            d, params, 3 if args.folds is None else args.folds,
+            1 if args.seed is None else args.seed, args.mode, overrides, threads,
             dataset_label=label,
         )
     text = f"data={args.data}\nschema={args.schema}\n" + render_report(report)

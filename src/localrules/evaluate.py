@@ -10,9 +10,39 @@ encoding. Leave-one-out uses one encoder over all rows: a held-out row is a
 bit dropped from the index and a member taken out of the grid fit's value
 groups, which are sorted once per evaluation.
 
+Rows of one evaluation whose queries encode alike share one search. The
+paper's local rules are the projection of the global rules onto the event
+to classify, and two rows have the same projection when, within one training
+split, they encode to the same components. Each _predict_rows call keys its
+rows by (fold index, n_pos, component displays): the first row with a key is
+searched and combined through predict_encoded, and later rows with that key
+take its (target, nodes visited, fell back). A row's label always comes from
+its own cells, and its grid fit and encoding still run, since the key is
+built from them. The dict lives for one call only, so repeated evaluations
+and the single-row paths share nothing. Sharing is sound:
+
+- k-fold: rows of one fold go through one encoder, and equal displays are
+  equal components with equal match sets, so the two instances are equal
+  field for field.
+- Leave-one-out: a held-out row lies in the match set of each of its own
+  components; it agrees with itself on ==, <= and >, a missing cell drops
+  its attribute, and parsing rejects non-finite floats. Take rows p and p'
+  with equal displays and equal n_pos, which means the same class. Both
+  satisfy every one of those components, so swapping p and p' maps every
+  component's match set, and the class bits, of one instance onto the
+  other's. The search reads only counts and set operations, so it returns
+  the same term ids, targets, qualities, best quality, final threshold and
+  node count; only match bits are renumbered. combine's counts, and with
+  them the target, probability and source, are equal too.
+- A display names one (attribute, side, level): schemas reject duplicate
+  attribute names and duplicate declared values, and continuous levels
+  print with repr.
+
 All test rows of an evaluation are independent and may be predicted by one
-pool of worker processes. The merge preserves row order and all accumulators
-are integers, so the rendered report is byte-identical for any worker count.
+pool of worker processes. Each forked worker fills its own dict, so rows
+share a search only within one worker's chunks. The merge preserves row
+order and all accumulators are integers, so the rendered report is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -137,14 +167,23 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, threads: 
     """(label, predicted target, nodes, fell back) per row, fold by fold.
 
     encoders[f] encodes the rows of folds[f]; held_out says that they are
-    rows of its training split, to be left out of their own encoding.
+    rows of its training split, to be left out of their own encoding. Rows
+    with one projection share one search (see the module docstring).
     """
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
+    searched: dict[tuple, tuple] = {}  # projection -> (target, nodes, fell back)
 
     def predict_row(item):
         f, row = item
-        p = predict_encoded(encoders[f](d.rows[row], row if held_out else None), params)
-        return d.rows[row][d.class_col], p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
+        inst = encoders[f](d.rows[row], row if held_out else None)
+        key = (f, inst.n_pos, *(c.display for c in inst.components))
+        outcome = searched.get(key)
+        if outcome is None:
+            p = predict_encoded(inst, params)
+            outcome = searched[key] = (
+                p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
+            )
+        return (d.rows[row][d.class_col], *outcome)
 
     return _run_pool(threads, predict_row, items)
 

@@ -19,6 +19,7 @@ from localrules.encode import (
     EncodedInstance,
 )
 from localrules.errors import DataError
+from localrules.predict import SOURCE_PRIOR, predict_encoded, query_encoder
 from localrules.rules import (
     Contingency,
     QualityParams,
@@ -419,3 +420,27 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
     final = max(params.base_threshold, keep * best)
     kept = [r for r in found if r.quality >= final]
     return SearchOutcome(_sorted_rules(kept), best, final, visits)
+
+
+def unshared_outcomes(d: Dataset, params: QualityParams, folds, held_out: bool, mode=MODE_LEVELS):
+    """The reference for evaluate's shared searches: each row searched on its own.
+
+    Returns (label, predicted target, nodes, fell back) per row of folds,
+    fold by fold, as the evaluators tally them, and the number of distinct
+    (fold, n_pos, displays) keys among the rows' encodings. Every row is
+    encoded through predict.query_encoder, over its fold's training rows
+    (held_out False) or over all rows with itself held out, and predicted by
+    predict_encoded.
+    """
+    outcomes, keys = [], set()
+    for f, fold in enumerate(folds):
+        test_set = frozenset(() if held_out else fold)
+        training = [row for i, row in enumerate(d.rows) if i not in test_set]
+        encode_query = query_encoder(d, training, mode)
+        for row in fold:
+            inst = encode_query(d.rows[row], row if held_out else None)
+            p = predict_encoded(inst, params)
+            label = d.rows[row][d.class_col]
+            outcomes.append((label, p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR))
+            keys.add((f, inst.n_pos, *(c.display for c in inst.components)))
+    return outcomes, len(keys)

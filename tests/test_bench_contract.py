@@ -18,6 +18,8 @@ from localrules.data import Attribute, Dataset
 from localrules.evaluate import evaluate_loocv
 from localrules.rules import QualityParams
 
+from helpers import unshared_outcomes
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402  (found through the path entry above)
 import workloads  # noqa: E402
@@ -64,7 +66,12 @@ def test_traced_loocv_records_every_required_layer():
     fits = [span for span in tr.spans if span[0] == "discretize.fit"]
     assert len(fits) == len(d.rows)
     assert tr.counts["discretize.calls"] == len(d.rows)
-    assert tr.counts["predict.queries"] == len(d.rows)
+    assert tr.counts["encode.calls"] == len(d.rows)
+    # Every row is fitted and encoded, but rows with one projection share a
+    # search and its combine: one predict.queries count per distinct key.
+    _, n_projections = unshared_outcomes(d, params, (range(len(d.rows)),), held_out=True)
+    searches = [span for span in tr.spans if span[0] == "search"]
+    assert tr.counts["predict.queries"] == n_projections == len(searches)
     untraced = evaluate_loocv(d, params, threads=1)
     assert (traced.pooled, traced.mean_nodes) == (untraced.pooled, untraced.mean_nodes)
 

@@ -121,6 +121,19 @@ def test_evaluate_loocv_flag(tmp_path, capsys):
     assert "tests=12" in out
 
 
+@pytest.mark.parametrize("flag", [["--folds", "10"], ["--seed", "3"], ["--folds", "3"]])
+def test_loocv_rejects_the_k_fold_flags(tmp_path, capsys, flag):
+    data, schema = _write_copy_class(tmp_path, n=12)
+    files = ["--data", data, "--schema", schema]
+    code, out, err = _run(["evaluate", *files, "--loocv", *flag], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag[0]} does not apply to --loocv\n"
+    # Unset, both flags still default to 3 folds and seed 1 for k-fold.
+    code, out, _ = _run(["evaluate", *files], capsys)
+    assert code == 0
+    assert "folds=3\nseed=1\n" in out
+
+
 def test_discretize_prints_cut_lists(tmp_path, capsys):
     data, schema = _write_copy_class(tmp_path)
     code, out, _ = _run(["discretize", "--data", data, "--schema", schema], capsys)

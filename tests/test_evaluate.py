@@ -1,12 +1,13 @@
 """Stratified folds, confusion pooling, leave-one-out, report rendering."""
 
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from localrules import evaluate
-from localrules.data import Attribute, Dataset
+from localrules.data import Attribute, Dataset, load_dataset
 from localrules.errors import BadParams, DataError
 from localrules.evaluate import (
     ConfusionCounts,
@@ -18,6 +19,8 @@ from localrules.evaluate import (
 )
 from localrules.predict import SOURCE_PRIOR, predict_for_row
 from localrules.rules import QualityParams
+
+from helpers import unshared_outcomes
 
 TWO_CLASS = ("yes", "no")
 
@@ -157,6 +160,60 @@ def test_loocv_report_is_identical_for_any_worker_count():
     assert render_report(serial) == render_report(parallel)
     assert serial.pooled == parallel.pooled
     assert serial.mean_nodes > 0
+
+
+def _cut(name, keep):
+    """The shipped dataset name with only the attributes in keep, and its class."""
+    data = Path(__file__).resolve().parents[1] / "data"
+    d = load_dataset(data / f"{name}.csv", data / f"{name}.schema")
+    cols = [i for i, a in enumerate(d.attributes) if a.name in keep] + [d.class_col]
+    rows = tuple(tuple(row[i] for i in cols) for row in d.rows)
+    return Dataset(tuple(d.attributes[i] for i in cols), rows, len(cols) - 1)
+
+
+_SHARING_DATASETS = {
+    "monks1[a1,a2]": lambda: _cut("monks1", ("a1", "a2")),
+    "monks2[a1,a2,a5]": lambda: _cut("monks2", ("a1", "a2", "a5")),
+    "noisy": _noisy_dataset,
+    "continuous": _continuous_dataset,
+}
+_SHARING_PARAMS = (
+    QualityParams(),
+    QualityParams(eps=0.2),
+    QualityParams(keep_frac=0.5, min_mism=0.0),
+)
+
+
+@pytest.mark.parametrize("k", [2, 3, None], ids=["2-fold", "3-fold", "loocv"])
+@pytest.mark.parametrize("name", sorted(_SHARING_DATASETS))
+def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
+    """Shared searches give each row what its own search gives, at 1 and 2 workers."""
+    d = _SHARING_DATASETS[name]()
+    folds = (range(len(d.rows)),) if k is None else stratified_kfold(d, k, seed=1)
+
+    def run(params, threads):
+        if k is None:
+            return evaluate_loocv(d, params, threads=threads)
+        return evaluate_cv(d, params, k=k, seed=1, threads=threads)
+
+    for params in _SHARING_PARAMS:
+        want, n_projections = unshared_outcomes(d, params, folds, held_out=k is None)
+        assert n_projections < len(d.rows)  # some rows do share a search
+        # The report the evaluator renders from the unshared outcomes.
+        with mock.patch.object(evaluate, "_predict_rows", return_value=want):
+            want_text = render_report(run(params, 1))
+        for threads in (1, 2):
+            with mock.patch.object(evaluate, "available_cpus", return_value=2), \
+                    mock.patch.object(evaluate, "_build_report",
+                                      wraps=evaluate._build_report) as build, \
+                    mock.patch.object(evaluate, "predict_encoded",
+                                      wraps=evaluate.predict_encoded) as searches:
+                text = render_report(run(params, threads))
+            tallied = build.call_args.args[8]  # the outcomes the report counts
+            assert tallied == want, (params, threads)
+            assert text == want_text, (params, threads)
+            if threads == 1:  # forked workers count their calls in their own copy
+                assert searches.call_count == n_projections
 
 
 def test_in_process_runs_release_the_worker_state():
