@@ -30,15 +30,16 @@ as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
 0.5`, `--max-depth 2` (search branches the default flags rarely take),
 `--lambda 0` and `--lambda 1` (the weights at which one half of every score
 is zero), the usage and data error paths (a negative `--threads` for
-`evaluate` and `predict` among them, and `--folds` given with `--loocv`),
-and `selftest --trials 300`.
+`evaluate` and `predict` among them, `--folds` given with `--loocv`, and an
+`--override` of the class column), and `selftest --trials 300`.
 
-The data error paths include one run per malformed input that write_malformed
-puts in the temporary directory: a schema with an unknown kind, a non-boolean
-token, an undeclared class value, a header that does not match the schema, a
-field over the csv limit, `rules` on a row whose every cell is `?`, and
-`evaluate --loocv` with a one-row class. Every data error exits 2 with its
-message, so these runs compare each message byte for byte.
+write_small puts small inputs in the temporary directory. The data error
+paths include one run per malformed one: a schema with an unknown kind, a
+non-boolean token, an undeclared class value, a header that does not match
+the schema, a field over the csv limit, and `evaluate --loocv` with a
+one-row class. Every data error exits 2 with its message, so these runs
+compare each message byte for byte. One more input has a row 0 whose every
+cell is `?`; `predict` and `rules` on it answer with no rules and 0 nodes.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def write_cut(directory: Path, name: str, keep: tuple[str, ...]) -> list[str]:
     return ["--data", str(data), "--schema", str(schema_path)]
 
 
-def write_malformed(directory: Path) -> list[list[str]]:
-    """One failing run per malformed input, written as small files into directory."""
+def write_small(directory: Path) -> list[list[str]]:
+    """The runs on small inputs, written as files into directory."""
     schema = "a: bool\nc: class {y,n}\n"
     oversized = "T" * 140000  # one field over the csv module's limit
     inputs = {
@@ -107,14 +108,15 @@ def write_malformed(directory: Path) -> list[list[str]]:
         schema_path.write_text(schema_text, encoding="utf-8")
         files[name] = ["--data", str(data), "--schema", str(schema_path)]
     runs = [["predict", *files[name]] for name in ("kind", "token", "label", "header", "field")]
-    return runs + [["rules", *files["blank"]], ["evaluate", *files["lone"], "--loocv"]]
+    runs.append(["evaluate", *files["lone"], "--loocv"])
+    return runs + [["predict", *files["blank"]], ["rules", *files["blank"]]]
 
 
-def matrix(continuous: list[str], cut: list[str], malformed: list[list[str]]) -> list[list[str]]:
+def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> list[list[str]]:
     """Every run.
 
     continuous and cut hold the --data/--schema flags of write_continuous
-    and write_cut, and malformed the runs of write_malformed.
+    and write_cut, and small the runs of write_small.
     """
     runs = [
         ["evaluate", *continuous, "--threads", "1"],
@@ -162,13 +164,14 @@ def matrix(continuous: list[str], cut: list[str], malformed: list[list[str]]) ->
         ["evaluate", *monks, "--loocv", "--folds", "5"],
         ["predict", *monks, "--threads", "-7"],
         ["predict", *monks, "--override", "ghost=exact"],
+        ["evaluate", *monks, "--override", "c=exact"],
         ["predict", *monks, "--row", "999"],
         ["predict", *missing],
         ["rules", *missing, "--lambda", "5"],
         ["selftest", "--trials", "0"],
         ["selftest", "--trials", "300"],
     ]
-    return runs + malformed
+    return runs + small
 
 
 def run(src: str, args: list[str]) -> tuple[int, str, str]:
@@ -199,7 +202,7 @@ def main(argv: list[str]) -> int:
         runs = matrix(
             write_continuous(directory),
             write_cut(directory, "monks2", ("a1", "a2", "a5", "c")),
-            write_malformed(directory),
+            write_small(directory),
         )
         for args in runs:
             old, new = run(old_src, args), run(new_src, args)

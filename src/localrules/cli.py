@@ -101,6 +101,8 @@ def _parse_overrides(specs, attributes: tuple[Attribute, ...]):
             overrides.update((i, mode) for i in range(len(attributes)) if i not in skip)
         elif name not in names:
             raise BadParams(f"override names unknown attribute {name!r}")
+        elif names[name] in skip:
+            raise BadParams(f"override names {name!r}, which is not encoded")
         else:
             overrides[names[name]] = mode
     return overrides

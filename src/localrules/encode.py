@@ -38,7 +38,7 @@ from .data import (
     Attribute,
     format_cell,
 )
-from .errors import DataError
+from .errors import BadParams, DataError
 
 EXACT = "exact"
 LOWER = "lower"
@@ -49,7 +49,6 @@ MODE_LEVELS = "levels"
 
 
 class Component(NamedTuple):
-    cid: int
     attr: int
     kind: str  # EXACT, LOWER, or UPPER
     match_bits: int
@@ -85,6 +84,9 @@ class EncodedInstance:
 def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) -> list[int]:
     """Level-mode attributes: per overrides, else ordered and continuous ones in levels mode."""
     overrides = overrides or {}
+    for given in (mode, *overrides.values()):
+        if given not in (MODE_EXACT, MODE_LEVELS):
+            raise BadParams(f"mode must be {MODE_EXACT!r} or {MODE_LEVELS!r}, got {given!r}")
     return [
         i
         for i, a in enumerate(attributes)
@@ -170,9 +172,9 @@ class TrainingIndex:
         indexed: every bitset loses bit n and the bits above it move down.
         grids maps each level-mode attribute index -> ascending level tuple
         (empty tuple = the attribute contributes nothing); every other
-        attribute is compared for equality. Component ids are dense and
-        canonically ordered: equality components first by attribute, then
-        boundary components by (attribute, level).
+        attribute is compared for equality. A component's id is its
+        position, and the order is canonical: equality components first by
+        attribute, then boundary components by (attribute, level).
         """
         self.check_labeled(held_out)
         grids = grids or {}
@@ -183,7 +185,7 @@ class TrainingIndex:
                 continue
             bits, display = self._entry(eq, i, v0)
             bits = _without(bits, held_out)
-            components.append(Component(len(components), i, EXACT, bits, display))
+            components.append(Component(i, EXACT, bits, display))
         for i in sorted(grids):
             v0 = pred_row[i]
             if v0 is None:
@@ -192,7 +194,7 @@ class TrainingIndex:
                 kind, op = (UPPER, le) if v0 <= y else (LOWER, gt)
                 bits, display = self._entry(op, i, y)
                 components.append(
-                    Component(len(components), i, kind, _without(bits, held_out), display)
+                    Component(i, kind, _without(bits, held_out), display)
                 )
 
         return EncodedInstance(

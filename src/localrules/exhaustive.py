@@ -21,32 +21,24 @@ Group exclusivity is part of the rule-space definition rather than a prune
 (two same-side components of one attribute collapse into one, so such sets
 are duplicates of smaller sets), which keeps set equality with the search
 well-defined.
+
+It returns the search's rules.SearchOutcome, whose nodes_visited counts the
+term sets examined; a query without components examines none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .encode import EncodedInstance
 from .errors import DataError
-from .rules import QualityParams, Rule, make_rule, mismatch_floors
+from .rules import QualityParams, Rule, SearchOutcome, make_rule, mismatch_floors
 
 MAX_COMPONENTS = 16
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    rules: tuple[Rule, ...]
-    best_quality: float | None
-    final_threshold: float
-    subsets_examined: int
-
-
-def exhaustive_rules(inst: EncodedInstance, params: QualityParams) -> OracleResult:
+def exhaustive_rules(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
     m = inst.n_components
-    if m == 0:
-        raise DataError("prediction point yields no components")
     if m > MAX_COMPONENTS:
         raise DataError(f"{m} components; reference enumeration allows {MAX_COMPONENTS}")
     if inst.n_pos == 0 or inst.n_neg == 0:
@@ -97,8 +89,8 @@ def exhaustive_rules(inst: EncodedInstance, params: QualityParams) -> OracleResu
 
     best = max((r.quality for r in candidates), default=None)
     if best is None or best < params.base_threshold:
-        return OracleResult((), None, params.base_threshold, examined)
+        return SearchOutcome((), None, params.base_threshold, examined)
     final = max(params.base_threshold, params.keep_frac * best)
     kept = [r for r in candidates if r.quality >= final]
     kept.sort(key=lambda r: (-r.quality, r.term_ids))
-    return OracleResult(tuple(kept), best, final, examined)
+    return SearchOutcome(tuple(kept), best, final, examined)

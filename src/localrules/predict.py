@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .data import Dataset, split_for_prediction
 from .discretize import GridFitter
 from .encode import MODE_LEVELS, EncodedInstance, TrainingIndex, attrs_needing_grids
-from .rules import QualityParams, Rule, make_rule
-from .search import SearchOutcome, search_local_rules
+from .rules import QualityParams, Rule, SearchOutcome, make_rule
+from .search import search_local_rules
 
 # Per-query grid fits and encodings go through these names, so each can be
 # swapped as one layer.
@@ -83,14 +83,11 @@ def combine(
 def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
     """Search, combine, and fall back to the prior when the union is rejected.
 
-    A prediction point without components (every attribute missing, say) has
-    nothing to build a rule from; it skips the search, visits no nodes, and
-    is predicted from the prior like any point without an accepted rule.
+    A prediction point without components (every attribute missing, say)
+    gets the search's empty outcome, 0 nodes, and is predicted from the
+    prior like any point without an accepted rule.
     """
-    if inst.n_components == 0:
-        outcome = SearchOutcome((), None, params.base_threshold, 0)
-    else:
-        outcome = search_local_rules(inst, params)
+    outcome = search_local_rules(inst, params)
     combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
     if combined.accepted:
         target, probability, source = combined.target, combined.correctness, SOURCE_COMBINED

@@ -140,6 +140,14 @@ class Rule:
         return self.cover_count / self.table.n_match if self.table.n_match else 0.0
 
 
+@dataclass(frozen=True)
+class SearchOutcome:
+    rules: tuple[Rule, ...]  # sorted by descending quality, then term ids
+    best_quality: float | None  # None when nothing was accepted
+    final_threshold: float  # max(base_threshold, keep_frac * best_quality)
+    nodes_visited: int  # the search's formed children; the enumeration's examined sets
+
+
 def make_rule(term_ids, match_bits: int, class_bits: int, n_rows: int, weight: float) -> Rule:
     t = contingency(match_bits, class_bits, n_rows)
     target = select_target(t)

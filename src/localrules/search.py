@@ -76,9 +76,14 @@ parent's frame and the path's last term, and the parent resumes at the
 candidate after that child, so nodes are entered in canonical depth-first
 order.
 
-A path's used boundary groups are one mask over component ids: the union of
-its terms' group masks (an exact component's is 0). A tail candidate in a
-used group is skipped by testing its bit.
+A component's id is its position. A path's used boundary groups are one
+mask over ids: the union of its terms' group masks, each the ids sharing the
+term's Component.group_key (0 for an exact one). A tail candidate in a used
+group is skipped by testing its bit.
+
+A query without components forms no node and gets the empty outcome, after
+the single-class check, which comes first because every score needs both
+classes.
 
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
@@ -100,26 +105,17 @@ independent of the tail filter and comparable across versions of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .encode import EXACT, EncodedInstance
+from .encode import EncodedInstance
 from .errors import DataError
 from .rules import (
     Contingency,
     QualityParams,
     Rule,
+    SearchOutcome,
     min_cover_count,
     mismatch_floors,
     score_tables,
 )
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    rules: tuple[Rule, ...]  # sorted by descending quality, then term ids
-    best_quality: float | None  # None when nothing was accepted
-    final_threshold: float  # max(base_threshold, keep_frac * best_quality)
-    nodes_visited: int
 
 
 def _sorted_rules(found: list[Rule]) -> tuple[Rule, ...]:
@@ -127,21 +123,20 @@ def _sorted_rules(found: list[Rule]) -> tuple[Rule, ...]:
 
 
 def search_local_rules(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
-    m = inst.n_components
-    if m == 0:
-        raise DataError("prediction point yields no components")
     n_pos, n_neg = inst.n_pos, inst.n_neg
     if n_pos == 0 or n_neg == 0:
         raise DataError("training rows contain a single class")
 
+    m = inst.n_components
     bits = [c.match_bits for c in inst.components]
     # Each component's boundary group as a component-id mask (0 for an exact
     # one). A path's used groups are the union of its terms' group masks.
-    masks: dict = {}
-    for c in inst.components:
-        if c.kind != EXACT:  # (attr, kind) is the component's group_key
-            masks[c.attr, c.kind] = masks.get((c.attr, c.kind), 0) | 1 << c.cid
-    group_mask = [masks.get((c.attr, c.kind), 0) for c in inst.components]
+    keys = [c.group_key for c in inst.components]
+    masks = {None: 0}
+    for cid, key in enumerate(keys):
+        if key is not None:
+            masks[key] = masks.get(key, 0) | 1 << cid
+    group_mask = [masks[key] for key in keys]
     class_bits = inst.class_bits
     weight = params.weight
     keep = params.keep_frac

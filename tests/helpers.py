@@ -107,9 +107,8 @@ def assert_equivalent(search_out, oracle_out):
 
 
 def permuted_copy(inst: EncodedInstance, perm):
-    """Same instance with components relabeled by perm (new id = position)."""
-    comps = [inst.components[old]._replace(cid=new) for new, old in enumerate(perm)]
-    return replace(inst, components=tuple(comps))
+    """Same instance with components reordered by perm (an id is a position)."""
+    return replace(inst, components=tuple(inst.components[old] for old in perm))
 
 
 def entropy_mdl_cuts(values, labels) -> list[float]:
@@ -215,13 +214,12 @@ def reference_cuts(values, labels) -> list[float]:
 # TrainingIndex lookups in encode must equal it bit for bit.
 
 
-def _exact_component(cid, i, attr, v0, training_rows) -> Component:
+def _exact_component(i, attr, v0, training_rows) -> Component:
     bits = 0
     for n, row in enumerate(training_rows):
         if row[i] is not None and row[i] == v0:
             bits |= 1 << n
     return Component(
-        cid=cid,
         attr=i,
         kind=EXACT,
         match_bits=bits,
@@ -229,9 +227,9 @@ def _exact_component(cid, i, attr, v0, training_rows) -> Component:
     )
 
 
-def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Component]:
+def _level_components(i, attr, v0, grid, training_rows) -> list[Component]:
     out = []
-    for l, y in enumerate(grid):
+    for y in grid:
         if v0 <= y:
             kind, op = UPPER, "<="
         else:
@@ -245,7 +243,6 @@ def _level_components(next_cid, i, attr, v0, grid, training_rows) -> list[Compon
                 bits |= 1 << n
         out.append(
             Component(
-                cid=next_cid + l,
                 attr=i,
                 kind=kind,
                 match_bits=bits,
@@ -286,16 +283,12 @@ def reference_encode(
 
     components: list[Component] = []
     for i in exact_cols:
-        components.append(
-            _exact_component(len(components), i, attributes[i], pred_row[i], training_rows)
-        )
+        components.append(_exact_component(i, attributes[i], pred_row[i], training_rows))
     for i in level_cols:
         if grids is None or i not in grids:
             raise DataError(f"attribute {attributes[i].name!r} needs a level grid")
         components.extend(
-            _level_components(
-                len(components), i, attributes[i], pred_row[i], grids[i], training_rows
-            )
+            _level_components(i, attributes[i], pred_row[i], grids[i], training_rows)
         )
 
     class_bits = 0
@@ -336,12 +329,10 @@ def linear_min_cover_count(threshold, class_total, weight, start=0) -> int:
 
 def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
     """The reference counterpart of search.search_local_rules."""
-    m = inst.n_components
-    if m == 0:
-        raise DataError("prediction point yields no components")
     if inst.n_pos == 0 or inst.n_neg == 0:
         raise DataError("training rows contain a single class")
 
+    m = inst.n_components
     comps = inst.components
     class_bits = inst.class_bits
     n_pos, n_neg = inst.n_pos, inst.n_neg

@@ -247,6 +247,31 @@ def test_unknown_override_is_a_usage_error(tmp_path, capsys):
     assert "ghost" in err
 
 
+def test_override_of_an_unencoded_column_is_a_usage_error(tmp_path, capsys):
+    # The class column is never encoded, so such an override would change nothing.
+    data, schema = _write_copy_class(tmp_path)
+    code, out, err = _run(
+        ["evaluate", "--data", data, "--schema", schema, "--override", "c=exact"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == "error: override names 'c', which is not encoded\n"
+
+
+def test_all_missing_row_gets_an_empty_answer(tmp_path, capsys):
+    data, schema = _write_copy_class(tmp_path)
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    lines[1] = "?,?,on"  # row 0: no known attribute, so no component
+    Path(data).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command, shown in (
+        ("predict", "\nsource=class_prior\n"),
+        ("rules", "\nbest=none\nthreshold=0.770000\n"),  # the base threshold
+    ):
+        code, out, err = _run([command, "--data", data, "--schema", schema], capsys)
+        assert (code, err) == (0, "")
+        assert shown in out
+        assert "\nrules=0\n" in out and out.endswith("\nnodes=0\n")
+
+
 def test_row_out_of_range_is_a_data_error(tmp_path, capsys):
     data, schema = _write_copy_class(tmp_path)
     code, _, _ = _run(

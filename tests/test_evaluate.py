@@ -315,6 +315,17 @@ def test_all_missing_test_row_is_predicted_from_the_prior():
         assert report.fallback_fraction == 1 / len(d.rows)
 
 
+def test_unknown_mode_raises_bad_params():
+    # A typo would otherwise encode in exact mode, or be echoed as given.
+    d = _cut("monks1", ("a1", "a2", "a5"))
+    with pytest.raises(BadParams, match="^mode must be 'exact' or 'levels', got 'level'$"):
+        predict_for_row(d, 7, QualityParams(), "level")
+    with pytest.raises(BadParams, match="got 'bogus'$"):
+        evaluate_cv(d, QualityParams(), mode="bogus")
+    with pytest.raises(BadParams, match="got 'lvl'$"):
+        evaluate_loocv(d, QualityParams(), overrides={0: "lvl"})
+
+
 def test_worker_count_is_clamped_to_cpus_and_items():
     assert worker_count(2, 319, cpus=2) == 2
     assert worker_count(64, 319, cpus=2) == 2

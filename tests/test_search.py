@@ -52,7 +52,7 @@ from localrules.errors import DataError
 from localrules.exhaustive import exhaustive_rules
 from localrules.predict import encode_row, query_encoder
 from localrules.rules import QualityParams
-from localrules.search import search_local_rules
+from localrules.search import SearchOutcome, search_local_rules
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -224,18 +224,22 @@ def test_nonzero_eps_runs_and_keeps_rules_sorted():
         assert qualities == sorted(qualities, reverse=True)
 
 
-def test_no_components_raises():
+def test_componentless_query_gets_the_empty_outcome():
+    # The search, the enumeration and the reference walk give one answer.
     inst, params = conflict_instance()
-    broken = replace(inst, components=())
-    with pytest.raises(DataError, match="^prediction point yields no components$"):
-        search_local_rules(broken, params)
+    blank = replace(inst, components=())
+    empty = SearchOutcome((), None, params.base_threshold, 0)
+    for search in (search_local_rules, exhaustive_rules, reference_search):
+        assert search(blank, params) == empty
 
 
 def test_single_class_training_raises():
+    # The class check comes first: without components too, no score exists.
     inst, params = conflict_instance()
-    broken = replace(inst, class_bits=0)
-    with pytest.raises(DataError, match="^training rows contain a single class$"):
-        search_local_rules(broken, params)
+    single_class = replace(inst, class_bits=0)
+    for broken in (single_class, replace(single_class, components=())):
+        with pytest.raises(DataError, match="^training rows contain a single class$"):
+            search_local_rules(broken, params)
 
 
 def test_search_matches_reference_on_random_instances():
