@@ -4,42 +4,14 @@
     python3 scripts/compare_cli.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the `localrules` package (a
-checkout's `src`). Every run is `python -m localrules ...` with that
-directory on PYTHONPATH, on the datasets in this checkout's `data/`, so the
-two trees see the same files and echo the same paths. A run counts as equal
+checkout's `src`). Every run that matrix() lists is `python -m localrules
+...` with that directory on PYTHONPATH, on the datasets in this checkout's
+`data/` and on inputs written once to a temporary directory, so the two
+trees see the same files and echo the same paths. A run counts as equal
 when its stdout, its exit code and its stderr, less the `wall_seconds=` line
 that `evaluate` writes there, are equal. One line is printed per run that
-differs; the exit status is 1 if any run differs, 0 otherwise.
-
-The matrix covers monks1-3 and tictactoe in both modes (k-fold `evaluate` at
-one and two workers, `evaluate --loocv`, `predict --show-rules` and `rules`
-on rows 0, 5 and 17, `discretize`), the same commands in levels mode on
-the `loocv-continuous` benchmark dataset (`perfbench/synth.make_continuous(2)`,
-written once to a temporary directory, so both trees read the same file),
-`evaluate --loocv` on that dataset at one worker as well (the benchmark's
-configuration), k-fold and leave-one-out `evaluate` at one worker on monks2
-cut to `a1, a2, a5` (written to the temporary directory by write_cut; most
-of its rows share their projection, so most of their searches are shared),
-`rules` on that dataset's rows 0, 5 and 17 with `--override '*=levels'
---kappa 0.9` (which print bool, nominal, ordered and continuous level
-displays) and `discretize` with `--override '*=levels'` on it, tictactoe
-with `--override '*=levels'` (`evaluate`, `discretize`, and
-`rules` on rows 0, 5 and 17, which print the level displays of nominal
-attributes), k-fold `evaluate` on monks2 and on tictactoe with every cell
-as levels at each of `--eps 0.2`, `--cmin-mism 0`, `--kappa
-0.5`, `--max-depth 2` (search branches the default flags rarely take),
-`--lambda 0` and `--lambda 1` (the weights at which one half of every score
-is zero), the usage and data error paths (a negative `--threads` for
-`evaluate` and `predict` among them, `--folds` given with `--loocv`, and an
-`--override` of the class column), and `selftest --trials 300`.
-
-write_small puts small inputs in the temporary directory. The data error
-paths include one run per malformed one: a schema with an unknown kind, a
-non-boolean token, an undeclared class value, a header that does not match
-the schema, a field over the csv limit, and `evaluate --loocv` with a
-one-row class. Every data error exits 2 with its message, so these runs
-compare each message byte for byte. One more input has a row 0 whose every
-cell is `?`; `predict` and `rules` on it answer with no rules and 0 nodes.
+differs, naming what differs and the run's arguments, then a last line
+`N runs, M differ`; the exit status is 1 if any run differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +28,7 @@ DATA = ROOT / "data"
 DATASETS = ("monks1", "monks2", "monks3", "tictactoe")
 MODES = ("levels", "exact")
 ROWS = ("0", "5", "17")
+COMMANDS = ("predict", "rules", "evaluate", "discretize", "selftest")
 
 
 def _files(name: str) -> list[str]:
@@ -156,6 +129,7 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
     monks = _files("monks1")
     missing = ["--data", str(DATA / "absent.csv"), "--schema", str(DATA / "monks1.schema")]
+    runs += [["--help"]] + [[command, "--help"] for command in COMMANDS]
     runs += [
         ["predict"],
         ["no-such-command"],

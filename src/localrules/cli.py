@@ -1,10 +1,11 @@
 """Command-line front end: reproducible runs over CSV datasets.
 
-Subcommands: predict, rules, evaluate, discretize, selftest. Every run
-echoes its effective configuration into the output so results are
-self-describing. Worker count and wall time never appear in the output
-text (wall time goes to the error stream), so files written with --out are
-byte-identical for any --threads value.
+Subcommands: predict, rules, evaluate, discretize, selftest. This module
+only parses, loads and prints: search flag defaults are QualityParams's, and
+evaluate decides what a worker count means. Every run echoes its effective
+configuration, so results are self-describing. Worker count and wall time
+never appear in the output text (wall time goes to the error stream), so
+files written with --out are byte-identical for any --threads value.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 data error.
 """
@@ -22,30 +23,30 @@ from .data import (BOOL_KIND, CLASS_KIND, CONTINUOUS_KIND, IGNORE_KIND, NOMINAL_
 from .discretize import build_grids
 from .encode import MODE_EXACT, MODE_LEVELS, attrs_needing_grids
 from .errors import BadParams, DataError
-from .evaluate import available_cpus, evaluate_cv, evaluate_loocv, render_report
+from .evaluate import evaluate_cv, evaluate_loocv, render_report
 from .exhaustive import exhaustive_rules
 from .predict import encode_row, predict_encoded
 from .rules import QualityParams, format_rule
 from .search import search_local_rules
 
 _MODES = (MODE_LEVELS, MODE_EXACT)
+_SEARCH_FLAGS = (
+    ("--lambda", "weight", "exclusion/coverage tradeoff weight"),
+    ("--cmin", "min_cover", "minimal coverage share"),
+    ("--cmin-mism", "min_mism", "minimal per-term mismatch share"),
+    ("--max-depth", "max_terms", "maximal terms per rule"),
+    ("--kappa", "keep_frac", "keep rules within this fraction of the best"),
+    ("--eps", "eps", "correctness slack for the perfect cutoff"),
+)
 
 
 def _add_param_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--data", required=True, help="CSV file with a header row")
     ap.add_argument("--schema", required=True, help="sidecar `name: kind` file")
-    ap.add_argument("--lambda", dest="weight", type=float, default=0.75,
-                    help="exclusion/coverage tradeoff weight (default 0.75)")
-    ap.add_argument("--cmin", dest="min_cover", type=float, default=0.08,
-                    help="minimal coverage share (default 0.08)")
-    ap.add_argument("--cmin-mism", dest="min_mism", type=float, default=0.02,
-                    help="minimal per-term mismatch share (default 0.02)")
-    ap.add_argument("--max-depth", dest="max_terms", type=int, default=8,
-                    help="maximal terms per rule (default 8)")
-    ap.add_argument("--kappa", dest="keep_frac", type=float, default=1.0,
-                    help="keep rules within this fraction of the best (default 1.0)")
-    ap.add_argument("--eps", type=float, default=0.0,
-                    help="correctness slack for the perfect cutoff (default 0)")
+    for flag, field, meaning in _SEARCH_FLAGS:
+        default = getattr(QualityParams, field)  # the dataclass field's default
+        ap.add_argument(flag, dest=field, type=type(default), default=default,
+                        help=f"{meaning} (default {default})")
     ap.add_argument("--mode", choices=_MODES, default=MODE_LEVELS,
                     help="ordered/continuous comparison mode (default levels)")
     ap.add_argument("--override", action="append", default=[], metavar="ATTR=MODE",
@@ -114,14 +115,7 @@ def _config(args) -> tuple[Dataset, dict, QualityParams]:
     overrides = _parse_overrides(args.override, d.attributes)
     if args.threads < 0:
         raise BadParams(f"--threads must be at least 0, got {args.threads}")
-    params = QualityParams(
-        weight=args.weight,
-        min_cover=args.min_cover,
-        min_mism=args.min_mism,
-        max_terms=args.max_terms,
-        keep_frac=args.keep_frac,
-        eps=args.eps,
-    )
+    params = QualityParams(**{field: getattr(args, field) for _, field, _ in _SEARCH_FLAGS})
     return d, overrides, params
 
 
@@ -168,7 +162,7 @@ def _cmd_predict(args) -> int:
 def _cmd_rules(args) -> int:
     d, overrides, params = _config(args)
     inst = encode_row(d, args.row, args.mode, overrides)
-    outcome = search_local_rules(inst, params)
+    outcome = predict_encoded(inst, params).search
     best = "none" if outcome.best_quality is None else f"{outcome.best_quality:.6f}"
     lines = _echo_lines(args, params) + [
         f"row={args.row}",
@@ -184,7 +178,6 @@ def _cmd_rules(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     d, overrides, params = _config(args)
-    threads = args.threads or available_cpus()
     label = Path(args.data).stem
     started = time.perf_counter()
     if args.loocv:
@@ -192,12 +185,12 @@ def _cmd_evaluate(args) -> int:
             if value is not None:
                 raise BadParams(f"{flag} does not apply to --loocv")
         report = evaluate_loocv(
-            d, params, args.mode, overrides, threads, dataset_label=label
+            d, params, args.mode, overrides, args.threads, dataset_label=label
         )
     else:
         report = evaluate_cv(
             d, params, 3 if args.folds is None else args.folds,
-            1 if args.seed is None else args.seed, args.mode, overrides, threads,
+            1 if args.seed is None else args.seed, args.mode, overrides, args.threads,
             dataset_label=label,
         )
     text = f"data={args.data}\nschema={args.schema}\n" + render_report(report)
@@ -213,7 +206,7 @@ def _cmd_discretize(args) -> int:
     lines = _echo_lines(args, params)
     for i in wanted:
         attr = d.attributes[i]
-        shown = (format_cell(y, attr) for y in grids.get(i, ()))
+        shown = (format_cell(y, attr) for y in grids[i])
         lines.append(f"{attr.name}: " + " ".join(shown))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

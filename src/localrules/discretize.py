@@ -236,8 +236,8 @@ class _Column:
             gaps = b[start:stop]
             if not gaps:
                 return None
-            ws, ks = _running_min(map(add, *_side_terms(cs, cp, lo, hi, gaps)), gaps, n)
-            k, w = ks[-1], ws[-1]
+            sums = map(add, *_side_terms(cs, cp, lo, hi, gaps))
+            w, k = min(zip(map(truediv, sums, repeat(n)), gaps))  # ties: the leftmost gap
         else:
             j, label = rm.group, rm.label
             mid = max(start, bisect_left(b, j - 1))

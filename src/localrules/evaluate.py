@@ -145,25 +145,26 @@ def available_cpus() -> int:
 
 
 def worker_count(threads: int, n_items: int, cpus: int) -> int:
-    """Pool size: the requested count, clamped to the CPUs and the work items."""
-    return max(1, min(threads, cpus, n_items))
+    """Pool size: threads, where 0 means every CPU, clamped to the CPUs and the items."""
+    if threads < 0:
+        raise BadParams(f"threads must be at least 0, got {threads}")
+    return max(1, min(threads or cpus, cpus, n_items))
 
 
-def _run_pool(threads: int, worker, items) -> list:
+def _run_pool(workers: int, worker, items) -> list:
     """worker(item) for every item, in order, with _WORKER = worker."""
     global _WORKER
-    threads = worker_count(threads, len(items), available_cpus())
     _WORKER = worker
     try:
-        if threads == 1:
+        if workers == 1:
             return [worker(item) for item in items]
-        with get_context("fork").Pool(threads) as pool:
+        with get_context("fork").Pool(workers) as pool:
             return pool.map(_call_worker, items)
     finally:
         _WORKER = None
 
 
-def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, threads: int) -> list:
+def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: int) -> list:
     """(label, predicted target, nodes, fell back) per row, fold by fold.
 
     encoders[f] encodes the rows of folds[f]; held_out says that they are
@@ -185,7 +186,7 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, threads: 
             )
         return (d.rows[row][d.class_col], *outcome)
 
-    return _run_pool(threads, predict_row, items)
+    return _run_pool(workers, predict_row, items)
 
 
 def _confusion(results) -> ConfusionCounts:
@@ -206,13 +207,14 @@ def evaluate_cv(
     threads: int = 1,
     dataset_label: str = "data",
 ) -> EvaluationReport:
+    workers = worker_count(threads, len(d.rows), available_cpus())
     folds = stratified_kfold(d, k, seed)
     encoders = []
     for fold in folds:
         test_set = frozenset(fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
         encoders.append(query_encoder(d, training, mode, overrides))
-    results = _predict_rows(d, params, encoders, folds, False, threads)
+    results = _predict_rows(d, params, encoders, folds, False, workers)
     in_order = iter(results)  # each fold's tally takes its rows' results off the front
     fold_counts = tuple(_confusion(islice(in_order, len(fold))) for fold in folds)
     return _build_report(
@@ -228,10 +230,11 @@ def evaluate_loocv(
     threads: int = 1,
     dataset_label: str = "data",
 ) -> EvaluationReport:
+    workers = worker_count(threads, len(d.rows), available_cpus())
     # A class's lone row, held out, would leave a single-class training split.
     _rows_by_class(d, 2, "for leave-one-out")
     encoders = (query_encoder(d, d.rows, mode, overrides),)
-    results = _predict_rows(d, params, encoders, (range(len(d.rows)),), True, threads)
+    results = _predict_rows(d, params, encoders, (range(len(d.rows)),), True, workers)
     return _build_report(
         d, params, "loocv", mode, None, None, overrides, (), results, dataset_label
     )

@@ -86,10 +86,6 @@ def component_truth_ladder(attr_components) -> tuple[bool, ...]:
     return tuple(c.kind == UPPER for c in attr_components)
 
 
-def outcome_key(rules):
-    return [(r.term_ids, r.target, r.quality) for r in rules]
-
-
 def assert_equivalent(search_out, oracle_out):
     assert len(search_out.rules) == len(oracle_out.rules), (
         f"{len(search_out.rules)} accepted vs reference {len(oracle_out.rules)}"
@@ -97,13 +93,10 @@ def assert_equivalent(search_out, oracle_out):
     for a, b in zip(search_out.rules, oracle_out.rules):
         assert a.term_ids == b.term_ids
         assert a.target == b.target
-        assert abs(a.quality - b.quality) <= 1e-12
+        assert a.quality == b.quality
         assert a.match_bits == b.match_bits
-    if search_out.best_quality is None:
-        assert oracle_out.best_quality is None
-    else:
-        assert abs(search_out.best_quality - oracle_out.best_quality) <= 1e-12
-    assert abs(search_out.final_threshold - oracle_out.final_threshold) <= 1e-12
+    assert search_out.best_quality == oracle_out.best_quality
+    assert search_out.final_threshold == oracle_out.final_threshold
 
 
 def permuted_copy(inst: EncodedInstance, perm):

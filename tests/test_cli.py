@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localrules
-from localrules.cli import _same_outcome, main, random_instance
+from localrules.cli import _build_parser, _config, _same_outcome, main, random_instance
+from localrules.errors import BadParams
 from localrules.evaluate import worker_count
 from localrules.search import search_local_rules
 
@@ -222,6 +223,12 @@ def test_negative_threads_is_a_usage_error(tmp_path, capsys):
         )
         assert (code, out) == (1, ""), command
         assert err == "error: --threads must be at least 0, got -7\n"
+
+
+def test_bare_flags_give_the_default_quality_params(tmp_path):
+    data, schema = _write_copy_class(tmp_path)
+    args = _build_parser().parse_args(["predict", "--data", data, "--schema", schema])
+    assert _config(args)[2] == localrules.QualityParams()
 
 
 @pytest.mark.parametrize("flag", [["--lambda", "5"], ["--cmin", "2"], ["--max-depth", "0"]])
@@ -474,7 +481,6 @@ def test_numeric_flags_never_raise(copy_class_files, args):
     out, err = io.StringIO(), io.StringIO()
     # One CPU: every --threads value runs in this process.
     with mock.patch("localrules.evaluate.available_cpus", lambda: 1), \
-            mock.patch("localrules.cli.available_cpus", lambda: 1), \
             redirect_stdout(out), redirect_stderr(err):
         code = main(args)
     assert code in (0, 1, 2), (args, err.getvalue())
@@ -482,7 +488,20 @@ def test_numeric_flags_never_raise(copy_class_files, args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(), st.integers(0, 10**6), st.integers(1, 512))
+@given(st.integers(0), st.integers(0, 10**6), st.integers(1, 512))
 def test_worker_count_never_exceeds_cpus_or_items(threads, n_items, cpus):
     workers = worker_count(threads, n_items, cpus)
     assert 1 <= workers <= max(1, min(cpus, n_items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 512))
+def test_worker_count_zero_takes_every_cpu_the_items_can_use(n_items, cpus):
+    assert worker_count(0, n_items, cpus) == min(cpus, n_items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(max_value=-1), st.integers(0, 10**6), st.integers(1, 512))
+def test_worker_count_rejects_a_negative_count(threads, n_items, cpus):
+    with pytest.raises(BadParams, match=f"^threads must be at least 0, got {threads}$"):
+        worker_count(threads, n_items, cpus)

@@ -331,6 +331,18 @@ def test_worker_count_is_clamped_to_cpus_and_items():
     assert worker_count(64, 319, cpus=2) == 2
     assert worker_count(8, 3, cpus=16) == 3
     assert worker_count(8, 0, cpus=16) == 1
-    assert worker_count(0, 10, cpus=4) == 1
-    assert worker_count(-5, 10, cpus=4) == 1
+    assert worker_count(0, 10, cpus=4) == 4  # 0 asks for every CPU
+    assert worker_count(0, 3, cpus=4) == 3
     assert worker_count(3, 10, cpus=4) == 3
+    with pytest.raises(BadParams, match="^threads must be at least 0, got -5$"):
+        worker_count(-5, 10, cpus=4)
+
+
+def test_negative_thread_count_raises_before_any_encoder_is_built():
+    d = _copy_class_dataset()
+    with mock.patch.object(evaluate, "query_encoder") as built:
+        with pytest.raises(BadParams, match="^threads must be at least 0, got -1$"):
+            evaluate_cv(d, QualityParams(), threads=-1)
+        with pytest.raises(BadParams, match="^threads must be at least 0, got -1$"):
+            evaluate_loocv(d, QualityParams(), threads=-1)
+    built.assert_not_called()
