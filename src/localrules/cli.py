@@ -52,7 +52,7 @@ def _add_param_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--override", action="append", default=[], metavar="ATTR=MODE",
                     help="force a mode for one attribute (repeatable)")
     ap.add_argument("--threads", type=int, default=0,
-                    help="evaluate's worker processes, 0 or more; 0 = all available")
+                    help="evaluate's processes, the calling one included; 0 = all available")
     ap.add_argument("--out", help="also write the output text to this file")
 
 

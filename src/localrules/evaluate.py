@@ -38,19 +38,21 @@ and the single-row paths share nothing. Sharing is sound:
   attribute names and duplicate declared values, and continuous levels
   print with repr.
 
-All test rows of an evaluation are independent and may be predicted by one
-pool of worker processes. Each forked worker fills its own dict, so rows
-share a search only within one worker's chunks. The merge preserves row
-order and all accumulators are integers, so the rendered report is
-byte-identical for any worker count.
+All test rows of an evaluation are independent, so threads=N predicts them
+in N processes, the calling one included: the rows are dealt round-robin
+into N shares, the caller predicts the first and one forked child predicts
+each other. Each process fills its own dict, so rows share a search only
+within one share. The merge restores row order and all accumulators are
+integers, so the rendered report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from itertools import islice
-from multiprocessing import get_context
 from random import Random
 
 from .data import Dataset
@@ -130,38 +132,86 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(fold)) for fold in folds)
 
 
-# The per-item function of the run in progress. Forked pool workers inherit
-# it: a closure does not pickle, so the pool maps _call_worker instead.
-_WORKER = None
-
-
-def _call_worker(item):
-    return _WORKER(item)
-
-
 def available_cpus() -> int:
-    counter = getattr(os, "process_cpu_count", os.cpu_count)
-    return counter() or 1
+    """CPUs this process may run on, after its affinity mask where the OS has one."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def worker_count(threads: int, n_items: int, cpus: int) -> int:
-    """Pool size: threads, where 0 means every CPU, clamped to the CPUs and the items."""
+    """Processes to predict with, the caller included: threads, where 0 means
+    every CPU, clamped to the CPUs and the items."""
     if threads < 0:
         raise BadParams(f"threads must be at least 0, got {threads}")
     return max(1, min(threads or cpus, cpus, n_items))
 
 
+def _run_share(worker, items, first: int, step: int) -> tuple:
+    """(True, results) for items[first::step], or (False, (index, error)) for
+    the first of them that raises."""
+    results = []
+    for i in range(first, len(items), step):
+        try:
+            results.append(worker(items[i]))
+        except Exception as exc:
+            return False, (i, exc)
+    return True, results
+
+
+def _fork_share(worker, items, first: int, step: int) -> tuple:
+    """(pid, read end) of a child that pickles _run_share's answer to the pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            answer = pickle.dumps(_run_share(worker, items, first, step))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(answer)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
 def _run_pool(workers: int, worker, items) -> list:
-    """worker(item) for every item, in order, with _WORKER = worker."""
-    global _WORKER
-    _WORKER = worker
+    """worker(item) for every item, in order, over workers processes.
+
+    Share w is items[w::workers]. The caller runs share 0 and forks one child
+    per other share; each child inherits worker and pickles back its answer.
+    When items raise, the error of the lowest such index is raised, as one
+    process would raise it. Every child is reaped before this returns, and
+    killed first if the caller is interrupted.
+    """
+    if workers == 1:
+        return [worker(item) for item in items]
+    children = []  # (pid, read end of its pipe)
+    piped = None
     try:
-        if workers == 1:
-            return [worker(item) for item in items]
-        with get_context("fork").Pool(workers) as pool:
-            return pool.map(_call_worker, items)
+        for w in range(1, workers):
+            children.append(_fork_share(worker, items, w, workers))
+        mine = _run_share(worker, items, 0, workers)
+        piped = [pipe.read() for _, pipe in children]
     finally:
-        _WORKER = None
+        for pid, pipe in children:
+            if piped is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    if not all(piped):
+        raise RuntimeError("an evaluation worker process ended without a result")
+    answers = [mine] + [pickle.loads(data) for data in piped]
+    failures = [failure for ok, failure in answers if not ok]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (_, results) in enumerate(answers):
+        out[w::workers] = results
+    return out
 
 
 def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: int) -> list:

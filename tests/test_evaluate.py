@@ -1,6 +1,8 @@
 """Stratified folds, confusion pooling, leave-one-out, report rendering."""
 
+import os
 import random
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -216,16 +218,122 @@ def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
                 assert searches.call_count == n_projections
 
 
-def test_in_process_runs_release_the_worker_state():
-    d = _noisy_dataset()
-    evaluate_cv(d, QualityParams(), k=3, seed=1, threads=1)
-    assert evaluate._WORKER is None
-    evaluate_loocv(d, QualityParams(), threads=1)
-    assert evaluate._WORKER is None
-    # The parent holds the state while a fork pool runs, and drops it after.
+def _tagged_dataset(n=24):
+    """_noisy_dataset plus an id cell, so each row's query names its row."""
+    base = _noisy_dataset(n)
+    attrs = (Attribute("id", "nominal", tuple(f"r{i}" for i in range(n))),) + base.attributes
+    rows = tuple((i,) + row for i, row in enumerate(base.rows))
+    return Dataset(attrs, rows, base.class_col + 1)
+
+
+def _run(d, k, threads):
+    """evaluate_cv at k folds, or evaluate_loocv when k is None, on 2 CPUs."""
     with mock.patch.object(evaluate, "available_cpus", return_value=2):
-        evaluate_cv(d, QualityParams(), k=3, seed=1, threads=2)
-    assert evaluate._WORKER is None
+        if k is None:
+            return evaluate_loocv(d, QualityParams(), threads=threads)
+        return evaluate_cv(d, QualityParams(), k=k, seed=1, threads=threads)
+
+
+def _rows_in_item_order(d, k):
+    """Row per item index of _predict_rows; at 2 workers the caller runs the even ones."""
+    if k is None:
+        return list(range(len(d.rows)))
+    return [row for fold in stratified_kfold(d, k, seed=1) for row in fold]
+
+
+def _failing_on(rows):
+    """predict_encoded, but a DataError naming the row for the given rows."""
+    displays = {f"id=r{row}" for row in rows}
+    real = evaluate.predict_encoded
+
+    def predict(inst, params):
+        for c in inst.components:
+            if c.display in displays:
+                raise DataError(f"cannot predict {c.display}")
+        return real(inst, params)
+
+    return predict
+
+
+def _raised(d, k, threads, failing_rows):
+    with mock.patch.object(evaluate, "predict_encoded", _failing_on(failing_rows)), \
+            pytest.raises(DataError) as raised:
+        _run(d, k, threads)
+    return raised.value
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", [3, None], ids=["3-fold", "loocv"])
+def test_no_worker_process_outlives_an_evaluation(k):
+    d = _tagged_dataset()
+    order = _rows_in_item_order(d, k)
+    _run(d, k, 2)
+    _assert_no_child_left()
+    for position in (4, 5):  # the caller's share, then the child's
+        _raised(d, k, 2, [order[position]])
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [3, None], ids=["3-fold", "loocv"])
+def test_a_failing_row_raises_the_same_error_at_any_worker_count(k):
+    d = _tagged_dataset()
+    order = _rows_in_item_order(d, k)
+    # One row in either share, then two rows with the lower one in either share.
+    for positions in ([6], [9], [3, 8], [8, 11], [0, 1], [1, 2]):
+        failing = [order[i] for i in positions]
+        want = _raised(d, k, 1, failing)
+        got = _raised(d, k, 2, failing)
+        assert str(want) == f"cannot predict id=r{failing[0]}"
+        assert (type(got), str(got)) == (type(want), str(want)), positions
+    _assert_no_child_left()
+
+
+def test_a_worker_process_that_dies_without_a_result_raises():
+    d = _tagged_dataset()
+    caller = os.getpid()
+    real = evaluate.predict_encoded
+
+    def predict(inst, params):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(inst, params)
+
+    with mock.patch.object(evaluate, "predict_encoded", predict), \
+            pytest.raises(RuntimeError, match="ended without a result"):
+        _run(d, 3, 2)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_caller_kills_its_worker_processes():
+    d = _tagged_dataset()
+    caller = os.getpid()
+
+    def predict(inst, params):
+        if os.getpid() != caller:
+            time.sleep(60)  # only the kill ends this child in time
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with mock.patch.object(evaluate, "predict_encoded", predict), \
+            pytest.raises(KeyboardInterrupt):
+        _run(d, 3, 2)
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
+def test_available_cpus_honours_the_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert evaluate.available_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert evaluate.available_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evaluate.available_cpus() == 1
 
 
 def test_rules_matching_no_row_do_not_abort_an_evaluation():
