@@ -127,7 +127,15 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
     ):
         runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
+    # Other fold counts give the split walks other batch sizes and shares.
+    for data in (_files("monks2"), _files("tictactoe") + ["--mode", "exact"]):
+        for folds in ("2", "10"):
+            for threads in ("1", "2"):
+                runs.append(
+                    ["evaluate", *data, "--folds", folds, "--seed", "7", "--threads", threads]
+                )
     monks = _files("monks1")
+    runs.append(["evaluate", *monks, "--cmin", "0"])  # rules that match no row
     missing = ["--data", str(DATA / "absent.csv"), "--schema", str(DATA / "monks1.schema")]
     runs += [["--help"]] + [[command, "--help"] for command in COMMANDS]
     runs += [

@@ -10,30 +10,42 @@ encoding. Leave-one-out uses one encoder over all rows: a held-out row is a
 bit dropped from the index and a member taken out of the grid fit's value
 groups, which are sorted once per evaluation.
 
-Rows of one evaluation whose queries encode alike share one search. The
-paper's local rules are the projection of the global rules onto the event
-to classify, and two rows have the same projection when, within one training
-split, they encode to the same components. Each _predict_rows call keys its
-rows by (fold index, n_pos, component displays): the first row with a key is
-searched and combined through predict_encoded, and later rows with that key
-take its (target, nodes visited, fell back). A row's label always comes from
-its own cells, and its grid fit and encoding still run, since the key is
-built from them. The dict lives for one call only, so repeated evaluations
-and the single-row paths share nothing. Sharing is sound:
+k-fold walks each fold's test rows as one split. The paper's local rules
+are the projection of the global rules onto the event to classify, and the
+rows of one fold are projections of one training split: they go through one
+encoder, so they share the class bits and the grids, and a component
+display names one component with one match set in all of them. A fold's
+rows are encoded first and held in one search.SplitWalk. Each row is then
+predicted through predict_encoded and search_local_rules, as a single
+query is, and the first row's search runs search.search_split over every
+row of the fold; the other rows read their outcomes from that walk. The
+walk returns, for every row, exactly what the row's own search_local_rules
+would: the same rules, best quality, final threshold and node count
+(search.py gives the argument). Rows that encode alike, duplicates
+included, need nothing more. An error raised while encoding a row is kept
+with the row and raised at its turn in the predict pass, so the error
+raised is still the lowest failing row's.
 
-- k-fold: rows of one fold go through one encoder, and equal displays are
-  equal components with equal match sets, so the two instances are equal
-  field for field.
-- Leave-one-out: a held-out row lies in the match set of each of its own
-  components; it agrees with itself on ==, <= and >, a missing cell drops
-  its attribute, and parsing rejects non-finite floats. Take rows p and p'
-  with equal displays and equal n_pos, which means the same class. Both
-  satisfy every one of those components, so swapping p and p' maps every
-  component's match set, and the class bits, of one instance onto the
-  other's. The search reads only counts and set operations, so it returns
-  the same term ids, targets, qualities, best quality, final threshold and
-  node count; only match bits are renumbered. combine's counts, and with
-  them the target, probability and source, are equal too.
+Leave-one-out rows have a training split each and are searched one by one,
+but rows whose queries encode alike share one search. Each _predict_rows
+call keys its held-out rows by (n_pos, component displays): the first row
+with a key is searched and combined through predict_encoded, and later rows
+with that key take its (target, nodes visited, fell back). A row's label
+always comes from its own cells, and its grid fit and encoding still run,
+since the key is built from them. The dict lives for one call only, so
+repeated evaluations and the single-row paths share nothing. Sharing is
+sound:
+
+- A held-out row lies in the match set of each of its own components; it
+  agrees with itself on ==, <= and >, a missing cell drops its attribute,
+  and parsing rejects non-finite floats. Take rows p and p' with equal
+  displays and equal n_pos, which means the same class. Both satisfy every
+  one of those components, so swapping p and p' maps every component's
+  match set, and the class bits, of one instance onto the other's. The
+  search reads only counts and set operations, so it returns the same term
+  ids, targets, qualities, best quality, final threshold and node count;
+  only match bits are renumbered. combine's counts, and with them the
+  target, probability and source, are equal too.
 - A display names one (attribute, side, level): schemas reject duplicate
   attribute names and duplicate declared values, and continuous levels
   print with repr.
@@ -41,9 +53,10 @@ and the single-row paths share nothing. Sharing is sound:
 All test rows of an evaluation are independent, so threads=N predicts them
 in N processes, the calling one included: the rows are dealt round-robin
 into N shares, the caller predicts the first and one forked child predicts
-each other. Each process fills its own dict, so rows share a search only
-within one share. The merge restores row order and all accumulators are
-integers, so the rendered report is byte-identical for any worker count.
+each other. Each process walks the rows of its own share of a fold, and
+fills its own leave-one-out dict, so rows share work only within one share.
+The merge restores row order and all accumulators are integers, so the
+rendered report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from random import Random
 
 from .data import Dataset
@@ -62,6 +75,7 @@ from .predict import SOURCE_PRIOR, predict_encoded, query_encoder
 # Unused here, but perfbench/tracing.py wraps these names in this module too.
 from .predict import build_grids, encode, mask_class  # noqa: F401
 from .rules import QualityParams
+from .search import SplitWalk
 
 
 @dataclass(frozen=True)
@@ -149,26 +163,14 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
     return max(1, min(threads or cpus, cpus, n_items))
 
 
-def _run_share(worker, items, first: int, step: int) -> tuple:
-    """(True, results) for items[first::step], or (False, (index, error)) for
-    the first of them that raises."""
-    results = []
-    for i in range(first, len(items), step):
-        try:
-            results.append(worker(items[i]))
-        except Exception as exc:
-            return False, (i, exc)
-    return True, results
-
-
-def _fork_share(worker, items, first: int, step: int) -> tuple:
-    """(pid, read end) of a child that pickles _run_share's answer to the pipe."""
+def _fork_share(run_share, first: int, step: int) -> tuple:
+    """(pid, read end) of a child that pickles run_share(first, step) to the pipe."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            answer = pickle.dumps(_run_share(worker, items, first, step))
+            answer = pickle.dumps(run_share(first, step))
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(answer)
             status = 0
@@ -178,23 +180,28 @@ def _fork_share(worker, items, first: int, step: int) -> tuple:
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _run_pool(workers: int, worker, items) -> list:
-    """worker(item) for every item, in order, over workers processes.
+def _run_pool(workers: int, run_share, n_items: int) -> list:
+    """The results of items 0..n_items-1, in order, over workers processes.
 
-    Share w is items[w::workers]. The caller runs share 0 and forks one child
-    per other share; each child inherits worker and pickles back its answer.
-    When items raise, the error of the lowest such index is raised, as one
-    process would raise it. Every child is reaped before this returns, and
-    killed first if the caller is interrupted.
+    run_share(first, step) answers items first, first + step, ... in order:
+    (True, their results), or (False, (index, error)) for the first of them
+    that fails. Share w is run_share(w, workers). The caller runs share 0
+    and forks one child per other share; each child pickles back its
+    answer. When items fail, the error of the lowest such index is raised,
+    as one process would raise it. Every child is reaped before this
+    returns, and killed first if the caller is interrupted.
     """
     if workers == 1:
-        return [worker(item) for item in items]
+        ok, answer = run_share(0, 1)
+        if not ok:
+            raise answer[1]
+        return answer
     children = []  # (pid, read end of its pipe)
     piped = None
     try:
         for w in range(1, workers):
-            children.append(_fork_share(worker, items, w, workers))
-        mine = _run_share(worker, items, 0, workers)
+            children.append(_fork_share(run_share, w, workers))
+        mine = run_share(0, workers)
         piped = [pipe.read() for _, pipe in children]
     finally:
         for pid, pipe in children:
@@ -208,7 +215,7 @@ def _run_pool(workers: int, worker, items) -> list:
     failures = [failure for ok, failure in answers if not ok]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(items)
+    out = [None] * n_items
     for w, (_, results) in enumerate(answers):
         out[w::workers] = results
     return out
@@ -218,25 +225,53 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: 
     """(label, predicted target, nodes, fell back) per row, fold by fold.
 
     encoders[f] encodes the rows of folds[f]; held_out says that they are
-    rows of its training split, to be left out of their own encoding. Rows
-    with one projection share one search (see the module docstring).
+    rows of its training split, to be left out of their own encoding. A
+    fold's rows in one share are walked as one split (search.SplitWalk);
+    held-out rows with one projection share one search (see the module
+    docstring).
     """
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
-    searched: dict[tuple, tuple] = {}  # projection -> (target, nodes, fell back)
 
-    def predict_row(item):
-        f, row = item
-        inst = encoders[f](d.rows[row], row if held_out else None)
-        key = (f, inst.n_pos, *(c.display for c in inst.components))
-        outcome = searched.get(key)
-        if outcome is None:
-            p = predict_encoded(inst, params)
-            outcome = searched[key] = (
-                p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
-            )
-        return (d.rows[row][d.class_col], *outcome)
+    def outcome(p) -> tuple:
+        return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
 
-    return _run_pool(workers, predict_row, items)
+    def split_share(first: int, step: int) -> tuple:
+        results = []
+        for f, group in groupby(range(first, len(items), step), lambda i: items[i][0]):
+            group = list(group)
+            encoded = []  # each row's query, or the error encoding it raised
+            for i in group:
+                try:
+                    encoded.append(encoders[f](d.rows[items[i][1]]))
+                except Exception as exc:
+                    encoded.append(exc)
+            split = SplitWalk([x for x in encoded if not isinstance(x, Exception)])
+            for i, inst in zip(group, encoded):
+                if isinstance(inst, Exception):
+                    return False, (i, inst)
+                try:
+                    p = predict_encoded(inst, params, split)
+                except Exception as exc:
+                    return False, (i, exc)
+                results.append((d.rows[items[i][1]][d.class_col], *outcome(p)))
+        return True, results
+
+    def held_out_share(first: int, step: int) -> tuple:
+        results = []
+        searched: dict[tuple, tuple] = {}  # projection -> outcome
+        for i in range(first, len(items), step):
+            f, row = items[i]
+            try:
+                inst = encoders[f](d.rows[row], row)
+                key = (inst.n_pos, *(c.display for c in inst.components))
+                if key not in searched:
+                    searched[key] = outcome(predict_encoded(inst, params))
+            except Exception as exc:
+                return False, (i, exc)
+            results.append((d.rows[row][d.class_col], *searched[key]))
+        return True, results
+
+    return _run_pool(workers, held_out_share if held_out else split_share, len(items))
 
 
 def _confusion(results) -> ConfusionCounts:

@@ -22,7 +22,7 @@ from .data import Dataset, split_for_prediction
 from .discretize import GridFitter
 from .encode import MODE_LEVELS, EncodedInstance, TrainingIndex, attrs_needing_grids
 from .rules import QualityParams, Rule, SearchOutcome, make_rule
-from .search import search_local_rules
+from .search import SplitWalk, search_local_rules
 
 # Per-query grid fits and encodings go through these names, so each can be
 # swapped as one layer.
@@ -80,14 +80,18 @@ def combine(
     return CombinedRule(**vars(scored), accepted=accepted)
 
 
-def predict_encoded(inst: EncodedInstance, params: QualityParams) -> Prediction:
+def predict_encoded(
+    inst: EncodedInstance, params: QualityParams, split: SplitWalk | None = None
+) -> Prediction:
     """Search, combine, and fall back to the prior when the union is rejected.
 
     A prediction point without components (every attribute missing, say)
     gets the search's empty outcome, 0 nodes, and is predicted from the
-    prior like any point without an accepted rule.
+    prior like any point without an accepted rule. split, when given, holds
+    inst among the queries of its training split, and the search reads
+    inst's outcome from their one walk.
     """
-    outcome = search_local_rules(inst, params)
+    outcome = search_local_rules(inst, params, split)
     combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
     if combined.accepted:
         target, probability, source = combined.target, combined.correctness, SOURCE_COMBINED

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from localrules.data import Attribute, Dataset
-from localrules.evaluate import evaluate_loocv
+from localrules.evaluate import evaluate_cv, evaluate_loocv, render_report, stratified_kfold
 from localrules.rules import QualityParams
 
 from helpers import unshared_outcomes
@@ -74,6 +74,25 @@ def test_traced_loocv_records_every_required_layer():
     assert tr.counts["predict.queries"] == n_projections == len(searches)
     untraced = evaluate_loocv(d, params, threads=1)
     assert (traced.pooled, traced.mean_nodes) == (untraced.pooled, untraced.mean_nodes)
+
+
+def test_traced_kfold_records_every_required_layer():
+    """A fold's rows are walked as one split, yet each row still searches and
+    combines through the traced names, with its own node count."""
+    d = _continuous_dataset()
+    params = QualityParams()
+    tr = tracing.Tracer()
+    with tracing.traced_calls(tr):
+        traced = evaluate_cv(d, params, k=3, seed=1, threads=1)
+    tr.check()
+    n = len(d.rows)
+    assert tr.counts["discretize.calls"] == tr.counts["encode.calls"] == n
+    searches = [span for span in tr.spans if span[0] == "search"]
+    assert len(searches) == tr.counts["predict.queries"] == n
+    want, _ = unshared_outcomes(d, params, stratified_kfold(d, 3, 1), held_out=False)
+    assert tr.counts["search.nodes"] == sum(nodes for _, _, nodes, _ in want)
+    untraced = evaluate_cv(d, params, k=3, seed=1, threads=1)
+    assert render_report(traced) == render_report(untraced)
 
 
 def test_cv_monks_reports_equal_the_pinned_refs():

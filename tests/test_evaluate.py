@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from localrules import evaluate
+from localrules import evaluate, predict, search
 from localrules.data import Attribute, Dataset, load_dataset
 from localrules.errors import BadParams, DataError
 from localrules.evaluate import (
@@ -189,7 +189,11 @@ _SHARING_PARAMS = (
 @pytest.mark.parametrize("k", [2, 3, None], ids=["2-fold", "3-fold", "loocv"])
 @pytest.mark.parametrize("name", sorted(_SHARING_DATASETS))
 def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
-    """Shared searches give each row what its own search gives, at 1 and 2 workers."""
+    """Shared searches give each row what its own search gives, at 1 and 2 workers.
+
+    k-fold walks each fold's rows as one split, once per fold and share;
+    leave-one-out searches once per distinct projection.
+    """
     d = _SHARING_DATASETS[name]()
     folds = (range(len(d.rows)),) if k is None else stratified_kfold(d, k, seed=1)
 
@@ -209,13 +213,18 @@ def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
                     mock.patch.object(evaluate, "_build_report",
                                       wraps=evaluate._build_report) as build, \
                     mock.patch.object(evaluate, "predict_encoded",
-                                      wraps=evaluate.predict_encoded) as searches:
+                                      wraps=evaluate.predict_encoded) as predictions, \
+                    mock.patch.object(search, "search_split",
+                                      wraps=search.search_split) as walks:
                 text = render_report(run(params, threads))
             tallied = build.call_args.args[8]  # the outcomes the report counts
             assert tallied == want, (params, threads)
             assert text == want_text, (params, threads)
             if threads == 1:  # forked workers count their calls in their own copy
-                assert searches.call_count == n_projections
+                if k is None:
+                    assert (predictions.call_count, walks.call_count) == (n_projections, 0)
+                else:
+                    assert (predictions.call_count, walks.call_count) == (len(d.rows), k)
 
 
 def _tagged_dataset(n=24):
@@ -246,17 +255,30 @@ def _failing_on(rows):
     displays = {f"id=r{row}" for row in rows}
     real = evaluate.predict_encoded
 
-    def predict(inst, params):
+    def predict(inst, params, split=None):
         for c in inst.components:
             if c.display in displays:
                 raise DataError(f"cannot predict {c.display}")
-        return real(inst, params)
+        return real(inst, params, split)
 
     return predict
 
 
-def _raised(d, k, threads, failing_rows):
+def _encode_failing_on(rows):
+    """predict.encode, but a DataError naming the row for the given rows."""
+    real = predict.encode
+
+    def encode(index, pred_row, grids=None, held_out=None):
+        if pred_row[0] in rows:  # the id cell
+            raise DataError(f"cannot encode id=r{pred_row[0]}")
+        return real(index, pred_row, grids, held_out)
+
+    return encode
+
+
+def _raised(d, k, threads, failing_rows, encode_failing_rows=()):
     with mock.patch.object(evaluate, "predict_encoded", _failing_on(failing_rows)), \
+            mock.patch.object(predict, "encode", _encode_failing_on(encode_failing_rows)), \
             pytest.raises(DataError) as raised:
         _run(d, k, threads)
     return raised.value
@@ -289,6 +311,18 @@ def test_a_failing_row_raises_the_same_error_at_any_worker_count(k):
         got = _raised(d, k, 2, failing)
         assert str(want) == f"cannot predict id=r{failing[0]}"
         assert (type(got), str(got)) == (type(want), str(want)), positions
+    # One row fails in its encode pass and another in its predict pass. k-fold
+    # encodes a fold's rows before it predicts any of them, so a later row of
+    # the fold fails to encode before an earlier one fails to predict; the
+    # lower row's error is still the one raised.
+    for predicted, encoded in ((2, 5), (3, 6), (1, 2), (5, 2), (6, 3), (7, 9)):
+        row, other = order[predicted], order[encoded]
+        lower = f"cannot predict id=r{row}"
+        if encoded < predicted:
+            lower = f"cannot encode id=r{other}"
+        for threads in (1, 2):
+            got = _raised(d, k, threads, [row], [other])
+            assert str(got) == lower, (predicted, encoded, threads)
     _assert_no_child_left()
 
 
@@ -297,10 +331,10 @@ def test_a_worker_process_that_dies_without_a_result_raises():
     caller = os.getpid()
     real = evaluate.predict_encoded
 
-    def predict(inst, params):
+    def predict(inst, params, split=None):
         if os.getpid() != caller:
             os._exit(3)
-        return real(inst, params)
+        return real(inst, params, split)
 
     with mock.patch.object(evaluate, "predict_encoded", predict), \
             pytest.raises(RuntimeError, match="ended without a result"):
@@ -312,7 +346,7 @@ def test_an_interrupted_caller_kills_its_worker_processes():
     d = _tagged_dataset()
     caller = os.getpid()
 
-    def predict(inst, params):
+    def predict(inst, params, split=None):
         if os.getpid() != caller:
             time.sleep(60)  # only the kill ends this child in time
         raise KeyboardInterrupt

@@ -1,0 +1,220 @@
+"""One walk per training split: search_split against the per-query search.
+
+search_split walks every query encoded against one training split at once,
+and must return for each query exactly the SearchOutcome that
+search_local_rules returns for it alone: the same rules (term ids, match
+sets, tables, targets, qualities), best quality, final threshold and node
+count, compared with ==. The batches are k-fold test rows of the shipped
+datasets, continuous data with missing cells, batches with duplicate rows
+and an all-? row, and small random datasets drawn by Hypothesis, each under
+nine flag sets that move the threshold, the floors, the purity slack and
+the depth.
+"""
+
+import random
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from localrules import search
+from localrules.data import Attribute, Dataset, load_dataset
+from localrules.errors import DataError
+from localrules.evaluate import stratified_kfold
+from localrules.predict import query_encoder
+from localrules.rules import QualityParams
+from localrules.search import SplitWalk, search_local_rules, search_split
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+FLAG_SETS = {
+    "defaults": QualityParams(),
+    "eps=0.2": QualityParams(eps=0.2),
+    "eps=0.05,max_terms=3": QualityParams(eps=0.05, max_terms=3),
+    "keep_frac=0.5,min_mism=0": QualityParams(keep_frac=0.5, min_mism=0.0),
+    "weight=0.5,min_cover=0.02": QualityParams(weight=0.5, min_cover=0.02),
+    "weight=0": QualityParams(weight=0.0),
+    "weight=1": QualityParams(weight=1.0),
+    "max_terms=1": QualityParams(max_terms=1),
+    "min_cover=0": QualityParams(min_cover=0.0),
+}
+EVERY_CELL = {i: "levels" for i in range(9)}  # tictactoe's nine cells
+
+
+def _shipped(name):
+    return load_dataset(DATA / f"{name}.csv", DATA / f"{name}.schema")
+
+
+def _fold_batches(d, k, mode, overrides=None, stride=1):
+    """Per fold of seed-1 k-fold CV: the queries of every stride-th test row.
+
+    Every query is encoded as evaluate_cv encodes it.
+    """
+    batches = []
+    for fold in stratified_kfold(d, k, seed=1):
+        held = frozenset(fold)
+        training = [row for i, row in enumerate(d.rows) if i not in held]
+        encode_query = query_encoder(d, training, mode, overrides)
+        batches.append([encode_query(d.rows[row]) for row in fold[::stride]])
+    return batches
+
+
+def _assert_split_walk_exact(batches, params):
+    for insts in batches:
+        want = [search_local_rules(inst, params) for inst in insts]
+        assert search_split(insts, params) == want
+
+
+def _continuous(seed, n=48):
+    """Two continuous attributes with missing cells, an ordered and a bool one."""
+    rng = random.Random(seed)
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("y", "continuous"),
+        Attribute("o", "ordered", ("lo", "mid", "hi")),
+        Attribute("b", "bool"),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = []
+    for _ in range(n):
+        x = round(rng.uniform(0, 10), 1) if rng.random() > 0.1 else None
+        y = round(rng.gauss(0, 1), 1) if rng.random() > 0.2 else None
+        o = rng.randrange(3) if rng.random() > 0.1 else None
+        b = rng.random() < 0.5
+        g = int(((x or 0) > 5) != b) ^ (rng.random() < 0.15)
+        rows.append((x, y, o, b, g))
+    return Dataset(attrs, tuple(rows), 4)
+
+
+# (dataset, mode, overrides, stride): every stride-th test row of a fold is
+# in its batch at 2 and 10 folds, every row at 3 folds (the benchmark's).
+# With every cell as levels the per-query search takes about 20 ms a row,
+# so tictactoe then keeps a 64th of each fold at every fold count.
+SHIPPED = {
+    "monks1-levels": ("monks1", "levels", None, 4),
+    "monks2-levels": ("monks2", "levels", None, 4),
+    "monks3-levels": ("monks3", "levels", None, 4),
+    "monks1-exact": ("monks1", "exact", None, 4),
+    "monks2-exact": ("monks2", "exact", None, 4),
+    "monks3-exact": ("monks3", "exact", None, 4),
+    "tictactoe-exact": ("tictactoe", "exact", None, 4),
+    "tictactoe-levels": ("tictactoe", "exact", EVERY_CELL, 64),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("case", sorted(SHIPPED))
+def test_split_walk_equals_the_per_query_search_on_shipped_folds(case, k):
+    name, mode, overrides, stride = SHIPPED[case]
+    if k == 3 and overrides is None:
+        stride = 1
+    batches = _fold_batches(_shipped(name), k, mode, overrides, stride)
+    for params in FLAG_SETS.values():
+        _assert_split_walk_exact(batches, params)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("mode", ["levels", "exact"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_walk_equals_the_per_query_search_on_continuous_folds(seed, mode, k):
+    batches = _fold_batches(_continuous(seed), k, mode)
+    for params in FLAG_SETS.values():
+        _assert_split_walk_exact(batches, params)
+
+
+@pytest.mark.parametrize("mode", ["levels", "exact"])
+def test_duplicate_and_all_missing_queries_get_their_own_outcome(mode):
+    d = _continuous(4)
+    training = d.rows[:36]
+    encode_query = query_encoder(d, training, mode)
+    rows = [d.rows[i] for i in (36, 37, 38, 36, 39, 37, 36)]
+    blank = (None,) * len(d.attributes)
+    insts = [encode_query(row) for row in rows[:3]] + [encode_query(blank)]
+    insts += [encode_query(row) for row in rows[3:]]
+    assert insts[3].n_components == 0
+    for params in FLAG_SETS.values():
+        got = search_split(insts, params)
+        assert got == [search_local_rules(inst, params) for inst in insts]
+        assert got[3] == search_local_rules(insts[3], params)
+        assert got[3].nodes_visited == 0 and got[3].rules == ()
+
+
+def _drawn_dataset(rng):
+    """Up to four attributes of any kind, missing cells, and a noisy planted rule."""
+    kinds = rng.choices(("bool", "nominal", "ordered", "continuous"), k=rng.randint(1, 4))
+    attrs = []
+    for i, kind in enumerate(kinds):
+        values = ("p", "q", "r") if kind in ("nominal", "ordered") else None
+        attrs.append(Attribute(f"a{i}", kind, values))
+    attrs.append(Attribute("c", "class", ("y", "n")))
+    rows = []
+    for _ in range(rng.randint(8, 40)):
+        cells = []
+        for kind in kinds:
+            if rng.random() < 0.15:
+                cells.append(None)
+            elif kind == "bool":
+                cells.append(rng.random() < 0.5)
+            elif kind == "continuous":
+                cells.append(float(rng.randrange(8)))
+            else:
+                cells.append(rng.randrange(3))
+        first = cells[0]
+        g = int(bool(first) and first is not None) ^ (rng.random() < 0.25)
+        rows.append((*cells, g))
+    return Dataset(tuple(attrs), tuple(rows), len(kinds))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 4),
+    mode=st.sampled_from(["levels", "exact"]),
+    params=st.sampled_from(list(FLAG_SETS.values())),
+)
+def test_split_walk_equals_the_per_query_search_on_drawn_folds(seed, k, mode, params):
+    d = _drawn_dataset(random.Random(seed))
+    try:
+        folds = stratified_kfold(d, k, seed=seed)
+    except DataError:
+        assume(False)  # a class with fewer rows than folds
+    for fold in folds:
+        held = frozenset(fold)
+        training = [row for i, row in enumerate(d.rows) if i not in held]
+        encode_query = query_encoder(d, training, mode)
+        insts = [encode_query(d.rows[row]) for row in fold]
+        insts += insts[:2]  # duplicates of earlier queries
+        assert search_split(insts, params) == [search_local_rules(i, params) for i in insts]
+
+
+def test_a_single_class_split_raises_the_same_error():
+    d = _continuous(5)
+    training = [row for row in d.rows if row[d.class_col] == 0]
+    encode_query = query_encoder(d, training, "levels")
+    insts = [encode_query(row) for row in d.rows[:5]]
+    with pytest.raises(DataError) as per_query:
+        search_local_rules(insts[0], QualityParams())
+    with pytest.raises(DataError) as walked:
+        search_split(insts, QualityParams())
+    assert str(walked.value) == str(per_query.value)
+
+
+def test_queries_of_two_splits_are_refused():
+    batches = _fold_batches(_continuous(6), 2, "levels")
+    with pytest.raises(ValueError):
+        search_split(batches[0] + batches[1], QualityParams())
+
+
+def test_a_split_walks_once_per_params_and_answers_only_its_queries():
+    batches = _fold_batches(_continuous(7), 3, "levels")
+    split = SplitWalk(batches[0])
+    with mock.patch.object(search, "search_split", wraps=search.search_split) as walks:
+        for params in (QualityParams(), QualityParams(eps=0.2)):
+            for inst in batches[0]:
+                assert search_local_rules(inst, params, split) == search_local_rules(inst, params)
+        assert walks.call_count == 2
+    with pytest.raises(ValueError):
+        search_local_rules(batches[1][0], QualityParams(), split)
+
