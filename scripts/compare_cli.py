@@ -88,8 +88,11 @@ def write_small(directory: Path) -> list[list[str]]:
 def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> list[list[str]]:
     """Every run.
 
-    continuous and cut hold the --data/--schema flags of write_continuous
-    and write_cut, and small the runs of write_small.
+    Each of six non-default search flags runs k-fold and leave-one-out
+    evaluate and rules on one row, so it meets the walk of a fold's split
+    and the walk of a lone query. continuous and cut hold the --data/--schema
+    flags of write_continuous and write_cut, and small the runs of
+    write_small.
     """
     runs = [
         ["evaluate", *continuous, "--threads", "1"],
@@ -127,6 +130,9 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
     ):
         runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
+        # A lone query's walk: leave-one-out and a single row.
+        runs.append(["evaluate", *continuous, *flag, "--loocv", "--threads", "1"])
+        runs.append(["rules", *tictactoe, *flag, "--row", "5"])
     # Other fold counts give the split walks other batch sizes and shares.
     for data in (_files("monks2"), _files("tictactoe") + ["--mode", "exact"]):
         for folds in ("2", "10"):

@@ -15,19 +15,17 @@ are the projection of the global rules onto the event to classify, and the
 rows of one fold are projections of one training split: they go through one
 encoder, so they share the class bits and the grids, and a component
 display names one component with one match set in all of them. A fold's
-rows are encoded first and held in one search.SplitWalk. Each row is then
-predicted through predict_encoded and search_local_rules, as a single
-query is, and the first row's search runs search.search_split over every
-row of the fold; the other rows read their outcomes from that walk. The
-walk returns, for every row, exactly what the row's own search_local_rules
-would: the same rules, best quality, final threshold and node count
-(search.py gives the argument). Rows that encode alike, duplicates
-included, need nothing more. An error raised while encoding a row is kept
-with the row and raised at its turn in the predict pass, so the error
-raised is still the lowest failing row's.
+rows are encoded first and held in one search.SplitWalk, and each row is
+predicted through predict_encoded with it: the first row's search walks
+every row of the fold, and each row reads from that walk exactly what a
+walk of the row alone returns, node count included (search.py gives the
+argument). Rows that encode alike, duplicates included, need nothing more.
+An error raised while encoding a row is kept with the row and raised at its
+turn in the predict pass, so the error raised is still the lowest failing
+row's.
 
-Leave-one-out rows have a training split each and are searched one by one,
-but rows whose queries encode alike share one search. Each _predict_rows
+Leave-one-out rows have a training split each, so each is walked as a split
+of one, but rows whose queries encode alike share one walk. Each _predict_rows
 call keys its held-out rows by (n_pos, component displays): the first row
 with a key is searched and combined through predict_encoded, and later rows
 with that key take its (target, nodes visited, fell back). A row's label

@@ -62,19 +62,20 @@ match, which the root's own pass already tested.
 A child is scored on its two class counts as the sum of two table entries
 (rules.score_tables: the exclusion half at the other class's count and the
 coverage half at the predicted class's), which equals rules.count_quality bit
-for bit. Its Contingency and Rule are built only when it reaches the
-threshold and matches a training row (an empty match set scores at most the
-base threshold, so it never raises it).
+for bit. Its Contingency is built only when it reaches a threshold and
+matches a training row (an empty match set scores at most the base
+threshold, so it never raises it), and its Rule only when it passes the
+final filter.
 
 The walk is one loop over an explicit stack, so its depth takes no
 interpreter stack. The node being expanded is held in locals: the match sets
-of its one-term drops of its older terms, its used-group mask, its tail and
-the index of its next candidate; its terms are one path list. Entering a
-child pushes the node's frame (drops, used, tail, next index) and appends
-the child's term to the path. When a node's tail is done, the loop pops the
-parent's frame and the path's last term, and the parent resumes at the
-candidate after that child, so nodes are entered in canonical depth-first
-order.
+of its one-term drops of its older terms, its used-group mask, its tail, the
+index of its next candidate and the queries at it; its terms are one path
+list. Entering a child pushes the node's frame (drops, used, tail, next
+index, queries) and appends the child's term to the path. When a node's tail
+is done, the loop pops the parent's frame and the path's last term, and the
+parent resumes at the candidate after that child, so nodes are entered in
+canonical depth-first order.
 
 A component's id is its position. A path's used boundary groups are one
 mask over ids: the union of its terms' group masks, each the ids sharing the
@@ -85,43 +86,42 @@ A query without components forms no node and gets the empty outcome, after
 the single-class check, which comes first because every score needs both
 classes.
 
-One walk per training split (search_split). The queries encoded against one
-training split, none held out, share the class bits and the grids, so a
-display names one component with one match set in all of them. The split
-walk runs over the union of their components in one canonical order
-(equality components by attribute, then boundary components by attribute
-and level), of which each query's own order is a restriction. A term set's
-facts that do not depend on the query are computed once for every query
-that reaches it: its match set and class counts, the drop tests of its
-older terms, its score and the tail it hands down. The queries at a node
-are a bitmask over the batch, and each keeps its own threshold, best
-quality, found rules and node count:
+One walk (search_split) answers the queries of one training split; a lone
+query (predict, rules, predict_for_row, leave-one-out) is a split of one.
+The queries share the class bits and the grids, so a display names one
+component with one match set in all of them. The walk runs over the union
+of their components in one canonical order (equality components by
+attribute, then boundary components by attribute and level), of which each
+query's own order is a restriction; a lone query's union is its own
+components. A term set's facts that do not depend on the query are computed
+once for every query that reaches it: its match set and class counts, the
+drop tests of its older terms, its score and the tail it hands down. The
+queries at a node are a bitmask over the batch, and each keeps its own
+threshold, best quality, found rules and node count:
 
-  - entry: a query enters a tail candidate when it holds the candidate and
-    its threshold is at most the better perfect score at the candidate's
-    two counts, which is the test against its count floors. The queries
-    are grouped by threshold, so this is one bisection and one mask.
+  - entry: a candidate must meet the count floors of the lowest threshold;
+    a query holding it enters when its threshold is at most the better
+    perfect score at the candidate's two counts (its own floors), one
+    bisection made only while the queries hold more than one threshold.
   - acceptance: a rule is found for the entering queries whose threshold
-    it reaches, and raises their thresholds as in the kernel.
-  - node count: expanding a node adds, for each entering query, the
-    popcount of its components above the newest term outside the used
-    groups.
+    it reaches and raises their thresholds; the floors of the lowest
+    threshold, which only rises, rise by bisecting from the old ones.
+  - node count: expanding a node adds, for each entering query, its
+    components above the newest term outside the used groups (for a lone
+    query, which holds them all: the ids above, less the used ones).
   - term ids: a query's id of a term is the popcount of its components
     below the term.
 
 Restricted to one query, this is that query's own canonical walk with the
-same threshold history. The one difference is where the coverage floor
-cuts: a tail is formed under the lowest threshold among the queries that
-expand the node, and each query's own floor applies when it enters a
-candidate. Thresholds only rise and counts only shrink down a path, so a
-candidate the query's own walk would have left out of a tail fails the
-query's entry test there and at every descendant, and entering a child
-whose tail holds nothing the query can use changes nothing it returns. So
-every rule (term ids, match set, table, target, quality), the best quality,
-the final threshold and the node count equal search_local_rules'. The
-per-query kernel stays for predict, rules, predict_for_row and
-leave-one-out, whose splits hold one query each: on a batch of one the
-split walk is slower, since it keeps the per-query state apart.
+same threshold history. The one difference is where the coverage floor cuts:
+a tail is formed under the lowest threshold of the batch, and each query's
+own floor applies when it enters a candidate. Thresholds only rise and counts
+only shrink down a path, so a candidate the query's own walk would have left
+out of a tail fails the query's entry test there and at every descendant, and
+entering a child whose tail holds nothing the query can use changes nothing
+it returns. So a query's rules (term ids, match set, table, target, quality),
+best quality, final threshold and node count are the same in any batch, alone
+included.
 
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
@@ -181,45 +181,122 @@ def search_local_rules(
     """The query's accepted rules, best quality, final threshold and node count.
 
     With split, one of whose queries inst is, the answer is read from the
-    split's walk (search_split), which its first query runs for them all.
+    split's one walk; without one, inst is walked as a split of one.
     """
     if split is not None:
         return split.outcome(inst, params)
-    n_pos, n_neg = inst.n_pos, inst.n_neg
+    return search_split([inst], params)[0]
+
+
+def _split_union(instances) -> tuple[list, list, list[int] | None, list[int] | None]:
+    """(union, each query's union ids, each query's mask, each component's holders).
+
+    A component is keyed by its display, and bit q of a mask is query q. The
+    union's order is equality components by attribute, then boundary
+    components by attribute and level, where a level is a boundary
+    component's position among its query's components of that attribute:
+    queries of one split share the grids, so equal positions are equal
+    levels. Components that no query holds together (two values, or the two
+    sides of one level) tie and keep the order they were met in.
+    """
+    # A lone query's own components, in its own order, are the union, and
+    # the walk keeps no masks for it.
+    if len(instances) == 1:
+        return instances[0].components, [range(instances[0].n_components)], None, None
+    if any(inst.class_bits != instances[0].class_bits for inst in instances):
+        raise ValueError("the queries were not encoded against one training split")
+    union: dict[str, tuple] = {}  # display -> (order key, component)
+    for inst in instances:
+        attr, level = None, 0
+        for c in inst.components:
+            if c.kind != EXACT:
+                level = level + 1 if c.attr == attr else 0
+                attr = c.attr
+            got = union.get(c.display)
+            if got is None:
+                union[c.display] = ((c.kind != EXACT, c.attr, level, len(union)), c)
+            elif got[1] != c:
+                raise ValueError(f"component {c.display!r} differs between the queries")
+    comps = [c for _, c in sorted(union.values())]
+    uid = {c.display: u for u, c in enumerate(comps)}
+    ids = [[uid[c.display] for c in inst.components] for inst in instances]
+    for row in ids:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError("the queries were not encoded against one set of grids")
+    own = [sum(1 << cid for cid in row) for row in ids]
+    holders = [0] * len(comps)
+    for q, row in enumerate(ids):
+        for cid in row:
+            holders[cid] |= 1 << q
+    return comps, ids, own, holders
+
+
+def _levels(at: dict[float, int]) -> tuple[list[float], list[int]]:
+    """(levels, below) of the queries at[t] at each threshold t; see search_split."""
+    levels = sorted(at)
+    below = [0]
+    for level in levels:
+        below.append(below[-1] | at[level])
+    return levels, below
+
+
+def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
+    """search_local_rules(inst, params) for every query of one training split, in one walk.
+
+    The queries must share the class bits and be encoded against one set of
+    grids, as every query of one query_encoder is when none is held out.
+    """
+    if not instances:
+        return []
+    n_pos, n_neg = instances[0].n_pos, instances[0].n_neg
     if n_pos == 0 or n_neg == 0:
         raise DataError("training rows contain a single class")
 
-    m = inst.n_components
-    bits = [c.match_bits for c in inst.components]
-    group_mask = _group_masks(inst.components)
-    class_bits = inst.class_bits
+    n_queries = len(instances)
+    lone = n_queries == 1
+    comps, ids, own, holders = _split_union(instances)
+    m = len(comps)
+    bits = [c.match_bits for c in comps]
+    group_mask = _group_masks(comps)
     weight = params.weight
     keep = params.keep_frac
     max_terms = params.max_terms
     min_corr = 1.0 - params.eps
+    class_bits = instances[0].class_bits
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
     tie_target = n_pos >= n_neg
+    ex_pos, cov_pos, perfect_pos = score_tables(n_pos, weight)
+    ex_neg, cov_neg, perfect_neg = score_tables(n_neg, weight)
+    base = params.base_threshold
 
-    ex_pos, cov_pos, _ = score_tables(n_pos, weight)
-    ex_neg, cov_neg, _ = score_tables(n_neg, weight)
-    threshold = params.base_threshold
-    floor_pos = min_cover_count(threshold, n_pos, weight)
-    floor_neg = min_cover_count(threshold, n_neg, weight)
-
-    found: list[Rule] = []
-    best: float | None = None
-    visits = m  # the root forms every singleton
+    # Per query: its threshold, best quality, found rules and node count.
+    thresholds = [base] * n_queries
+    best: list[float | None] = [None] * n_queries
+    found: list[list[tuple]] = [[] for _ in range(n_queries)]
+    visits = [len(row) for row in ids]  # the root forms every singleton
+    nodes = 0  # what a lone query's expansions add, kept apart while it walks
+    # The queries grouped by threshold: levels ascending, below[k] the queries
+    # whose threshold is under levels[k].
+    at = {base: (1 << n_queries) - 1}
+    levels, below = [base], [0, at[base]]
+    # The lowest threshold and its count floors, which every query's reach;
+    # several says whether the queries hold more than one threshold.
+    lowest, several = base, False
+    floor_pos = min_cover_count(base, n_pos, weight)
+    floor_neg = min_cover_count(base, n_neg, weight)
 
     # The frame of the node being expanded, whose terms are path: its drops'
-    # match sets, its used groups, its tail and its next candidate's index.
-    drops, used, tail, start = [], 0, [], 0
+    # match sets, its used groups, its tail, its next candidate's index and
+    # the queries at it.
+    drops, used, tail, start, rows = [], 0, [], 0, below[1]
+    entering = rows  # a lone query is the only one at every node
     if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
         # Only an impure root is expanded. At a pure enough root every
         # singleton is blocked by its one drop (the parent match). Every
         # root candidate's drop is the root match, so there the drop tests
         # would repeat the new-term tests, and a root child has no older
         # term to drop.
-        full = (1 << inst.n_rows) - 1
+        full = (1 << instances[0].n_rows) - 1
         for cid in range(m):
             match = full & bits[cid]
             cpos = (match & class_bits).bit_count()
@@ -237,7 +314,19 @@ def search_local_rules(
         for i in range(start, last + 1):
             cid, child_match, cpos, cneg, drop, drop_pure = tail[i]
             if drop_pure or cpos < floor_pos and cneg < floor_neg:
-                continue  # blocked, or no descendant can reach the threshold
+                continue  # blocked, or no descendant can reach any threshold
+            if not lone:
+                entering = rows & holders[cid]
+                if several:
+                    # The queries whose count floors the child meets: a
+                    # threshold no higher than the better perfect score at
+                    # one of its counts.
+                    reach = perfect_pos[cpos]
+                    if perfect_neg[cneg] > reach:
+                        reach = perfect_neg[cneg]
+                    entering &= below[bisect_right(levels, reach)]
+                if not entering:
+                    continue
 
             b = bits[cid]
             child_drops = []
@@ -254,33 +343,65 @@ def search_local_rules(
                 # select_target's choice, scored as count_quality from the tables
                 target = cpos > cneg if cpos != cneg else tie_target
                 q = ex_neg[cneg] + cov_pos[cpos] if target else ex_pos[cpos] + cov_neg[cneg]
-                if q >= threshold and child_match:
+                if q >= lowest and child_match:
+                    # Found for the entering queries whose threshold q reaches.
+                    accepting = entering & below[bisect_right(levels, q)] if several else entering
                     table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                    found.append(Rule((*path, cid), child_match, table, target, q))
-                    if best is None or q > best:
-                        best = q
-                        if keep * q > threshold:
-                            threshold = keep * q
-                            floor_pos = min_cover_count(threshold, n_pos, weight, floor_pos)
-                            floor_neg = min_cover_count(threshold, n_neg, weight, floor_neg)
+                    rule = ((*path, cid), child_match, table, target, q)
+                    raised = False
+                    while accepting:
+                        low = accepting & -accepting
+                        accepting ^= low
+                        j = low.bit_length() - 1
+                        found[j].append(rule)
+                        if best[j] is None or q > best[j]:
+                            best[j] = q
+                            old = thresholds[j]
+                            if keep * q > old:
+                                thresholds[j] = new = keep * q
+                                at[old] ^= low
+                                if not at[old]:
+                                    del at[old]
+                                at[new] = at.get(new, 0) | low
+                                raised = True
+                    if raised:
+                        if lone:
+                            lowest = thresholds[0]
+                        else:
+                            levels, below = _levels(at)
+                            lowest, several = levels[0], len(levels) > 1
+                        # The lowest threshold only rises, so its floors rise
+                        # from the old ones.
+                        floor_pos = min_cover_count(lowest, n_pos, weight, floor_pos)
+                        floor_neg = min_cover_count(lowest, n_neg, weight, floor_neg)
 
                 if leaf or not child_match:
                     continue
-                n_match = cpos + cneg
-                if (cpos if cpos >= cneg else cneg) >= min_corr * n_match:
+                if (cpos if cpos >= cneg else cneg) >= min_corr * (cpos + cneg):
                     continue  # pure enough; supersets are blocked by definition
-                # Expand the child: it forms every id above cid outside its
-                # used groups, whether or not its tail still holds it. A
-                # boundary cid's own bit is in child_used, hence the shift past it.
+                # Expand the child: each entering query forms every one of its
+                # ids above cid outside the child's used groups, whether or
+                # not the tail still holds it. A boundary cid's own bit is in
+                # child_used, hence the shift past it.
                 child_used = used | group_mask[cid]
-                visits += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
+                if not lone:
+                    above = ~child_used & -(2 << cid)
+                    counting = entering
+                    while counting:
+                        low = counting & -counting
+                        counting ^= low
+                        j = low.bit_length() - 1
+                        visits[j] += (own[j] & above).bit_count()
+                else:
+                    nodes += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
                 # Without a candidate in its tail, the child only counts.
                 if i == last:
                     continue
-                # The child's tail, from the candidates after it. Each entry's
-                # match set becomes the new entry's drop. A candidate that
-                # fails here fails at every descendant, so it leaves the
-                # whole subtree.
+                # The child's tail, from the candidates after it, under the
+                # floors of the lowest threshold; each query's own floors
+                # apply when it enters a candidate. Each entry's match set
+                # becomes the new entry's drop. A candidate that fails here
+                # fails at every descendant, so it leaves the whole subtree.
                 child_tail = []
                 for ocid, odrop, dpos, dneg, _, _ in tail[i + 1:]:
                     if child_used >> ocid & 1:
@@ -303,253 +424,29 @@ def search_local_rules(
                 if child_tail:
                     if path:  # a root child has no older term to drop
                         child_drops.append(drop)
-                    stack.append((drops, used, tail, i + 1))
-                    path.append(cid)
-                    drops, used, tail, start = child_drops, child_used, child_tail, 0
-                    break
-        else:  # the node is done: resume its parent, if any
-            if not stack:
-                break
-            drops, used, tail, start = stack.pop()
-            path.pop()
-
-    if best is None:
-        return SearchOutcome((), None, params.base_threshold, visits)
-    final = max(params.base_threshold, keep * best)
-    kept = [r for r in found if r.quality >= final]
-    return SearchOutcome(_sorted_rules(kept), best, final, visits)
-
-
-def _split_union(instances) -> tuple[list, list[list[int]]]:
-    """(the union of the queries' components in canonical order, each query's union ids).
-
-    A component is keyed by its display. The order is equality components by
-    attribute, then boundary components by attribute and level, where a
-    level is a boundary component's position among its query's components of
-    that attribute: queries of one split share the grids, so equal positions
-    are equal levels. Components that no query holds together (two values,
-    or the two sides of one level) tie and keep the order they were met in.
-    """
-    union: dict[str, tuple] = {}  # display -> (order key, component)
-    for inst in instances:
-        attr, level = None, 0
-        for c in inst.components:
-            if c.kind != EXACT:
-                level = level + 1 if c.attr == attr else 0
-                attr = c.attr
-            got = union.get(c.display)
-            if got is None:
-                union[c.display] = ((c.kind != EXACT, c.attr, level, len(union)), c)
-            elif got[1] != c:
-                raise ValueError(f"component {c.display!r} differs between the queries")
-    comps = [c for _, c in sorted(union.values())]
-    uid = {c.display: u for u, c in enumerate(comps)}
-    ids = [[uid[c.display] for c in inst.components] for inst in instances]
-    for row in ids:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            raise ValueError("the queries were not encoded against one set of grids")
-    return comps, ids
-
-
-def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
-    """search_local_rules(inst, params) for every query of one training split, in one walk.
-
-    The queries must share the class bits and be encoded against one set of
-    grids, as every query of one query_encoder is when none is held out.
-    """
-    if not instances:
-        return []
-    n_pos, n_neg = instances[0].n_pos, instances[0].n_neg
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("training rows contain a single class")
-    class_bits = instances[0].class_bits
-    if any(inst.class_bits != class_bits for inst in instances):
-        raise ValueError("the queries were not encoded against one training split")
-
-    comps, ids = _split_union(instances)
-    m = len(comps)
-    bits = [c.match_bits for c in comps]
-    group_mask = _group_masks(comps)
-    # Queries are bits of a batch mask: own[q] is query q's components,
-    # holders[cid] the queries holding component cid.
-    own = [sum(1 << cid for cid in row) for row in ids]
-    holders = [0] * m
-    for q, row in enumerate(ids):
-        for cid in row:
-            holders[cid] |= 1 << q
-    weight = params.weight
-    keep = params.keep_frac
-    max_terms = params.max_terms
-    min_corr = 1.0 - params.eps
-    mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
-    tie_target = n_pos >= n_neg
-    ex_pos, cov_pos, perfect_pos = score_tables(n_pos, weight)
-    ex_neg, cov_neg, perfect_neg = score_tables(n_neg, weight)
-    base = params.base_threshold
-
-    # Per query: its threshold, best quality, found rules and node count.
-    n_queries = len(instances)
-    thresholds = [base] * n_queries
-    best: list[float | None] = [None] * n_queries
-    found: list[list[tuple]] = [[] for _ in range(n_queries)]
-    visits = [len(row) for row in ids]  # the root forms every singleton
-    # The queries grouped by threshold: levels ascending, below[k] the queries
-    # whose threshold is under levels[k], floors[k] the count floors at levels[k].
-    at = {base: (1 << n_queries) - 1}
-
-    def regroup():
-        levels = sorted(at)
-        below = [0]
-        for level in levels:
-            below.append(below[-1] | at[level])
-        floors = [
-            (min_cover_count(t, n_pos, weight), min_cover_count(t, n_neg, weight))
-            for t in levels
-        ]
-        return levels, below, floors
-
-    levels, below, floors = regroup()
-    floor_pos, floor_neg = floors[0]
-
-    # The frame of the node being expanded: its drops' match sets, its used
-    # groups, its tail, its next candidate's index and the queries at it.
-    drops, used, tail, start, rows = [], 0, [], 0, (1 << n_queries) - 1
-    if max(n_pos, n_neg) < min_corr * (n_pos + n_neg):
-        full = (1 << instances[0].n_rows) - 1
-        for cid in range(m):
-            match = full & bits[cid]
-            cpos = (match & class_bits).bit_count()
-            cneg = match.bit_count() - cpos
-            if (cpos >= floor_pos or cneg >= floor_neg) and (
-                n_pos - cpos > mism_floor_pos or n_neg - cneg > mism_floor_neg
-            ):
-                tail.append((cid, match, cpos, cneg, full, False))
-    path: list[int] = []
-    stack = []
-
-    while True:
-        leaf = len(path) + 1 >= max_terms
-        last = len(tail) - 1
-        for i in range(start, last + 1):
-            cid, child_match, cpos, cneg, drop, drop_pure = tail[i]
-            if drop_pure:
-                continue
-            entering = rows & holders[cid]
-            if not entering:
-                continue
-            # The queries whose count floors the child meets: a threshold no
-            # higher than the better perfect score at one of its counts.
-            reach = perfect_pos[cpos]
-            if perfect_neg[cneg] > reach:
-                reach = perfect_neg[cneg]
-            entering &= below[bisect_right(levels, reach)]
-            if not entering:
-                continue
-
-            # From here to the node count, the kernel's tests in its order.
-            b = bits[cid]
-            child_drops = []
-            for d in drops:
-                d &= b
-                dp = (d & class_bits).bit_count()
-                dn = d.bit_count() - dp
-                if not (dp - cpos > mism_floor_pos or dn - cneg > mism_floor_neg):
-                    break
-                if d and (dp if dp >= dn else dn) >= min_corr * (dp + dn):
-                    break
-                child_drops.append(d)
-            else:
-                target = cpos > cneg if cpos != cneg else tie_target
-                q = ex_neg[cneg] + cov_pos[cpos] if target else ex_pos[cpos] + cov_neg[cneg]
-                # Found for the entering queries whose threshold q reaches.
-                accepting = entering & below[bisect_right(levels, q)] if child_match else 0
-                if accepting:
-                    table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
-                    rule = ((*path, cid), child_match, table, target, q)
-                    raised = False
-                    while accepting:
-                        low = accepting & -accepting
-                        accepting ^= low
-                        j = low.bit_length() - 1
-                        found[j].append(rule)
-                        if best[j] is None or q > best[j]:
-                            best[j] = q
-                            old = thresholds[j]
-                            if keep * q > old:
-                                thresholds[j] = new = keep * q
-                                at[old] ^= low
-                                if not at[old]:
-                                    del at[old]
-                                at[new] = at.get(new, 0) | low
-                                raised = True
-                    if raised:
-                        levels, below, floors = regroup()
-
-                if leaf or not child_match:
-                    continue
-                if (cpos if cpos >= cneg else cneg) >= min_corr * (cpos + cneg):
-                    continue
-                child_used = used | group_mask[cid]
-                # Each query forms its own components above cid outside the
-                # used groups.
-                above = ~child_used & -(2 << cid)
-                counting = entering
-                while counting:
-                    low = counting & -counting
-                    counting ^= low
-                    j = low.bit_length() - 1
-                    visits[j] += (own[j] & above).bit_count()
-                if i == last:
-                    continue
-                # The tail's floor is the lowest threshold among the entering
-                # queries; each query's own floor is applied at entry.
-                k = 0
-                while not below[k + 1] & entering:
-                    k += 1
-                fpos, fneg = floors[k]
-                child_tail = []
-                for ocid, odrop, dpos, dneg, _, _ in tail[i + 1:]:
-                    if child_used >> ocid & 1:
-                        continue
-                    omatch = child_match & bits[ocid]
-                    opos = (omatch & class_bits).bit_count()
-                    oneg = omatch.bit_count() - opos
-                    if (
-                        (opos >= fpos or oneg >= fneg)
-                        and (cpos - opos > mism_floor_pos or cneg - oneg > mism_floor_neg)
-                        and (dpos - opos > mism_floor_pos or dneg - oneg > mism_floor_neg)
-                        and dpos
-                        and dneg
-                    ):
-                        odrop_pure = (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
-                        child_tail.append((ocid, omatch, opos, oneg, odrop, odrop_pure))
-                if child_tail:
-                    if path:
-                        child_drops.append(drop)
                     stack.append((drops, used, tail, i + 1, rows))
                     path.append(cid)
                     drops, used, tail, start = child_drops, child_used, child_tail, 0
                     rows = entering
                     break
-        else:
+        else:  # the node is done: resume its parent, if any
             if not stack:
                 break
             drops, used, tail, start, rows = stack.pop()
             path.pop()
 
+    visits[0] += nodes
     outcomes = []
     for j, row in enumerate(ids):
-        if best[j] is None:
-            outcomes.append(SearchOutcome((), None, base, visits[j]))
-            continue
-        final = max(base, keep * best[j])
-        local = {cid: position for position, cid in enumerate(row)}
+        # A lone query's row is the identity over its own ids. A threshold
+        # is max(base, keep * best) throughout, so it ends as the final one.
+        local = row if lone else {cid: position for position, cid in enumerate(row)}
         kept = [
             Rule(tuple(map(local.__getitem__, terms)), match, table, target, q)
             for terms, match, table, target, q in found[j]
-            if q >= final
+            if q >= thresholds[j]
         ]
-        outcomes.append(SearchOutcome(_sorted_rules(kept), best[j], final, visits[j]))
+        outcomes.append(SearchOutcome(_sorted_rules(kept), best[j], thresholds[j], visits[j]))
     return outcomes
 
 

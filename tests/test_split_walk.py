@@ -1,14 +1,17 @@
-"""One walk per training split: search_split against the per-query search.
+"""One walk per training split: search_split against the reference walk.
 
 search_split walks every query encoded against one training split at once,
-and must return for each query exactly the SearchOutcome that
-search_local_rules returns for it alone: the same rules (term ids, match
-sets, tables, targets, qualities), best quality, final threshold and node
-count, compared with ==. The batches are k-fold test rows of the shipped
-datasets, continuous data with missing cells, batches with duplicate rows
-and an all-? row, and small random datasets drawn by Hypothesis, each under
-nine flag sets that move the threshold, the floors, the purity slack and
-the depth.
+and search_local_rules walks a lone query as a split of one, so both are
+checked against the independent reference walk (helpers.reference_search),
+query by query: each query must get exactly the SearchOutcome the reference
+gives it, the same rules (term ids, match sets, tables, targets,
+qualities), best quality, final threshold and node count, compared with ==.
+The batches are k-fold test rows of the shipped datasets, continuous data
+with missing cells, batches with duplicate rows and an all-? row, and small
+random datasets drawn by Hypothesis, each under nine flag sets that move
+the threshold, the floors, the purity slack and the depth. The walk
+branches on the batch size, so a query is also walked alone and beside its
+duplicate, and must get the reference's outcome in each batch.
 """
 
 import random
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_search
 from localrules import search
 from localrules.data import Attribute, Dataset, load_dataset
 from localrules.errors import DataError
@@ -63,8 +67,16 @@ def _fold_batches(d, k, mode, overrides=None, stride=1):
 
 def _assert_split_walk_exact(batches, params):
     for insts in batches:
-        want = [search_local_rules(inst, params) for inst in insts]
+        want = [reference_search(inst, params) for inst in insts]
         assert search_split(insts, params) == want
+
+
+def _assert_alone_and_paired(insts, want, params):
+    """Each query, walked alone and beside its duplicate, gets its reference outcome."""
+    for inst, outcome in zip(insts, want):
+        assert search_split([inst], params) == [outcome]
+        assert search_local_rules(inst, params) == outcome
+        assert search_split([inst, inst], params) == [outcome, outcome]
 
 
 def _continuous(seed, n=48):
@@ -90,8 +102,8 @@ def _continuous(seed, n=48):
 
 # (dataset, mode, overrides, stride): every stride-th test row of a fold is
 # in its batch at 2 and 10 folds, every row at 3 folds (the benchmark's).
-# With every cell as levels the per-query search takes about 20 ms a row,
-# so tictactoe then keeps a 64th of each fold at every fold count.
+# With every cell as levels the reference walk takes about 55 ms a row, so
+# tictactoe then keeps a 64th of each fold at every fold count.
 SHIPPED = {
     "monks1-levels": ("monks1", "levels", None, 4),
     "monks2-levels": ("monks2", "levels", None, 4),
@@ -135,10 +147,11 @@ def test_duplicate_and_all_missing_queries_get_their_own_outcome(mode):
     insts += [encode_query(row) for row in rows[3:]]
     assert insts[3].n_components == 0
     for params in FLAG_SETS.values():
+        want = [reference_search(inst, params) for inst in insts]
         got = search_split(insts, params)
-        assert got == [search_local_rules(inst, params) for inst in insts]
-        assert got[3] == search_local_rules(insts[3], params)
+        assert got == want
         assert got[3].nodes_visited == 0 and got[3].rules == ()
+        _assert_alone_and_paired(insts, want, params)
 
 
 def _drawn_dataset(rng):
@@ -185,8 +198,10 @@ def test_split_walk_equals_the_per_query_search_on_drawn_folds(seed, k, mode, pa
         training = [row for i, row in enumerate(d.rows) if i not in held]
         encode_query = query_encoder(d, training, mode)
         insts = [encode_query(d.rows[row]) for row in fold]
+        want = [reference_search(inst, params) for inst in insts]
         insts += insts[:2]  # duplicates of earlier queries
-        assert search_split(insts, params) == [search_local_rules(i, params) for i in insts]
+        assert search_split(insts, params) == want + want[:2]
+        _assert_alone_and_paired(insts, want, params)
 
 
 def test_a_single_class_split_raises_the_same_error():
@@ -194,11 +209,12 @@ def test_a_single_class_split_raises_the_same_error():
     training = [row for row in d.rows if row[d.class_col] == 0]
     encode_query = query_encoder(d, training, "levels")
     insts = [encode_query(row) for row in d.rows[:5]]
-    with pytest.raises(DataError) as per_query:
-        search_local_rules(insts[0], QualityParams())
-    with pytest.raises(DataError) as walked:
-        search_split(insts, QualityParams())
-    assert str(walked.value) == str(per_query.value)
+    with pytest.raises(DataError) as reference:
+        reference_search(insts[0], QualityParams())
+    for batch in (insts, insts[:1]):
+        with pytest.raises(DataError) as walked:
+            search_split(batch, QualityParams())
+        assert str(walked.value) == str(reference.value)
 
 
 def test_queries_of_two_splits_are_refused():
@@ -210,10 +226,15 @@ def test_queries_of_two_splits_are_refused():
 def test_a_split_walks_once_per_params_and_answers_only_its_queries():
     batches = _fold_batches(_continuous(7), 3, "levels")
     split = SplitWalk(batches[0])
+    every_params = (QualityParams(), QualityParams(eps=0.2))
+    want = {
+        params: [reference_search(inst, params) for inst in batches[0]]
+        for params in every_params
+    }
     with mock.patch.object(search, "search_split", wraps=search.search_split) as walks:
-        for params in (QualityParams(), QualityParams(eps=0.2)):
-            for inst in batches[0]:
-                assert search_local_rules(inst, params, split) == search_local_rules(inst, params)
+        for params in every_params:
+            for inst, outcome in zip(batches[0], want[params]):
+                assert search_local_rules(inst, params, split) == outcome
         assert walks.call_count == 2
     with pytest.raises(ValueError):
         search_local_rules(batches[1][0], QualityParams(), split)
