@@ -130,8 +130,10 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
     ):
         runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
-        # A lone query's walk: leave-one-out and a single row.
-        runs.append(["evaluate", *continuous, *flag, "--loocv", "--threads", "1"])
+        # Leave-one-out walks one split per held-out class, dealt to one and
+        # to two processes; a single row walks a lone query.
+        for threads in ("1", "2"):
+            runs.append(["evaluate", *continuous, *flag, "--loocv", "--threads", threads])
         runs.append(["rules", *tictactoe, *flag, "--row", "5"])
     # Other fold counts give the split walks other batch sizes and shares.
     for data in (_files("monks2"), _files("tictactoe") + ["--mode", "exact"]):

@@ -19,7 +19,9 @@ the attribute entirely.
 
 Match sets are properties of the training rows, not of the query: a
 TrainingIndex fitted once on a training split serves every query encoded
-against it, and leaving one of its rows out is a bit removal.
+against it. A query that holds one of the indexed rows out keeps the index's
+own bitsets and records the row: the search counts it out (it lies in the
+match set of each of its own components), and plain() removes its bit.
 """
 
 from __future__ import annotations
@@ -63,22 +65,53 @@ class Component(NamedTuple):
 
 @dataclass(frozen=True)
 class EncodedInstance:
+    """A query's components over the indexed rows, and its training split.
+
+    With held_out = n, indexed row n is not a training row: every bitset
+    still holds its bit, and n_rows, n_pos and n_neg count the rows without
+    it. plain() is the same query with row n removed from every bitset.
+    """
+
     components: tuple[Component, ...]
-    n_rows: int
-    class_bits: int  # bit n set = training row n has the positive class
+    n_rows: int  # training rows
+    class_bits: int  # bit n set = indexed row n has the positive class
     class_labels: tuple[str, str]
+    held_out: int | None = None
 
     @property
     def n_components(self) -> int:
         return len(self.components)
 
     @property
+    def held_out_counts(self) -> tuple[int, int]:
+        """(positive, negative) rows held out: (0, 0), (1, 0) or (0, 1)."""
+        if self.held_out is None:
+            return 0, 0
+        pos = self.class_bits >> self.held_out & 1
+        return pos, 1 - pos
+
+    @property
     def n_pos(self) -> int:
-        return self.class_bits.bit_count()
+        return self.class_bits.bit_count() - self.held_out_counts[0]
 
     @property
     def n_neg(self) -> int:
         return self.n_rows - self.n_pos
+
+    @property
+    def split_class_bits(self) -> int:
+        """class_bits over the training rows alone, numbered as plain() numbers them."""
+        return without_row(self.class_bits, self.held_out)
+
+    def plain(self) -> EncodedInstance:
+        """This query encoded over its training rows alone: held_out's bit removed."""
+        n = self.held_out
+        if n is None:
+            return self
+        components = tuple(
+            c._replace(match_bits=without_row(c.match_bits, n)) for c in self.components
+        )
+        return EncodedInstance(components, self.n_rows, self.split_class_bits, self.class_labels)
 
 
 def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) -> list[int]:
@@ -106,7 +139,7 @@ def _bitset(flags) -> int:
     return int(bytes(flags).translate(_ASCII_BITS)[::-1] or b"0", 2)
 
 
-def _without(bits: int, n: int | None) -> int:
+def without_row(bits: int, n: int | None) -> int:
     """bits with bit n removed and the bits above it shifted down (n None: bits)."""
     return bits if n is None else (bits & ((1 << n) - 1)) | ((bits >> (n + 1)) << n)
 
@@ -168,10 +201,12 @@ class TrainingIndex:
     ) -> EncodedInstance:
         """Build the component set for pred_row against the indexed rows.
 
-        held_out = n leaves row n out exactly as if it had never been
-        indexed: every bitset loses bit n and the bits above it move down.
-        grids maps each level-mode attribute index -> ascending level tuple
-        (empty tuple = the attribute contributes nothing); every other
+        held_out = n leaves row n out of the training split: the components
+        keep the index's own bitsets, bit n included, and the instance
+        records n (see EncodedInstance); its plain() is the encoding over
+        the other rows, as if row n had never been indexed. grids maps each
+        level-mode attribute index -> ascending level tuple (empty tuple =
+        the attribute contributes nothing); every other
         attribute is compared for equality. A component's id is its
         position, and the order is canonical: equality components first by
         attribute, then boundary components by (attribute, level).
@@ -184,7 +219,6 @@ class TrainingIndex:
             if v0 is None or i in grids or attr.kind in (CLASS_KIND, IGNORE_KIND):
                 continue
             bits, display = self._entry(eq, i, v0)
-            bits = _without(bits, held_out)
             components.append(Component(i, EXACT, bits, display))
         for i in sorted(grids):
             v0 = pred_row[i]
@@ -193,15 +227,14 @@ class TrainingIndex:
             for y in grids[i]:
                 kind, op = (UPPER, le) if v0 <= y else (LOWER, gt)
                 bits, display = self._entry(op, i, y)
-                components.append(
-                    Component(i, kind, _without(bits, held_out), display)
-                )
+                components.append(Component(i, kind, bits, display))
 
         return EncodedInstance(
             components=tuple(components),
             n_rows=len(self.rows) - (held_out is not None),
-            class_bits=_without(self.class_bits, held_out),
+            class_bits=self.class_bits,
             class_labels=self.class_labels,
+            held_out=held_out,
         )
 
 

@@ -6,9 +6,9 @@ sizes differ by at most one. Every test row is predicted with its class cell
 masked, against training rows from the other folds only: each fold's
 training split gets one query encoder (predict.query_encoder), shared by
 every test row of the fold, so the test rows never influence their own
-encoding. Leave-one-out uses one encoder over all rows: a held-out row is a
-bit dropped from the index and a member taken out of the grid fit's value
-groups, which are sorted once per evaluation.
+encoding. Leave-one-out uses one encoder over all rows: a held-out row is
+counted out of the index's bitsets by the search and taken out of the grid
+fit's value groups, which are sorted once per evaluation.
 
 k-fold walks each fold's test rows as one split. The paper's local rules
 are the projection of the global rules onto the event to classify, and the
@@ -24,35 +24,26 @@ An error raised while encoding a row is kept with the row and raised at its
 turn in the predict pass, so the error raised is still the lowest failing
 row's.
 
-Leave-one-out rows have a training split each, so each is walked as a split
-of one, but rows whose queries encode alike share one walk. Each _predict_rows
-call keys its held-out rows by (n_pos, component displays): the first row
-with a key is searched and combined through predict_encoded, and later rows
-with that key take its (target, nodes visited, fell back). A row's label
-always comes from its own cells, and its grid fit and encoding still run,
-since the key is built from them. The dict lives for one call only, so
-repeated evaluations and the single-row paths share nothing. Sharing is
-sound:
-
-- A held-out row lies in the match set of each of its own components; it
-  agrees with itself on ==, <= and >, a missing cell drops its attribute,
-  and parsing rejects non-finite floats. Take rows p and p' with equal
-  displays and equal n_pos, which means the same class. Both satisfy every
-  one of those components, so swapping p and p' maps every component's
-  match set, and the class bits, of one instance onto the other's. The
-  search reads only counts and set operations, so it returns the same term
-  ids, targets, qualities, best quality, final threshold and node count;
-  only match bits are renumbered. combine's counts, and with them the
-  target, probability and source, are equal too.
-- A display names one (attribute, side, level): schemas reject duplicate
-  attribute names and duplicate declared values, and continuous levels
-  print with repr.
+Leave-one-out rows have a training split each, all rows but one, and are
+encoded with their row held out (encode.EncodedInstance.held_out): the
+components keep the index's bitsets, and the row is counted out. A held-out
+row lies in the match set of each of its own components, so every set its
+search forms holds it: over all rows, its class count is one more at every
+set than over its training rows, and so is its class total. So the held-out
+rows of one class share one walk over the index's bitsets, with one row of
+that class counted out of every count (search.py gives the argument). As
+for a fold, a share's rows are encoded first and held in one
+search.SplitWalk, which walks each held-out class once, and each row is
+predicted through predict_encoded with it: every row still searches and
+combines once, and reads exactly what a walk of its own split returns, node
+count included.
 
 All test rows of an evaluation are independent, so threads=N predicts them
 in N processes, the calling one included: the rows are dealt round-robin
 into N shares, the caller predicts the first and one forked child predicts
-each other. Each process walks the rows of its own share of a fold, and
-fills its own leave-one-out dict, so rows share work only within one share.
+each other. Each process walks the rows of its own share of a fold (for
+leave-one-out, once per held-out class), so rows share work only within one
+share.
 The merge restores row order and all accumulators are integers, so the
 rendered report is byte-identical for any worker count.
 """
@@ -223,24 +214,22 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: 
     """(label, predicted target, nodes, fell back) per row, fold by fold.
 
     encoders[f] encodes the rows of folds[f]; held_out says that they are
-    rows of its training split, to be left out of their own encoding. A
-    fold's rows in one share are walked as one split (search.SplitWalk);
-    held-out rows with one projection share one search (see the module
+    rows of its training split, each to be held out of its own query. A
+    fold's rows in one share are walked together (search.SplitWalk): as one
+    split, or for held_out one walk per held-out class (see the module
     docstring).
     """
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
 
-    def outcome(p) -> tuple:
-        return p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR
-
-    def split_share(first: int, step: int) -> tuple:
+    def run_share(first: int, step: int) -> tuple:
         results = []
         for f, group in groupby(range(first, len(items), step), lambda i: items[i][0]):
             group = list(group)
             encoded = []  # each row's query, or the error encoding it raised
             for i in group:
+                row = items[i][1]
                 try:
-                    encoded.append(encoders[f](d.rows[items[i][1]]))
+                    encoded.append(encoders[f](d.rows[row], row if held_out else None))
                 except Exception as exc:
                     encoded.append(exc)
             split = SplitWalk([x for x in encoded if not isinstance(x, Exception)])
@@ -251,25 +240,11 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: 
                     p = predict_encoded(inst, params, split)
                 except Exception as exc:
                     return False, (i, exc)
-                results.append((d.rows[items[i][1]][d.class_col], *outcome(p)))
+                label = d.rows[items[i][1]][d.class_col]
+                results.append((label, p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR))
         return True, results
 
-    def held_out_share(first: int, step: int) -> tuple:
-        results = []
-        searched: dict[tuple, tuple] = {}  # projection -> outcome
-        for i in range(first, len(items), step):
-            f, row = items[i]
-            try:
-                inst = encoders[f](d.rows[row], row)
-                key = (inst.n_pos, *(c.display for c in inst.components))
-                if key not in searched:
-                    searched[key] = outcome(predict_encoded(inst, params))
-            except Exception as exc:
-                return False, (i, exc)
-            results.append((d.rows[row][d.class_col], *searched[key]))
-        return True, results
-
-    return _run_pool(workers, held_out_share if held_out else split_share, len(items))
+    return _run_pool(workers, run_share, len(items))
 
 
 def _confusion(results) -> ConfusionCounts:

@@ -92,7 +92,7 @@ def predict_encoded(
     inst's outcome from their one walk.
     """
     outcome = search_local_rules(inst, params, split)
-    combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
+    combined = combine(outcome.rules, inst.split_class_bits, inst.n_rows, params)
     if combined.accepted:
         target, probability, source = combined.target, combined.correctness, SOURCE_COMBINED
     else:
@@ -108,8 +108,9 @@ def query_encoder(d: Dataset, rows, mode: str = MODE_LEVELS, overrides: dict | N
 
     rows, a training split of d, is indexed and sorted for grid fits once,
     and every query shares that work. held_out = n leaves rows[n] out of
-    the grid fit and the index, so a query that is row n never influences
-    its own encoding.
+    the grid fit and out of the training split (the query keeps the index's
+    bitsets and records n, and the search counts row n out), so a query
+    that is row n never influences its own encoding or its rules.
     """
     index = TrainingIndex(d.attributes, rows, d.class_col)
     fitter = GridFitter(d.attributes, rows, d.class_col)

@@ -87,17 +87,17 @@ the single-class check, which comes first because every score needs both
 classes.
 
 One walk (search_split) answers the queries of one training split; a lone
-query (predict, rules, predict_for_row, leave-one-out) is a split of one.
-The queries share the class bits and the grids, so a display names one
-component with one match set in all of them. The walk runs over the union
-of their components in one canonical order (equality components by
-attribute, then boundary components by attribute and level), of which each
-query's own order is a restriction; a lone query's union is its own
-components. A term set's facts that do not depend on the query are computed
-once for every query that reaches it: its match set and class counts, the
-drop tests of its older terms, its score and the tail it hands down. The
-queries at a node are a bitmask over the batch, and each keeps its own
-threshold, best quality, found rules and node count:
+query (predict, rules, predict_for_row) is a split of one. The queries share
+the class bits, so a display names one component with one match set in all
+of them. The walk runs over the union of their components in one order of
+which each query's own canonical order is a restriction (a merge of their
+orders: equality components by attribute, then boundary components by
+attribute and level, whichever grid a level came from); a lone query's union
+is its own components. A term set's facts that do not depend on the query
+are computed once for every query that reaches it: its match set and class
+counts, the drop tests of its older terms, its score and the tail it hands
+down. The queries at a node are a bitmask over the batch, and each keeps its
+own threshold, best quality, found rules and node count:
 
   - entry: a candidate must meet the count floors of the lowest threshold;
     a query holding it enters when its threshold is at most the better
@@ -123,6 +123,26 @@ it returns. So a query's rules (term ids, match set, table, target, quality),
 best quality, final threshold and node count are the same in any batch, alone
 included.
 
+Leave-one-out queries each hold out one row of one index over all rows
+(encode.EncodedInstance.held_out), and keep the index's own bitsets. The
+held-out row p agrees with itself on ==, <= and > (a missing cell drops its
+attribute, and parsing rejects non-finite floats), so it lies in the match
+set of each of its own components, and every set its walk forms, the root
+included, holds p. Over the index's bitsets, then, every set counts one
+row more of p's class than over p's training rows, and as many of the other
+class, so subtracting one row of p's class from every popcount gives p's
+own counts at every set (one holding only p counts as empty). The queries
+holding out rows of one class are therefore walked together over the
+index's bitsets with that one subtraction, and every test reads the
+queries' own counts (a mismatch, the difference of two counts, is the same
+either way). Every query's rules, best quality, final threshold and node
+count are those of its own walk over its training rows, once its match sets
+lose p's bit (encode.without_row). A lone query walks its plain() encoding
+instead. A batch that holds out rows of both classes, mixes held-out and
+plain queries, or holds a query that does not match its own held-out row is
+refused. A candidate that no query at a node holds may count one row short
+there, but no query in the subtree enters it.
+
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
 is independent of the order in which rules are found. The search itself is
@@ -144,8 +164,9 @@ independent of the tail filter and comparable across versions of the search.
 from __future__ import annotations
 
 from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 
-from .encode import EXACT, EncodedInstance
+from .encode import EXACT, EncodedInstance, without_row
 from .errors import DataError
 from .rules import (
     Contingency,
@@ -191,38 +212,57 @@ def search_local_rules(
 def _split_union(instances) -> tuple[list, list, list[int] | None, list[int] | None]:
     """(union, each query's union ids, each query's mask, each component's holders).
 
-    A component is keyed by its display, and bit q of a mask is query q. The
-    union's order is equality components by attribute, then boundary
-    components by attribute and level, where a level is a boundary
-    component's position among its query's components of that attribute:
-    queries of one split share the grids, so equal positions are equal
-    levels. Components that no query holds together (two values, or the two
-    sides of one level) tie and keep the order they were met in.
+    A component is keyed by its display, and bit q of a mask is query q.
+    The union's order is one of which every query's own order is a
+    restriction: a topological order of the pairs of components that some
+    query holds one after the other, taking among the components free to
+    come next the lowest (equality before boundary, then by attribute, then
+    first met). Queries encoded against different grids of one attribute
+    thus share a walk too; components that no query holds together (two
+    values, or the two sides of one level) keep the order they were met in.
     """
     # A lone query's own components, in its own order, are the union, and
     # the walk keeps no masks for it.
     if len(instances) == 1:
         return instances[0].components, [range(instances[0].n_components)], None, None
-    if any(inst.class_bits != instances[0].class_bits for inst in instances):
+    first = instances[0]
+    if any(inst.class_bits != first.class_bits for inst in instances):
         raise ValueError("the queries were not encoded against one training split")
-    union: dict[str, tuple] = {}  # display -> (order key, component)
+    if any(inst.held_out_counts != first.held_out_counts for inst in instances):
+        raise ValueError("the queries do not hold out rows of one class, or mix in plain ones")
+    if first.held_out is not None and any(
+        not c.match_bits >> inst.held_out & 1 for inst in instances for c in inst.components
+    ):
+        raise ValueError("a query does not match its own held-out row")
+    union: dict[str, list] = {}  # display -> [order key, component, waiting, next]
     for inst in instances:
-        attr, level = None, 0
+        prev = None
         for c in inst.components:
-            if c.kind != EXACT:
-                level = level + 1 if c.attr == attr else 0
-                attr = c.attr
             got = union.get(c.display)
             if got is None:
-                union[c.display] = ((c.kind != EXACT, c.attr, level, len(union)), c)
+                got = union[c.display] = [(c.kind != EXACT, c.attr, len(union)), c, 0, {}]
             elif got[1] != c:
                 raise ValueError(f"component {c.display!r} differs between the queries")
-    comps = [c for _, c in sorted(union.values())]
-    uid = {c.display: u for u, c in enumerate(comps)}
+            if prev is not None and c.display not in prev[3]:
+                prev[3][c.display] = got
+                got[2] += 1  # one more component that must come before it
+            prev = got
+    ready = [(entry[0], entry) for entry in union.values() if not entry[2]]
+    heapify(ready)
+    uid: dict[str, int] = {}
+    while ready:
+        _, entry = heappop(ready)
+        uid[entry[1].display] = len(uid)
+        for after in entry[3].values():
+            after[2] -= 1
+            if not after[2]:
+                heappush(ready, (after[0], after))
+    if len(uid) < len(union):
+        raise ValueError("the queries order their components in conflicting ways")
+    comps = [None] * len(uid)
+    for display, entry in union.items():
+        comps[uid[display]] = entry[1]
     ids = [[uid[c.display] for c in inst.components] for inst in instances]
-    for row in ids:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            raise ValueError("the queries were not encoded against one set of grids")
     own = [sum(1 << cid for cid in row) for row in ids]
     holders = [0] * len(comps)
     for q, row in enumerate(ids):
@@ -243,11 +283,16 @@ def _levels(at: dict[float, int]) -> tuple[list[float], list[int]]:
 def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     """search_local_rules(inst, params) for every query of one training split, in one walk.
 
-    The queries must share the class bits and be encoded against one set of
-    grids, as every query of one query_encoder is when none is held out.
+    The queries must share the class bits, as every query of one
+    query_encoder does. Queries that each hold out a row of the index must
+    all hold out rows of one class; they are walked over the index's own
+    bitsets with the held-out row counted out (see the module docstring). A
+    lone query is walked as its plain() encoding.
     """
     if not instances:
         return []
+    if len(instances) == 1:
+        instances = [instances[0].plain()]
     n_pos, n_neg = instances[0].n_pos, instances[0].n_neg
     if n_pos == 0 or n_neg == 0:
         raise DataError("training rows contain a single class")
@@ -263,6 +308,12 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     max_terms = params.max_terms
     min_corr = 1.0 - params.eps
     class_bits = instances[0].class_bits
+    # Every set the walk forms holds the held-out row of each query at it,
+    # so a popcount over the walked bitsets is that query's own count plus
+    # hp (positive) or hn (negative); the counts below subtract them, and
+    # every test reads the queries' own counts.
+    hp, hn = instances[0].held_out_counts
+    h = hp + hn
     mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
     tie_target = n_pos >= n_neg
     ex_pos, cov_pos, perfect_pos = score_tables(n_pos, weight)
@@ -296,11 +347,11 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
         # root candidate's drop is the root match, so there the drop tests
         # would repeat the new-term tests, and a root child has no older
         # term to drop.
-        full = (1 << instances[0].n_rows) - 1
+        full = (1 << (instances[0].n_rows + h)) - 1
         for cid in range(m):
             match = full & bits[cid]
-            cpos = (match & class_bits).bit_count()
-            cneg = match.bit_count() - cpos
+            cpos = (match & class_bits).bit_count() - hp
+            cneg = match.bit_count() - cpos - h
             if (cpos >= floor_pos or cneg >= floor_neg) and (
                 n_pos - cpos > mism_floor_pos or n_neg - cneg > mism_floor_neg
             ):
@@ -332,18 +383,19 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
             child_drops = []
             for d in drops:
                 d &= b
-                dp = (d & class_bits).bit_count()
-                dn = d.bit_count() - dp
+                dp = (d & class_bits).bit_count() - hp
+                dn = d.bit_count() - dp - h
                 if not (dp - cpos > mism_floor_pos or dn - cneg > mism_floor_neg):
                     break  # the dropped term no longer excludes enough rows
-                if d and (dp if dp >= dn else dn) >= min_corr * (dp + dn):
+                # The drop excludes rows, so it is nonempty.
+                if (dp if dp >= dn else dn) >= min_corr * (dp + dn):
                     break  # blocked by a pure one-term drop
                 child_drops.append(d)
             else:  # admissible and not blocked
                 # select_target's choice, scored as count_quality from the tables
                 target = cpos > cneg if cpos != cneg else tie_target
                 q = ex_neg[cneg] + cov_pos[cpos] if target else ex_pos[cpos] + cov_neg[cneg]
-                if q >= lowest and child_match:
+                if q >= lowest and (cpos or cneg):
                     # Found for the entering queries whose threshold q reaches.
                     accepting = entering & below[bisect_right(levels, q)] if several else entering
                     table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
@@ -375,10 +427,10 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                         floor_pos = min_cover_count(lowest, n_pos, weight, floor_pos)
                         floor_neg = min_cover_count(lowest, n_neg, weight, floor_neg)
 
-                if leaf or not child_match:
+                if leaf:
                     continue
                 if (cpos if cpos >= cneg else cneg) >= min_corr * (cpos + cneg):
-                    continue  # pure enough; supersets are blocked by definition
+                    continue  # empty, or pure enough: supersets are blocked by definition
                 # Expand the child: each entering query forms every one of its
                 # ids above cid outside the child's used groups, whether or
                 # not the tail still holds it. A boundary cid's own bit is in
@@ -407,8 +459,8 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                     if child_used >> ocid & 1:
                         continue
                     omatch = child_match & bits[ocid]
-                    opos = (omatch & class_bits).bit_count()
-                    oneg = omatch.bit_count() - opos
+                    opos = (omatch & class_bits).bit_count() - hp
+                    oneg = omatch.bit_count() - opos - h
                     if (
                         (opos >= floor_pos or oneg >= floor_neg)
                         and (cpos - opos > mism_floor_pos or cneg - oneg > mism_floor_neg)
@@ -440,9 +492,11 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     for j, row in enumerate(ids):
         # A lone query's row is the identity over its own ids. A threshold
         # is max(base, keep * best) throughout, so it ends as the final one.
+        # A held-out query's match sets lose its held-out row's bit.
+        n = instances[j].held_out
         local = row if lone else {cid: position for position, cid in enumerate(row)}
         kept = [
-            Rule(tuple(map(local.__getitem__, terms)), match, table, target, q)
+            Rule(tuple(map(local.__getitem__, terms)), without_row(match, n), table, target, q)
             for terms, match, table, target, q in found[j]
             if q >= thresholds[j]
         ]
@@ -451,21 +505,28 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
 
 
 class SplitWalk:
-    """The queries of one training split, answered by one search_split walk.
+    """Queries answered by one search_split walk per held-out class.
 
-    The walk runs when the first outcome is asked for, once per params, and
-    a query's outcome is looked up by the query object itself.
+    The queries are those of one training split, or queries that each hold
+    out a row of one index: those share a walk with the queries holding out
+    a row of the same class. A walk runs when the first outcome of one of
+    its queries is asked for, once per params, and a query's outcome is
+    looked up by the query object itself.
     """
 
     def __init__(self, instances):
-        self.instances = tuple(instances)
-        self._outcomes: dict[QualityParams, dict[int, SearchOutcome]] = {}
+        self._queries: dict[tuple[int, int], list] = {}  # held-out counts -> queries
+        for inst in instances:
+            self._queries.setdefault(inst.held_out_counts, []).append(inst)
+        self._outcomes: dict[tuple, dict[int, SearchOutcome]] = {}
 
     def outcome(self, inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
-        outcomes = self._outcomes.get(params)
+        key = (params, inst.held_out_counts)
+        outcomes = self._outcomes.get(key)
         if outcomes is None:
-            walked = search_split(self.instances, params)
-            outcomes = self._outcomes[params] = dict(zip(map(id, self.instances), walked))
+            queries = self._queries.get(key[1], [])
+            walked = search_split(queries, params)
+            outcomes = self._outcomes[key] = dict(zip(map(id, queries), walked))
         try:
             return outcomes[id(inst)]
         except KeyError:

@@ -321,7 +321,11 @@ def linear_min_cover_count(threshold, class_total, weight, start=0) -> int:
 
 
 def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
-    """The reference counterpart of search.search_local_rules."""
+    """The reference counterpart of search.search_local_rules.
+
+    A query holding out a row is walked as its plain() encoding.
+    """
+    inst = inst.plain()
     if inst.n_pos == 0 or inst.n_neg == 0:
         raise DataError("training rows contain a single class")
 
@@ -407,17 +411,16 @@ def reference_search(inst: EncodedInstance, params: QualityParams) -> SearchOutc
 
 
 def unshared_outcomes(d: Dataset, params: QualityParams, folds, held_out: bool, mode=MODE_LEVELS):
-    """The reference for evaluate's shared searches: each row searched on its own.
+    """The reference for evaluate's shared walks: each row searched on its own.
 
     Returns (label, predicted target, nodes, fell back) per row of folds,
-    fold by fold, as the evaluators tally them, and the number of distinct
-    (fold, n_pos, displays) keys among the rows' encodings. Every row is
-    encoded through predict.query_encoder, over its fold's training rows
-    (held_out False) or over all rows with itself held out, and predicted by
-    predict_encoded.
+    fold by fold, as the evaluators tally them. Every row is encoded through
+    predict.query_encoder, over its fold's training rows (held_out False) or
+    over all rows with itself held out, and predicted by predict_encoded as
+    a split of one.
     """
-    outcomes, keys = [], set()
-    for f, fold in enumerate(folds):
+    outcomes = []
+    for fold in folds:
         test_set = frozenset(() if held_out else fold)
         training = [row for i, row in enumerate(d.rows) if i not in test_set]
         encode_query = query_encoder(d, training, mode)
@@ -426,5 +429,4 @@ def unshared_outcomes(d: Dataset, params: QualityParams, folds, held_out: bool, 
             p = predict_encoded(inst, params)
             label = d.rows[row][d.class_col]
             outcomes.append((label, p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR))
-            keys.add((f, inst.n_pos, *(c.display for c in inst.components)))
-    return outcomes, len(keys)
+    return outcomes

@@ -67,13 +67,14 @@ def test_traced_loocv_records_every_required_layer():
     assert len(fits) == len(d.rows)
     assert tr.counts["discretize.calls"] == len(d.rows)
     assert tr.counts["encode.calls"] == len(d.rows)
-    # Every row is fitted and encoded, but rows with one projection share a
-    # search and its combine: one predict.queries count per distinct key.
-    _, n_projections = unshared_outcomes(d, params, (range(len(d.rows)),), held_out=True)
+    # Rows holding out one class share a walk, yet each row still searches
+    # and combines through the traced names, with its own node count.
     searches = [span for span in tr.spans if span[0] == "search"]
-    assert tr.counts["predict.queries"] == n_projections == len(searches)
+    assert tr.counts["predict.queries"] == len(searches) == len(d.rows)
+    want = unshared_outcomes(d, params, (range(len(d.rows)),), held_out=True)
+    assert tr.counts["search.nodes"] == sum(nodes for _, _, nodes, _ in want)
     untraced = evaluate_loocv(d, params, threads=1)
-    assert (traced.pooled, traced.mean_nodes) == (untraced.pooled, untraced.mean_nodes)
+    assert render_report(traced) == render_report(untraced)
 
 
 def test_traced_kfold_records_every_required_layer():
@@ -89,7 +90,7 @@ def test_traced_kfold_records_every_required_layer():
     assert tr.counts["discretize.calls"] == tr.counts["encode.calls"] == n
     searches = [span for span in tr.spans if span[0] == "search"]
     assert len(searches) == tr.counts["predict.queries"] == n
-    want, _ = unshared_outcomes(d, params, stratified_kfold(d, 3, 1), held_out=False)
+    want = unshared_outcomes(d, params, stratified_kfold(d, 3, 1), held_out=False)
     assert tr.counts["search.nodes"] == sum(nodes for _, _, nodes, _ in want)
     untraced = evaluate_cv(d, params, k=3, seed=1, threads=1)
     assert render_report(traced) == render_report(untraced)

@@ -333,8 +333,17 @@ def test_training_index_equals_reference_scan(case):
         assert repr(one_shot) == repr(want)
         if isinstance(want, str):
             continue
-        # The index takes the grids' keys as the level-mode attributes.
-        got = index.encode(pred, grids, held_out)
+        # The index takes the grids' keys as the level-mode attributes. A
+        # held-out query keeps the index's own bitsets, counts its training
+        # split, and plain() is the encoding over the other rows.
+        raw = index.encode(pred, grids, held_out)
+        assert raw.held_out == held_out
+        assert (raw.n_pos, raw.n_neg, raw.n_rows) == (want.n_pos, want.n_neg, want.n_rows)
+        assert raw.split_class_bits == want.class_bits
+        assert raw.class_bits == index.class_bits
+        whole = index.encode(pred, grids)
+        assert raw.components == whole.components
+        got = raw.plain()
         assert got == want
         assert repr(got) == repr(want)  # signed zeros in displays
         assert [c.match_bits for c in got.components] == [
@@ -350,7 +359,9 @@ def test_unlabeled_rows_raise_unless_held_out():
     rows = [(True, 0), (False, None), (True, 1)]
     index = encode.TrainingIndex(attrs, rows, 1)
     inst = index.encode((True, None), held_out=1)
-    assert (inst.n_rows, inst.class_bits, inst.components[0].match_bits) == (2, 0b01, 0b11)
+    assert (inst.n_rows, inst.n_pos, inst.n_neg) == (2, 1, 1)
+    plain = inst.plain()
+    assert (plain.n_rows, plain.class_bits, plain.components[0].match_bits) == (2, 0b01, 0b11)
     for held_out in (None, 0, 2):
         with pytest.raises(DataError, match="^row 1: training row has a missing class value$"):
             index.encode((True, None), held_out=held_out)

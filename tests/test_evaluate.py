@@ -192,11 +192,14 @@ def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
     """Shared searches give each row what its own search gives, at 1 and 2 workers.
 
     k-fold walks each fold's rows as one split, once per fold and share;
-    leave-one-out searches once per distinct projection, each search a walk
-    of a split of one.
+    leave-one-out walks the rows holding out one class together, once per
+    class and share.
     """
     d = _SHARING_DATASETS[name]()
     folds = (range(len(d.rows)),) if k is None else stratified_kfold(d, k, seed=1)
+    # One walk per fold, or per class for leave-one-out, each shared by rows.
+    n_walks = len({row[d.class_col] for row in d.rows}) if k is None else k
+    assert n_walks < len(d.rows)
 
     def run(params, threads):
         if k is None:
@@ -204,8 +207,7 @@ def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
         return evaluate_cv(d, params, k=k, seed=1, threads=threads)
 
     for params in _SHARING_PARAMS:
-        want, n_projections = unshared_outcomes(d, params, folds, held_out=k is None)
-        assert n_projections < len(d.rows)  # some rows do share a search
+        want = unshared_outcomes(d, params, folds, held_out=k is None)
         # The report the evaluator renders from the unshared outcomes.
         with mock.patch.object(evaluate, "_predict_rows", return_value=want):
             want_text = render_report(run(params, 1))
@@ -222,12 +224,7 @@ def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
             assert tallied == want, (params, threads)
             assert text == want_text, (params, threads)
             if threads == 1:  # forked workers count their calls in their own copy
-                if k is None:
-                    assert (predictions.call_count, walks.call_count) == (
-                        n_projections, n_projections
-                    )
-                else:
-                    assert (predictions.call_count, walks.call_count) == (len(d.rows), k)
+                assert (predictions.call_count, walks.call_count) == (len(d.rows), n_walks)
 
 
 def _tagged_dataset(n=24):

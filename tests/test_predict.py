@@ -117,12 +117,12 @@ def test_combined_quality_matches_direct_recount():
     for _ in range(20):
         inst, params = random_instance(rng)
         outcome = search_local_rules(inst, params)
-        combined = combine(outcome.rules, inst.class_bits, inst.n_rows, params)
+        combined = combine(outcome.rules, inst.split_class_bits, inst.n_rows, params)
         expected = 0
         for rule in outcome.rules:
             expected |= rule.match_bits
         assert combined.match_bits == expected
-        table = contingency(expected, inst.class_bits, inst.n_rows)
+        table = contingency(expected, inst.plain().class_bits, inst.n_rows)
         assert combined.table == table
         assert combined.quality == quality(table, select_target(table), params.weight)
 
@@ -134,7 +134,7 @@ def test_union_never_shrinks_as_rules_are_added():
         rules = search_local_rules(inst, params).rules
         previous = 0
         for k in range(len(rules) + 1):
-            current = combine(rules[:k], inst.class_bits, inst.n_rows, params)
+            current = combine(rules[:k], inst.split_class_bits, inst.n_rows, params)
             assert previous & current.match_bits == previous
             previous = current.match_bits
 
@@ -197,8 +197,11 @@ def test_encode_row_equals_reference_on_every_split():
                 want = reference_encode(
                     d.attributes, training, mask_class(pred_row, 2), 2, grids, mode, overrides
                 )
-                assert repr(leave_one_out(d.rows[row], row)) == repr(want)
-                assert repr(encode_row(d, row, mode, overrides)) == repr(want)
+                # A held-out query records its row; plain() is the row's
+                # encoding over the others.
+                for inst in (leave_one_out(d.rows[row], row), encode_row(d, row, mode, overrides)):
+                    assert inst.held_out == row
+                    assert repr(inst.plain()) == repr(want)
     # One encoder per k-fold training split serves every test row of the fold.
     d = labeled
     for mode, overrides in _MODE_CASES:

@@ -12,6 +12,12 @@ random datasets drawn by Hypothesis, each under nine flag sets that move
 the threshold, the floors, the purity slack and the depth. The walk
 branches on the batch size, so a query is also walked alone and beside its
 duplicate, and must get the reference's outcome in each batch.
+
+Leave-one-out queries hold their row out of one index over all rows, and
+the rows holding out one class are walked together over the index's own
+bitsets. Each such query must get exactly what its row gets when encoded
+over the other rows alone, with a TrainingIndex and a GridFitter of its
+own: the same outcome from search_local_rules and from the reference.
 """
 
 import random
@@ -25,9 +31,11 @@ from hypothesis import strategies as st
 from helpers import reference_search
 from localrules import search
 from localrules.data import Attribute, Dataset, load_dataset
+from localrules.discretize import GridFitter
+from localrules.encode import TrainingIndex, attrs_needing_grids
 from localrules.errors import DataError
 from localrules.evaluate import stratified_kfold
-from localrules.predict import query_encoder
+from localrules.predict import mask_class, query_encoder
 from localrules.rules import QualityParams
 from localrules.search import SplitWalk, search_local_rules, search_split
 
@@ -239,3 +247,118 @@ def test_a_split_walks_once_per_params_and_answers_only_its_queries():
     with pytest.raises(ValueError):
         search_local_rules(batches[1][0], QualityParams(), split)
 
+
+
+def _held_out_batches(d, mode, overrides=None, stride=1):
+    """d's leave-one-out queries, one batch per held-out class, and references.
+
+    Every row is held out of one index over all of d, as evaluate_loocv
+    encodes it. Every stride-th row is also encoded over the other rows
+    alone, with its own TrainingIndex and GridFitter. Returns a list of
+    (batch, {position in the batch: that row's own encoding}).
+    """
+    encode_query = query_encoder(d, d.rows, mode, overrides)
+    level_attrs = attrs_needing_grids(d.attributes, mode, overrides)
+    batches = {}
+    for n, row in enumerate(d.rows):
+        batch, own = batches.setdefault(row[d.class_col], ([], {}))
+        if n % stride == 0:
+            training = d.rows[:n] + d.rows[n + 1:]
+            grids = GridFitter(d.attributes, training, d.class_col).grids(level_attrs)
+            index = TrainingIndex(d.attributes, training, d.class_col)
+            own[len(batch)] = index.encode(mask_class(row, d.class_col), grids)
+        batch.append(encode_query(row, n))
+    return list(batches.values())
+
+
+def _assert_held_out_walk_exact(batches, params):
+    for batch, own in batches:
+        got = search_split(batch, params)
+        for q, inst in own.items():
+            want = reference_search(inst, params)
+            assert got[q] == want
+            assert search_local_rules(inst, params) == want
+
+
+# (dataset, mode, overrides, rows kept, stride): the rows kept are a slice
+# of the shipped file, and every stride-th of them is checked.
+HELD_OUT = {
+    "monks1-levels": ("monks1", "levels", None, slice(None), 3),
+    "monks2-levels": ("monks2", "levels", None, slice(None), 3),
+    "monks3-levels": ("monks3", "levels", None, slice(None), 3),
+    "tictactoe-exact": ("tictactoe", "exact", None, slice(None), 2),
+    "tictactoe-levels": ("tictactoe", "exact", EVERY_CELL, slice(None, None, 16), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_OUT))
+def test_held_out_walk_equals_each_rows_own_split_on_shipped_data(case):
+    name, mode, overrides, kept, stride = HELD_OUT[case]
+    d = _shipped(name)
+    d = Dataset(d.attributes, d.rows[kept], d.class_col)
+    batches = _held_out_batches(d, mode, overrides, stride)
+    for params in FLAG_SETS.values():
+        _assert_held_out_walk_exact(batches, params)
+
+
+def _interval_data(seed, n=60):
+    """A planted interval on x with label noise, a noisy y, an ordered o, and
+    missing cells in all three; the first six rows appear twice."""
+    rng = random.Random(seed)
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("y", "continuous"),
+        Attribute("o", "ordered", ("lo", "mid", "hi")),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = []
+    for _ in range(n):
+        x = round(rng.uniform(0, 12), 1) if rng.random() > 0.05 else None
+        y = round(rng.gauss(0, 1), 1) if rng.random() > 0.15 else None
+        o = rng.randrange(3) if rng.random() > 0.1 else None
+        inside = 3 < x < 8 if x is not None else y is not None and y > 0
+        rows.append((x, y, o, int(inside != (rng.random() < 0.1))))
+    return Dataset(attrs, tuple(rows + rows[:6]), 3)
+
+
+@pytest.mark.parametrize("mode", ["levels", "exact"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_held_out_walk_equals_each_rows_own_split_on_continuous_data(seed, mode):
+    d = _interval_data(seed)
+    # Some rows' held-out grid differs from the grid of every row.
+    fitter = GridFitter(d.attributes, d.rows, d.class_col)
+    full = fitter.grids([0, 1])
+    assert full[0] and any(fitter.grids([0, 1], n) != full for n in range(len(d.rows)))
+    batches = _held_out_batches(d, mode)
+    for params in FLAG_SETS.values():
+        _assert_held_out_walk_exact(batches, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["levels", "exact"]),
+    params=st.sampled_from(list(FLAG_SETS.values())),
+)
+def test_held_out_walk_equals_each_rows_own_split_on_drawn_data(seed, mode, params):
+    d = _drawn_dataset(random.Random(seed))
+    labels = [row[d.class_col] for row in d.rows]
+    assume(min(labels.count(0), labels.count(1)) >= 2)  # no single-class split
+    for batch, own in _held_out_batches(d, mode):
+        want = [search_local_rules(own[q], params) for q in range(len(batch))]
+        assert want == [reference_search(own[q], params) for q in range(len(batch))]
+        batch += batch[:2]  # duplicates of earlier queries
+        assert search_split(batch, params) == want + want[:2]
+
+
+def test_held_out_queries_of_two_classes_or_beside_plain_ones_are_refused():
+    d = _continuous(6)
+    encode_query = query_encoder(d, d.rows, "levels")
+    pos, neg = ([n for n, row in enumerate(d.rows) if row[d.class_col] == g] for g in (0, 1))
+    plain = encode_query(d.rows[0])
+    held = [encode_query(d.rows[n], n) for n in (pos[0], pos[1], neg[0])]
+    not_its_row = encode_query(d.rows[pos[0]], pos[1])
+    for batch in (held, held[1:], [held[0], plain], [plain, held[0]], [held[0], not_its_row]):
+        with pytest.raises(ValueError):
+            search_split(batch, QualityParams())
+    assert search_split(held[:2], QualityParams())  # one class: walked
