@@ -142,6 +142,11 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
                 runs.append(
                     ["evaluate", *data, "--folds", folds, "--seed", "7", "--threads", threads]
                 )
+    # The node counts share one int in fields as wide as the largest count
+    # the batch can reach: small batches of the largest counts, and deeper
+    # paths, which widen the fields.
+    runs.append(["evaluate", *tictactoe, "--folds", "10", "--threads", "1"])
+    runs.append(["evaluate", *_files("monks2"), "--max-depth", "12"])
     monks = _files("monks1")
     runs.append(["evaluate", *monks, "--cmin", "0"])  # rules that match no row
     missing = ["--data", str(DATA / "absent.csv"), "--schema", str(DATA / "monks1.schema")]

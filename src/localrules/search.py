@@ -96,8 +96,11 @@ attribute and level, whichever grid a level came from); a lone query's union
 is its own components. A term set's facts that do not depend on the query
 are computed once for every query that reaches it: its match set and class
 counts, the drop tests of its older terms, its score and the tail it hands
-down. The queries at a node are a bitmask over the batch, and each keeps its
-own threshold, best quality, found rules and node count:
+down. Each query keeps its own threshold, best quality, found rules and node
+count. A set of queries (those at a node, those holding a component, those
+under a threshold) is one int in which query q owns a field of W bits, all
+ones when q is in the set, so a union or an intersection of sets is one OR
+or one AND over the whole batch:
 
   - entry: a candidate must meet the count floors of the lowest threshold;
     a query holding it enters when its threshold is at most the better
@@ -106,9 +109,19 @@ own threshold, best quality, found rules and node count:
   - acceptance: a rule is found for the entering queries whose threshold
     it reaches and raises their thresholds; the floors of the lowest
     threshold, which only rises, rise by bisecting from the old ones.
-  - node count: expanding a node adds, for each entering query, its
-    components above the newest term outside the used groups (for a lone
-    query, which holds them all: the ids above, less the used ones).
+  - node count: the counts are fields of one int too, query q's in field
+    q (SIMD within a register, Fisher and Dietz 1998). Expanding a node
+    adds, in each entering query's field, the query's components above the
+    newest term outside the used groups: the counts gain a step ANDed with
+    the entering queries' fields, one AND and one add for the batch. In
+    every field the step holds that query's number: the sum of the low bits
+    of the holders' fields over the ids above the term, less those of the
+    used ids there, kept per walk by the term and the used ids. No field
+    carries into the next: a query with m components forms each term set
+    of at most max_terms of them at most once, so its count never exceeds
+    sum(comb(m, k) for k in 1..max_terms), and W is that bound's bit length
+    at the largest m of the batch. A lone query, which holds every
+    component, adds the ids above less the used ones to a plain int.
   - term ids: a query's id of a term is the popcount of its components
     below the term.
 
@@ -165,6 +178,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
+from math import comb
 
 from .encode import EXACT, EncodedInstance, without_row
 from .errors import DataError
@@ -209,22 +223,21 @@ def search_local_rules(
     return search_split([inst], params)[0]
 
 
-def _split_union(instances) -> tuple[list, list, list[int] | None, list[int] | None]:
-    """(union, each query's union ids, each query's mask, each component's holders).
+def _split_union(instances) -> tuple[list, list]:
+    """(union, each query's union ids).
 
-    A component is keyed by its display, and bit q of a mask is query q.
-    The union's order is one of which every query's own order is a
-    restriction: a topological order of the pairs of components that some
-    query holds one after the other, taking among the components free to
-    come next the lowest (equality before boundary, then by attribute, then
-    first met). Queries encoded against different grids of one attribute
-    thus share a walk too; components that no query holds together (two
-    values, or the two sides of one level) keep the order they were met in.
+    A component is keyed by its display. The union's order is one of which
+    every query's own order is a restriction: a topological order of the
+    pairs of components that some query holds one after the other, taking
+    among the components free to come next the lowest (equality before
+    boundary, then by attribute, then first met). Queries encoded against
+    different grids of one attribute thus share a walk too; components that
+    no query holds together (two values, or the two sides of one level) keep
+    the order they were met in.
     """
-    # A lone query's own components, in its own order, are the union, and
-    # the walk keeps no masks for it.
+    # A lone query's own components, in its own order, are the union.
     if len(instances) == 1:
-        return instances[0].components, [range(instances[0].n_components)], None, None
+        return instances[0].components, [range(instances[0].n_components)]
     first = instances[0]
     if any(inst.class_bits != first.class_bits for inst in instances):
         raise ValueError("the queries were not encoded against one training split")
@@ -262,13 +275,7 @@ def _split_union(instances) -> tuple[list, list, list[int] | None, list[int] | N
     comps = [None] * len(uid)
     for display, entry in union.items():
         comps[uid[display]] = entry[1]
-    ids = [[uid[c.display] for c in inst.components] for inst in instances]
-    own = [sum(1 << cid for cid in row) for row in ids]
-    holders = [0] * len(comps)
-    for q, row in enumerate(ids):
-        for cid in row:
-            holders[cid] |= 1 << q
-    return comps, ids, own, holders
+    return comps, [[uid[c.display] for c in inst.components] for inst in instances]
 
 
 def _levels(at: dict[float, int]) -> tuple[list[float], list[int]]:
@@ -299,13 +306,33 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
 
     n_queries = len(instances)
     lone = n_queries == 1
-    comps, ids, own, holders = _split_union(instances)
+    comps, ids = _split_union(instances)
     m = len(comps)
+    max_terms = params.max_terms
+    # Query q owns bits [width*q, width*(q+1)) of every query mask, all ones
+    # when q is in the set, and of counts, which holds what its expansions
+    # add to its node count. No count exceeds the number of term sets of at
+    # most max_terms of its components, so no field carries into the next.
+    most = max(map(len, ids))
+    width = sum(comb(most, k) for k in range(1, min(most, max_terms) + 1)).bit_length() or 1
+    field = (1 << width) - 1
+    if not lone:
+        # units[cid]: the low bit of the field of each query holding cid;
+        # holders[cid]: those fields; suffix[cid]: the sum of units above cid.
+        units = [0] * m
+        for q, row in enumerate(ids):
+            for cid in row:
+                units[cid] |= 1 << width * q
+        holders = [unit * field for unit in units]
+        suffix = [0] * m
+        for cid in range(m - 1, 0, -1):
+            suffix[cid - 1] = suffix[cid] + units[cid]
+        steps: dict[tuple[int, int], int] = {}  # (cid, child_used >> cid) -> step
+    counts = 0
     bits = [c.match_bits for c in comps]
     group_mask = _group_masks(comps)
     weight = params.weight
     keep = params.keep_frac
-    max_terms = params.max_terms
     min_corr = 1.0 - params.eps
     class_bits = instances[0].class_bits
     # Every set the walk forms holds the held-out row of each query at it,
@@ -320,15 +347,13 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     ex_neg, cov_neg, perfect_neg = score_tables(n_neg, weight)
     base = params.base_threshold
 
-    # Per query: its threshold, best quality, found rules and node count.
+    # Per query: its threshold, best quality and found rules.
     thresholds = [base] * n_queries
     best: list[float | None] = [None] * n_queries
     found: list[list[tuple]] = [[] for _ in range(n_queries)]
-    visits = [len(row) for row in ids]  # the root forms every singleton
-    nodes = 0  # what a lone query's expansions add, kept apart while it walks
     # The queries grouped by threshold: levels ascending, below[k] the queries
     # whose threshold is under levels[k].
-    at = {base: (1 << n_queries) - 1}
+    at = {base: (1 << width * n_queries) - 1}
     levels, below = [base], [0, at[base]]
     # The lowest threshold and its count floors, which every query's reach;
     # several says whether the queries hold more than one threshold.
@@ -403,18 +428,19 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                     raised = False
                     while accepting:
                         low = accepting & -accepting
-                        accepting ^= low
-                        j = low.bit_length() - 1
+                        j = (low.bit_length() - 1) // width
+                        mine = low * field
+                        accepting ^= mine
                         found[j].append(rule)
                         if best[j] is None or q > best[j]:
                             best[j] = q
                             old = thresholds[j]
                             if keep * q > old:
                                 thresholds[j] = new = keep * q
-                                at[old] ^= low
+                                at[old] ^= mine
                                 if not at[old]:
                                     del at[old]
-                                at[new] = at.get(new, 0) | low
+                                at[new] = at.get(new, 0) | mine
                                 raised = True
                     if raised:
                         if lone:
@@ -437,15 +463,21 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                 # child_used, hence the shift past it.
                 child_used = used | group_mask[cid]
                 if not lone:
-                    above = ~child_used & -(2 << cid)
-                    counting = entering
-                    while counting:
-                        low = counting & -counting
-                        counting ^= low
-                        j = low.bit_length() - 1
-                        visits[j] += (own[j] & above).bit_count()
+                    # In field q, step counts q's ids above cid outside the
+                    # used groups: the suffix less the units of the used ids.
+                    key = (cid, child_used >> cid)
+                    step = steps.get(key)
+                    if step is None:
+                        step = suffix[cid]
+                        rest = key[1] >> 1
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            step -= units[cid + low.bit_length()]
+                        steps[key] = step
+                    counts += step & entering
                 else:
-                    nodes += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
+                    counts += m - 1 - cid - (child_used >> (cid + 1)).bit_count()
                 # Without a candidate in its tail, the child only counts.
                 if i == last:
                     continue
@@ -487,12 +519,12 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
             drops, used, tail, start, rows = stack.pop()
             path.pop()
 
-    visits[0] += nodes
     outcomes = []
     for j, row in enumerate(ids):
         # A lone query's row is the identity over its own ids. A threshold
         # is max(base, keep * best) throughout, so it ends as the final one.
-        # A held-out query's match sets lose its held-out row's bit.
+        # A held-out query's match sets lose its held-out row's bit. The
+        # root forms every singleton, and the expansions add the rest.
         n = instances[j].held_out
         local = row if lone else {cid: position for position, cid in enumerate(row)}
         kept = [
@@ -500,7 +532,8 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
             for terms, match, table, target, q in found[j]
             if q >= thresholds[j]
         ]
-        outcomes.append(SearchOutcome(_sorted_rules(kept), best[j], thresholds[j], visits[j]))
+        nodes = len(row) + (counts >> width * j & field)
+        outcomes.append(SearchOutcome(_sorted_rules(kept), best[j], thresholds[j], nodes))
     return outcomes
 
 

@@ -11,7 +11,11 @@ with missing cells, batches with duplicate rows and an all-? row, and small
 random datasets drawn by Hypothesis, each under nine flag sets that move
 the threshold, the floors, the purity slack and the depth. The walk
 branches on the batch size, so a query is also walked alone and beside its
-duplicate, and must get the reference's outcome in each batch.
+duplicate, and must get the reference's outcome in each batch. The walk
+keeps the queries' node counts as fields of one int, sized by the number of
+term sets a query can form, so that bound is checked too, and batches put a
+count that fills its field, or one far above its neighbours', beside small
+ones.
 
 Leave-one-out queries hold their row out of one index over all rows, and
 the rows holding out one class are walked together over the index's own
@@ -21,6 +25,8 @@ own: the same outcome from search_local_rules and from the reference.
 """
 
 import random
+from dataclasses import replace
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_search
+from helpers import hypercube_instance, reference_search
 from localrules import search
 from localrules.data import Attribute, Dataset, load_dataset
 from localrules.discretize import GridFitter
@@ -188,6 +194,12 @@ def _drawn_dataset(rng):
     return Dataset(tuple(attrs), tuple(rows), len(kinds))
 
 
+def _term_sets(inst, params):
+    """The number of term sets of at most max_terms of inst's components."""
+    m = inst.n_components
+    return sum(comb(m, k) for k in range(1, params.max_terms + 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -207,9 +219,51 @@ def test_split_walk_equals_the_per_query_search_on_drawn_folds(seed, k, mode, pa
         encode_query = query_encoder(d, training, mode)
         insts = [encode_query(d.rows[row]) for row in fold]
         want = [reference_search(inst, params) for inst in insts]
+        # The walk packs the node counts into fields sized by this bound.
+        for inst, outcome in zip(insts, want):
+            assert outcome.nodes_visited <= _term_sets(inst, params)
         insts += insts[:2]  # duplicates of earlier queries
         assert search_split(insts, params) == want + want[:2]
         _assert_alone_and_paired(insts, want, params)
+
+
+def test_a_count_that_fills_its_field_leaves_its_neighbours_alone():
+    # Every nonempty subset of the cube's ten components is formed, so its
+    # count is 2**10 - 1, the bound itself, and fills a ten-bit field.
+    cube, params = hypercube_instance(10)
+    blank = replace(cube, components=())
+    pair = replace(cube, components=cube.components[:2])
+    want = [search_local_rules(inst, params) for inst in (cube, blank, pair)]
+    assert want[0].nodes_visited == _term_sets(cube, params) == 2**10 - 1
+    got = search_split([cube, blank, cube, pair, cube], params)
+    assert got == [want[0], want[1], want[0], want[2], want[0]]
+
+
+def _known(row, cells, class_col):
+    """row with every cell outside cells missing; the class is kept."""
+    return tuple(v if i in cells or i == class_col else None for i, v in enumerate(row))
+
+
+def test_a_high_count_row_beside_rows_of_one_or_two_known_cells():
+    # With every cell as levels, row 81 forms over 16,000 term sets at the
+    # defaults, while a row of one or two known cells forms a handful: a
+    # carry out of, or a borrow from, the wide row's field would change a
+    # neighbour's count.
+    d = _shipped("tictactoe")
+    fold = stratified_kfold(d, 3, seed=1)[0]
+    held = frozenset(fold)
+    training = [row for i, row in enumerate(d.rows) if i not in held]
+    encode_query = query_encoder(d, training, "exact", EVERY_CELL)
+    wide = encode_query(d.rows[81])
+    known = ({4}, {0, 8}, {2}, {1, 3}, {6, 7})
+    narrow = [encode_query(_known(d.rows[n], cells, d.class_col)) for n, cells in zip(fold, known)]
+    insts = [narrow[0], wide, narrow[1], narrow[2], wide, wide, narrow[3], narrow[4]]
+    assert wide.n_components == 27 and max(i.n_components for i in narrow) <= 6
+    for params in FLAG_SETS.values():
+        want = {id(inst): reference_search(inst, params) for inst in (wide, *narrow)}
+        assert search_split(insts, params) == [want[id(inst)] for inst in insts]
+        if params == QualityParams():
+            assert want[id(wide)].nodes_visited > 16000
 
 
 def test_a_single_class_split_raises_the_same_error():
