@@ -73,6 +73,7 @@ def write_small(directory: Path) -> list[list[str]]:
         "field": (f"a,c\nT,y\n{oversized},n\n", schema),
         "blank": ("a,c\n?,?\nT,y\nF,n\n", schema),
         "lone": ("a,c\nT,y\nF,n\nF,n\n", schema),
+        "gap": ("a,c\nT,y\n\nF,n\nX,y\n", schema),  # a blank record before row 2
     }
     files = {}
     for name, (csv_text, schema_text) in inputs.items():
@@ -80,7 +81,8 @@ def write_small(directory: Path) -> list[list[str]]:
         data.write_text(csv_text, encoding="utf-8")
         schema_path.write_text(schema_text, encoding="utf-8")
         files[name] = ["--data", str(data), "--schema", str(schema_path)]
-    runs = [["predict", *files[name]] for name in ("kind", "token", "label", "header", "field")]
+    names = ("kind", "token", "label", "header", "field", "gap")
+    runs = [["predict", *files[name]] for name in names]
     runs.append(["evaluate", *files["lone"], "--loocv"])
     return runs + [["predict", *files["blank"]], ["rules", *files["blank"]]]
 

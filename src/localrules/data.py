@@ -136,9 +136,10 @@ def _parse_cell(token: str, attr: Attribute, where: str):
 
 
 def _csv_records(csv_text: str):
-    """The CSV records in order: the header, then row 0, row 1, ...
+    """The nonblank CSV records in order: the header, then row 0, row 1, ...
 
-    A record the csv module cannot split raises DataError naming it.
+    Blank records are skipped and not numbered, so row n is the dataset's
+    row n. A record the csv module cannot split raises DataError naming it.
     """
     reader = csv.reader(io.StringIO(csv_text))
     recno = -1  # the header
@@ -150,8 +151,9 @@ def _csv_records(csv_text: str):
         except csv.Error as exc:
             where = "header" if recno < 0 else f"row {recno}"
             raise DataError(f"{where} (line {reader.line_num}): {exc}") from None
-        yield record
-        recno += 1
+        if record:
+            yield record
+            recno += 1
 
 
 def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
@@ -172,8 +174,6 @@ def parse_dataset(csv_text: str, schema_text: str) -> Dataset:
 
     rows: list[tuple] = []
     for recno, record in enumerate(records):
-        if not record:
-            continue
         if len(record) != len(attributes):
             raise DataError(
                 f"row {recno}: expected {len(attributes)} fields, got {len(record)}"

@@ -19,8 +19,9 @@ the attribute entirely.
 
 Match sets are properties of the training rows, not of the query: a
 TrainingIndex fitted once on a training split serves every query encoded
-against it. A query that holds one of the indexed rows out keeps the index's
-own bitsets and records the row: the search counts it out (it lies in the
+against it, and hands the same Component to every query that needs it. A
+query that holds one of the indexed rows out keeps the index's own
+components and records the row: the search counts it out (it lies in the
 match set of each of its own components), and plain() removes its bit.
 """
 
@@ -53,8 +54,15 @@ MODE_LEVELS = "levels"
 class Component(NamedTuple):
     attr: int
     kind: str  # EXACT, LOWER, or UPPER
+    level: object  # the value compared against: the query's own (EXACT) or a grid level
     match_bits: int
     display: str
+
+    @property
+    def order(self) -> tuple:
+        # The canonical order, in which every query lists its components:
+        # equality components by attribute, then boundary ones by attribute and level.
+        return self.kind != EXACT, self.attr, self.level
 
     @property
     def group_key(self) -> tuple[int, str] | None:
@@ -129,7 +137,7 @@ def attrs_needing_grids(attributes, mode: str, overrides: dict | None = None) ->
     ]
 
 
-_SIGNS = {eq: "=", le: "<=", gt: ">"}
+_KINDS = {eq: (EXACT, "="), le: (UPPER, "<="), gt: (LOWER, ">")}  # op -> (kind, sign)
 _NAN_FOR_NONE = {None: math.nan}  # NaN compares false with every value
 _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -147,17 +155,17 @@ def without_row(bits: int, n: int | None) -> int:
 class TrainingIndex:
     """Vertical row bitsets of one training set, fitted once and shared.
 
-    A bitset ("== v", "<= y" or "> y" on one attribute, Eclat's tid-lists) is
-    built in one pass over the rows when a query first needs it. An index made
-    for one query thus does no more work than scanning the rows that query
-    needs. Bitsets whose keys are few are kept, each next to its component's
-    display string, so later queries look both up: "== v" on a bool, nominal
+    A component's bitset ("== v", "<= y" or "> y" on one attribute, Eclat's
+    tid-lists) is built in one pass over the rows when a query first needs
+    it. An index made for one query thus does no more work than scanning the
+    rows that query needs. Components whose keys are few are kept whole, so
+    later queries get the same Component object: "== v" on a bool, nominal
     or ordered attribute and "<= y"/"> y" on a grid level. "== v" on a
     continuous attribute may take a new v for every query and is rebuilt each
-    time, so the kept bitsets never outgrow the grids and the declared values.
-    Keys compare by value, so two levels of one attribute that are equal but
-    print differently (2 and 2.0, or -0.0 and 0.0) would share one display;
-    no fitted grid holds such a pair.
+    time, so the kept components never outgrow the grids and the declared
+    values. Keys compare by value, so two levels of one attribute that are
+    equal but print differently (2 and 2.0, or -0.0 and 0.0) would share one
+    display; no fitted grid holds such a pair.
     """
 
     def __init__(self, attributes: tuple[Attribute, ...], rows, class_col: int):
@@ -168,7 +176,7 @@ class TrainingIndex:
         self.unlabeled = [n for n, g in enumerate(labels) if g is None]
         self.class_bits = _bitset(map(eq, labels, repeat(0)))
         self._columns: dict[int, list] = {}
-        self._bits: dict[tuple, tuple[int, str]] = {}  # key -> (bitset, display)
+        self._components: dict[tuple, Component] = {}  # (op, attr, value) -> component
 
     def _column(self, i: int) -> list:
         """Attribute i's cells with NaN for missing, which fails ==, <= and > alike."""
@@ -178,16 +186,17 @@ class TrainingIndex:
             col = self._columns[i] = list(map(_NAN_FOR_NONE.get, cells, cells))
         return col
 
-    def _entry(self, op, i: int, value) -> tuple[int, str]:
-        """(rows whose known value of attribute i satisfies op(value_of_row, value), display)."""
+    def _component(self, op, i: int, value) -> Component:
+        """Attribute i's component whose rows' known values satisfy op(value_of_row, value)."""
         key = (op, i, value)
-        got = self._bits.get(key)
+        got = self._components.get(key)
         if got is None:
             attr = self.attributes[i]
-            display = attr.name + _SIGNS[op] + format_cell(value, attr)
-            got = _bitset(map(op, self._column(i), repeat(value))), display
+            kind, sign = _KINDS[op]
+            bits = _bitset(map(op, self._column(i), repeat(value)))
+            got = Component(i, kind, value, bits, attr.name + sign + format_cell(value, attr))
             if op is not eq or attr.kind != CONTINUOUS_KIND:
-                self._bits[key] = got
+                self._components[key] = got
         return got
 
     def check_labeled(self, held_out: int | None = None) -> None:
@@ -208,8 +217,7 @@ class TrainingIndex:
         level-mode attribute index -> ascending level tuple (empty tuple =
         the attribute contributes nothing); every other
         attribute is compared for equality. A component's id is its
-        position, and the order is canonical: equality components first by
-        attribute, then boundary components by (attribute, level).
+        position, and the components come in increasing Component.order.
         """
         self.check_labeled(held_out)
         grids = grids or {}
@@ -218,16 +226,13 @@ class TrainingIndex:
             v0 = pred_row[i]
             if v0 is None or i in grids or attr.kind in (CLASS_KIND, IGNORE_KIND):
                 continue
-            bits, display = self._entry(eq, i, v0)
-            components.append(Component(i, EXACT, bits, display))
+            components.append(self._component(eq, i, v0))
         for i in sorted(grids):
             v0 = pred_row[i]
             if v0 is None:
                 continue
             for y in grids[i]:
-                kind, op = (UPPER, le) if v0 <= y else (LOWER, gt)
-                bits, display = self._entry(op, i, y)
-                components.append(Component(i, kind, bits, display))
+                components.append(self._component(le if v0 <= y else gt, i, y))
 
         return EncodedInstance(
             components=tuple(components),

@@ -89,18 +89,18 @@ classes.
 One walk (search_split) answers the queries of one training split; a lone
 query (predict, rules, predict_for_row) is a split of one. The queries share
 the class bits, so a display names one component with one match set in all
-of them. The walk runs over the union of their components in one order of
-which each query's own canonical order is a restriction (a merge of their
-orders: equality components by attribute, then boundary components by
-attribute and level, whichever grid a level came from); a lone query's union
-is its own components. A term set's facts that do not depend on the query
-are computed once for every query that reaches it: its match set and class
-counts, the drop tests of its older terms, its score and the tail it hands
-down. Each query keeps its own threshold, best quality, found rules and node
-count. A set of queries (those at a node, those holding a component, those
-under a threshold) is one int in which query q owns a field of W bits, all
-ones when q is in the set, so a union or an intersection of sets is one OR
-or one AND over the whole batch:
+of them. The walk runs over the union of their components sorted by
+Component.order (equality components by attribute, then boundary components
+by attribute and level, whichever grid a level came from), the order in
+which each query lists its own, so each query's order is a restriction of
+the union's; a lone query's union is its own components. A term set's facts
+that do not depend on the query are computed once for every query that
+reaches it: its match set and class counts, the drop tests of its older
+terms, its score and the tail it hands down. Each query keeps its own
+threshold, best quality, found rules and node count. A set of queries (those
+at a node, those holding a component, those under a threshold) is one int in
+which query q owns a field of W bits, all ones when q is in the set, so a
+union or an intersection of sets is one OR or one AND over the whole batch:
 
   - entry: a candidate must meet the count floors of the lowest threshold;
     a query holding it enters when its threshold is at most the better
@@ -141,20 +141,20 @@ Leave-one-out queries each hold out one row of one index over all rows
 held-out row p agrees with itself on ==, <= and > (a missing cell drops its
 attribute, and parsing rejects non-finite floats), so it lies in the match
 set of each of its own components, and every set its walk forms, the root
-included, holds p. Over the index's bitsets, then, every set counts one
-row more of p's class than over p's training rows, and as many of the other
-class, so subtracting one row of p's class from every popcount gives p's
-own counts at every set (one holding only p counts as empty). The queries
-holding out rows of one class are therefore walked together over the
-index's bitsets with that one subtraction, and every test reads the
-queries' own counts (a mismatch, the difference of two counts, is the same
-either way). Every query's rules, best quality, final threshold and node
-count are those of its own walk over its training rows, once its match sets
-lose p's bit (encode.without_row). A lone query walks its plain() encoding
-instead. A batch that holds out rows of both classes, mixes held-out and
-plain queries, or holds a query that does not match its own held-out row is
-refused. A candidate that no query at a node holds may count one row short
-there, but no query in the subtree enters it.
+included, holds p. Over the index's bitsets, then, every set counts one row
+more of p's class than over p's training rows, and as many of the other
+class, so subtracting one row of p's class from every popcount gives p's own
+counts at every set (one holding only p counts as empty). The queries
+holding out rows of one class are therefore walked together over the index's
+bitsets with that one subtraction, and every test reads the queries' own
+counts (a mismatch, the difference of two counts, is the same either way).
+Every query's rules, best quality, final threshold and node count are those
+of its own walk over its training rows, once its match sets lose p's bit
+(encode.without_row). A lone held-out query is walked the same way, as a
+batch of one. A batch that holds out rows of both classes, mixes held-out
+and plain queries, or holds a query that does not match its own held-out
+row, a lone one included, is refused. A candidate that no query at a node
+holds may count one row short there, but no query in the subtree enters it.
 
 The acceptance threshold tightens dynamically to keep_frac * best-so-far; a
 final filter re-applies max(base_threshold, keep_frac * best), so the result
@@ -177,10 +177,10 @@ independent of the tail filter and comparable across versions of the search.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
 from math import comb
+from operator import attrgetter
 
-from .encode import EXACT, EncodedInstance, without_row
+from .encode import Component, EncodedInstance, without_row
 from .errors import DataError
 from .rules import (
     Contingency,
@@ -226,18 +226,14 @@ def search_local_rules(
 def _split_union(instances) -> tuple[list, list]:
     """(union, each query's union ids).
 
-    A component is keyed by its display. The union's order is one of which
-    every query's own order is a restriction: a topological order of the
-    pairs of components that some query holds one after the other, taking
-    among the components free to come next the lowest (equality before
-    boundary, then by attribute, then first met). Queries encoded against
-    different grids of one attribute thus share a walk too; components that
-    no query holds together (two values, or the two sides of one level) keep
-    the order they were met in.
+    A component is keyed by its display. The union comes in increasing
+    Component.order, in which every query of one query_encoder lists its own
+    components, so each query's order is a restriction of the union's.
+    Queries encoded against different grids of one attribute thus share a
+    walk too. Components with one key that no query holds together (the two
+    sides of one level, say) keep the order they were met in. A lone query's
+    union is its own components in its own order.
     """
-    # A lone query's own components, in its own order, are the union.
-    if len(instances) == 1:
-        return instances[0].components, [range(instances[0].n_components)]
     first = instances[0]
     if any(inst.class_bits != first.class_bits for inst in instances):
         raise ValueError("the queries were not encoded against one training split")
@@ -247,34 +243,15 @@ def _split_union(instances) -> tuple[list, list]:
         not c.match_bits >> inst.held_out & 1 for inst in instances for c in inst.components
     ):
         raise ValueError("a query does not match its own held-out row")
-    union: dict[str, list] = {}  # display -> [order key, component, waiting, next]
+    if len(instances) == 1:
+        return first.components, [range(first.n_components)]
+    union: dict[str, Component] = {}
     for inst in instances:
-        prev = None
         for c in inst.components:
-            got = union.get(c.display)
-            if got is None:
-                got = union[c.display] = [(c.kind != EXACT, c.attr, len(union)), c, 0, {}]
-            elif got[1] != c:
+            if union.setdefault(c.display, c) != c:
                 raise ValueError(f"component {c.display!r} differs between the queries")
-            if prev is not None and c.display not in prev[3]:
-                prev[3][c.display] = got
-                got[2] += 1  # one more component that must come before it
-            prev = got
-    ready = [(entry[0], entry) for entry in union.values() if not entry[2]]
-    heapify(ready)
-    uid: dict[str, int] = {}
-    while ready:
-        _, entry = heappop(ready)
-        uid[entry[1].display] = len(uid)
-        for after in entry[3].values():
-            after[2] -= 1
-            if not after[2]:
-                heappush(ready, (after[0], after))
-    if len(uid) < len(union):
-        raise ValueError("the queries order their components in conflicting ways")
-    comps = [None] * len(uid)
-    for display, entry in union.items():
-        comps[uid[display]] = entry[1]
+    comps = sorted(union.values(), key=attrgetter("order"))
+    uid = {c.display: cid for cid, c in enumerate(comps)}
     return comps, [[uid[c.display] for c in inst.components] for inst in instances]
 
 
@@ -293,13 +270,11 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     The queries must share the class bits, as every query of one
     query_encoder does. Queries that each hold out a row of the index must
     all hold out rows of one class; they are walked over the index's own
-    bitsets with the held-out row counted out (see the module docstring). A
-    lone query is walked as its plain() encoding.
+    bitsets with the held-out row counted out (see the module docstring), a
+    lone one too.
     """
     if not instances:
         return []
-    if len(instances) == 1:
-        instances = [instances[0].plain()]
     n_pos, n_neg = instances[0].n_pos, instances[0].n_neg
     if n_pos == 0 or n_neg == 0:
         raise DataError("training rows contain a single class")

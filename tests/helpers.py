@@ -215,6 +215,7 @@ def _exact_component(i, attr, v0, training_rows) -> Component:
     return Component(
         attr=i,
         kind=EXACT,
+        level=v0,
         match_bits=bits,
         display=f"{attr.name}={format_cell(v0, attr)}",
     )
@@ -238,6 +239,7 @@ def _level_components(i, attr, v0, grid, training_rows) -> list[Component]:
             Component(
                 attr=i,
                 kind=kind,
+                level=y,
                 match_bits=bits,
                 display=f"{attr.name}{op}{format_cell(y, attr)}",
             )

@@ -98,6 +98,22 @@ def test_unsplittable_csv_is_a_data_error_naming_the_record():
         data.parse_dataset("a\rb,c\nT,yes\n", MINI_SCHEMA)
 
 
+def test_blank_records_take_no_row_number():
+    # Row n in every message is the dataset's row n, which a blank record
+    # does not shift: a bad cell, a missing label and an unsplittable record
+    # after one all name the same row.
+    blank = "a,c\nT,yes\n\nF,no\n"
+    d = data.parse_dataset(blank + "T,no\n", MINI_SCHEMA)
+    assert d.rows == ((True, 0), (False, 1), (True, 1))
+    with pytest.raises(DataError, match=r"^row 2, column 'a': 'X' is not a boolean token$"):
+        data.parse_dataset(blank + "X,yes\n", MINI_SCHEMA)
+    with pytest.raises(DataError, match="^row 2: training row has a missing class value$"):
+        data.parse_dataset(blank + "T,?\n", MINI_SCHEMA)
+    oversized = "T" * 131073
+    with pytest.raises(DataError, match=r"^row 2 \(line 5\): field larger than field limit"):
+        data.parse_dataset(blank + f"{oversized},no\n", MINI_SCHEMA)
+
+
 def test_too_small():
     with pytest.raises(DataError, match="^need a prediction row plus at least one training row$"):
         data.parse_dataset("a,c\nT,yes\n", MINI_SCHEMA)

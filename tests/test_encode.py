@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localrules import encode
-from localrules.data import Attribute
+from localrules.data import Attribute, Dataset
+from localrules.discretize import GridFitter
 from localrules.errors import DataError
+from localrules.predict import query_encoder
 
 from helpers import component_truth_ladder, reference_encode
 
@@ -380,4 +382,73 @@ def test_index_keeps_no_bitsets_for_exact_continuous_queries():
     for j in range(60):
         inst = index.encode((float(j), j % 2, None))  # no grids: all exact
         assert inst.components[0].match_bits == 1 << j
-    assert len(index._bits) == 2
+    assert len(index._components) == 2
+
+
+def test_queries_sharing_a_key_share_one_component():
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("n", "nominal", ("p", "q")),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = [(float(j), j % 2, j % 3 % 2) for j in range(6)]
+    index = encode.TrainingIndex(attrs, rows, 2)
+    grids = {0: (1.5, 3.5)}
+    below = index.encode((1.0, 0, None), grids)
+    above = index.encode((2.0, 0, None), grids)
+    held = index.encode((1.0, 0, None), grids, held_out=3)
+    assert [c.display for c in below.components] == ["n=p", "x<=1.5", "x<=3.5"]
+    assert [c.display for c in above.components] == ["n=p", "x>1.5", "x<=3.5"]
+    for j in (0, 2):  # n=p and x<=3.5: one key, one object, held out or not
+        assert below.components[j] is above.components[j] is held.components[j]
+    assert below.components[1] is held.components[1]
+    # "== v" on a continuous attribute is rebuilt for every query.
+    first, again = (index.encode((2.0, 1, None)) for _ in range(2))
+    assert first.components[1] is again.components[1]  # n=q
+    assert first.components[0] == again.components[0]
+    assert first.components[0] is not again.components[0]
+
+
+# Every query a query_encoder builds lists its components in strictly
+# increasing Component.order, so the search sorts a split's union by it.
+
+
+def _assert_in_canonical_order(inst):
+    keys = [c.order for c in inst.components]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_cases())
+def test_every_query_lists_its_components_in_increasing_order(case):
+    attrs, rows, pred, class_col, _, mode, overrides = case
+    d = Dataset(attrs, tuple(rows), class_col)
+    encode_query = query_encoder(d, rows, mode, overrides)
+    _assert_in_canonical_order(encode_query(pred))
+    for n, row in enumerate(rows):
+        _assert_in_canonical_order(encode_query(row))
+        _assert_in_canonical_order(encode_query(row, held_out=n))
+
+
+def test_held_out_queries_whose_grids_differ_keep_the_order():
+    # x's entropy cut sits between the classes; holding out a row next to
+    # it moves the cut, so those queries meet levels no other query has.
+    attrs = (
+        Attribute("x", "continuous"),
+        Attribute("b", "bool"),
+        Attribute("n", "nominal", ("p", "q", "r")),
+        Attribute("c", "class", ("y", "n")),
+    )
+    rows = tuple(
+        (None if j == 7 else float(j), j % 2 == 0, None if j == 4 else j % 3, int(j >= 10))
+        for j in range(20)
+    )
+    d = Dataset(attrs, rows, 3)
+    overrides = {1: "levels", 2: "levels"}
+    fitter = GridFitter(attrs, rows, 3)
+    full = fitter.grids([0])
+    assert full[0] and any(fitter.grids([0], n) != full for n in range(len(rows)))
+    encode_query = query_encoder(d, rows, "levels", overrides)
+    for n, row in enumerate(rows):
+        _assert_in_canonical_order(encode_query(row))
+        _assert_in_canonical_order(encode_query(row, held_out=n))

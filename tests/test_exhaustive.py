@@ -63,7 +63,7 @@ def test_single_perfect_component_is_kept():
 
 def test_component_cap():
     comps = tuple(
-        Component(attr=i, kind="exact", match_bits=1, display=f"a{i}=T")
+        Component(attr=i, kind="exact", level=True, match_bits=1, display=f"a{i}=T")
         for i in range(MAX_COMPONENTS + 1)
     )
     inst = EncodedInstance(

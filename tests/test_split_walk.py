@@ -405,6 +405,24 @@ def test_held_out_walk_equals_each_rows_own_split_on_drawn_data(seed, mode, para
         assert search_split(batch, params) == want + want[:2]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["levels", "exact"]),
+    params=st.sampled_from(list(FLAG_SETS.values())),
+)
+def test_a_lone_held_out_query_gets_the_outcome_of_its_plain_encoding(seed, mode, params):
+    # Alone, a held-out query is walked over the index's bitsets with its
+    # row counted out, as in its batch, not as its plain() encoding.
+    d = _drawn_dataset(random.Random(seed))
+    labels = [row[d.class_col] for row in d.rows]
+    assume(min(labels.count(0), labels.count(1)) >= 2)  # no single-class split
+    encode_query = query_encoder(d, d.rows, mode)
+    for n, row in enumerate(d.rows):
+        inst = encode_query(row, n)
+        assert search_split([inst], params) == [search_local_rules(inst.plain(), params)]
+
+
 def test_held_out_queries_of_two_classes_or_beside_plain_ones_are_refused():
     d = _continuous(6)
     encode_query = query_encoder(d, d.rows, "levels")
@@ -412,7 +430,10 @@ def test_held_out_queries_of_two_classes_or_beside_plain_ones_are_refused():
     plain = encode_query(d.rows[0])
     held = [encode_query(d.rows[n], n) for n in (pos[0], pos[1], neg[0])]
     not_its_row = encode_query(d.rows[pos[0]], pos[1])
-    for batch in (held, held[1:], [held[0], plain], [plain, held[0]], [held[0], not_its_row]):
+    refused = (
+        held, held[1:], [held[0], plain], [plain, held[0]], [held[0], not_its_row], [not_its_row]
+    )
+    for batch in refused:
         with pytest.raises(ValueError):
             search_split(batch, QualityParams())
     assert search_split(held[:2], QualityParams())  # one class: walked
