@@ -35,13 +35,25 @@ def _files(name: str) -> list[str]:
     return ["--data", str(DATA / f"{name}.csv"), "--schema", str(DATA / f"{name}.schema")]
 
 
-def write_continuous(directory: Path) -> list[str]:
-    """The seed-2 synthetic continuous dataset, as files in directory."""
+def write_continuous(directory: Path, whole_x1: bool = False) -> list[str]:
+    """The seed-2 synthetic continuous dataset, as files in directory.
+
+    With whole_x1, x1 is rounded to a whole number, so that its value groups
+    hold several rows, often of both labels; the files are then named tied.
+    """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import synth  # the benchmark's data generator, only imported
 
     csv_text, schema_text = synth.make_continuous(2)
-    data, schema = directory / "continuous.csv", directory / "continuous.schema"
+    if whole_x1:
+        header, *rows = csv_text.splitlines()
+        cells = [row.split(",") for row in rows]
+        for row in cells:
+            if row[0] != "?":
+                row[0] = str(round(float(row[0])))
+        csv_text = "\n".join([header] + [",".join(row) for row in cells]) + "\n"
+    name = "tied" if whole_x1 else "continuous"
+    data, schema = directory / f"{name}.csv", directory / f"{name}.schema"
     data.write_text(csv_text, encoding="utf-8")
     schema.write_text(schema_text, encoding="utf-8")
     return ["--data", str(data), "--schema", str(schema)]
@@ -87,14 +99,16 @@ def write_small(directory: Path) -> list[list[str]]:
     return runs + [["predict", *files["blank"]], ["rules", *files["blank"]]]
 
 
-def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> list[list[str]]:
+def matrix(
+    continuous: list[str], tied: list[str], cut: list[str], small: list[list[str]]
+) -> list[list[str]]:
     """Every run.
 
     Each of six non-default search flags runs k-fold and leave-one-out
     evaluate and rules on one row, so it meets the walk of a fold's split
-    and the walk of a lone query. continuous and cut hold the --data/--schema
-    flags of write_continuous and write_cut, and small the runs of
-    write_small.
+    and the walk of a lone query. continuous and tied hold the --data/--schema
+    flags of write_continuous, plain and with whole_x1, cut those of
+    write_cut, and small the runs of write_small.
     """
     runs = [
         ["evaluate", *continuous, "--threads", "1"],
@@ -109,6 +123,10 @@ def matrix(continuous: list[str], cut: list[str], small: list[list[str]]) -> lis
     for row in ROWS:
         runs.append(["predict", *continuous, "--row", row, "--show-rules"])
         runs.append(["rules", *continuous, "--row", row])
+    # Leaving a row out of a tie group with both labels moves its class count
+    # without emptying it: the held-out grid fits meet mixed groups.
+    runs += [["evaluate", *tied, "--loocv", "--threads", threads] for threads in ("1", "2")]
+    runs += [["predict", *tied, "--row", row] for row in ROWS]
     every_level = ["--override", "*=levels", "--kappa", "0.9"]
     runs += [["rules", *continuous, *every_level, "--row", row] for row in ROWS]
     for name in DATASETS:
@@ -198,6 +216,7 @@ def main(argv: list[str]) -> int:
         directory = Path(tmp)
         runs = matrix(
             write_continuous(directory),
+            write_continuous(directory, whole_x1=True),
             write_cut(directory, "monks2", ("a1", "a2", "a5", "c")),
             write_small(directory),
         )

@@ -21,6 +21,20 @@ does, a boundary gap's weight depends only on the row's label and on which
 side of the row's group the gap lies, so per range and label two tables keep
 the leftmost lowest weight up to and from each gap; a split weighs only the
 two gaps next to its row, against one entry of each table.
+
+Most rows change no cut, and a screen finds them once per column, on the
+first held-out request, before any such fit. It walks the full fit's ranges
+and, per range and label, reads from the same tables which runs of groups
+keep the range's decision: the same lowest gap, ties to the leftmost, and
+the same MDL verdict, tested with the exact arguments a held-out fit would
+pass. It compares the very doubles that fit compares, so it needs no
+floating-point slack: a row it clears gets the full fit's cuts, bit for bit.
+It flags the rows of the two groups next to a range's lowest gap, whose
+removal can drop that gap or merge it into a new one, every row of a label
+whose removal leaves an accepting range single-class, and the rows fitted
+from a fresh sort; only those run the held-out fit. Under leave-one-out
+with several processes, each forked process sorts and screens its own
+columns.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from operator import add, itemgetter, truediv
+from operator import add, itemgetter, neg, truediv
 from typing import NamedTuple
 
 from .data import (
@@ -70,13 +84,6 @@ def _term(rows: int, ones: int) -> float:
     left-out row it assumes, which no split reads.
     """
     return rows * _entropy(ones, rows - ones) if 0 <= ones <= rows else math.nan
-
-
-def _side_terms(cs, cp, lo: int, hi: int, gaps) -> tuple[list[float], list[float]]:
-    """The left and right terms of each gap in gaps, in a range of groups lo..hi-1."""
-    lefts = [_term(cs[k + 1] - cs[lo], cp[k + 1] - cp[lo]) for k in gaps]
-    rights = [_term(cs[hi] - cs[k + 1], cp[hi] - cp[k + 1]) for k in gaps]
-    return lefts, rights
 
 
 def _running_min(sums, gaps, n: int) -> tuple[array, array]:
@@ -175,6 +182,7 @@ class _Column:
         self._memo: dict[int, tuple] = {}
         self._mdl: dict[tuple, bool] = {}  # _mdl_accepts by its arguments
         self._tables: dict[tuple[int, int, int], tuple[array, array, array, array]] = {}
+        self._flags: tuple[bytearray, bytearray] | None = None  # by label, from _screen
 
     def _removal(self, p: int) -> _Removal:
         j = self.group_of[p]
@@ -194,7 +202,7 @@ class _Column:
 
     def cuts(self, held_out: int | None = None) -> tuple:
         """Cut points of all values but the one at position held_out."""
-        if held_out is None:
+        if held_out is None or self.keeps_full_cuts(held_out):
             return self._cuts(0, len(self.sizes), None)
         if held_out in self.refit:
             p = held_out
@@ -202,20 +210,139 @@ class _Column:
             return _Column(values[:p] + values[p + 1 :], labels[:p] + labels[p + 1 :]).cuts()
         return self._cuts(0, len(self.sizes), self._removal(held_out))
 
-    def _table(self, lo: int, hi: int, n: int, label: int) -> tuple[array, array, array, array]:
+    def keeps_full_cuts(self, p: int) -> bool:
+        """Whether the screen proves that leaving position p out keeps every cut."""
+        if self._flags is None:
+            self._screen()
+        flags = self._flags[self.labels[p] == self.first]
+        return not flags[self.group_of[p]] and p not in self.refit
+
+    def _count(self, label: int, start: int, stop: int) -> int:
+        """Rows labelled label (1: the counted label) in groups start..stop-1."""
+        ones = self.cp[stop] - self.cp[start]
+        return ones if label else self.cs[stop] - self.cs[start] - ones
+
+    def _sides(self, lo: int, hi: int) -> tuple[list[int], list[float], list[float]]:
+        """The boundary gaps of groups lo..hi-1, with each one's left and right term."""
+        b, cs, cp = self.boundaries, self.cs, self.cp
+        gaps = b[bisect_left(b, lo) : bisect_left(b, hi - 1)]
+        lefts = [_term(cs[k + 1] - cs[lo], cp[k + 1] - cp[lo]) for k in gaps]
+        rights = [_term(cs[hi] - cs[k + 1], cp[hi] - cp[k + 1]) for k in gaps]
+        return gaps, lefts, rights
+
+    def _screen(self) -> None:
+        """Flag, per label, the groups whose row may not keep the full fit's cuts.
+
+        It walks the full fit's ranges once. A held-out fit takes the same
+        decision in a range, the same lowest gap k and the same MDL verdict,
+        when the range's tables say so: with the row right of k, k's weight
+        is its entry in the first table, and with the row left of k, in the
+        second. These are the exact doubles the fit compares, so no slack is
+        needed. The rows kept on each side form one run of groups, found by
+        bisection (_kept). Always flagged: rows of the two groups next to k,
+        whose gaps a removal can drop or merge, and every row of a label
+        whose removal leaves an accepting range single-class. The walk is
+        the full fit, so it also keeps each range's cuts for _cuts.
+        """
+        size = len(self.sizes)
+        self._flags = flags = (bytearray(size), bytearray(size))
+        cs, cp = self.cs, self.cp
+        ranges = [(0, size)]
+        cut_gaps = []
+        for lo, hi in ranges:  # grows with the accepted cuts' subranges
+            n, c = cs[hi] - cs[lo], cp[hi] - cp[lo]
+            if n < 2 or not 0 < c < n:
+                continue  # no fit here, and a row fewer makes none either
+            sides = self._sides(lo, hi)
+            found = self._best(lo, hi, n, c, None, sides)
+            if found is None:
+                continue  # a single group: a row fewer leaves no gap either
+            k = found[0]
+            accepted = self._accepts(n, c, *found[1:])
+            if accepted:
+                ranges += [(lo, k + 1), (k + 1, hi)]
+                cut_gaps.append(k)
+            for label, flag in enumerate(flags):
+                if self._count(label, lo, hi):
+                    start = lo
+                    for run_start, run_stop in self._kept(lo, hi, k, accepted, label, sides):
+                        flag[start:run_start] = b"\1" * (run_start - start)
+                        start = run_stop
+                    flag[start:hi] = b"\1" * (hi - start)
+        cut_gaps.sort()
+        for lo, hi in ranges:  # each range's cuts, kept as _cuts keeps them
+            gaps = cut_gaps[bisect_left(cut_gaps, lo) : bisect_left(cut_gaps, hi - 1)]
+            self._memo.setdefault(lo * len(cs) + hi, tuple(self.gap_cuts[k] for k in gaps))
+
+    def _kept(self, lo: int, hi: int, k: int, accepted: bool, label: int, sides) -> list:
+        """Runs (start, stop) of the groups of lo..hi-1 whose row labelled
+        label, left out, keeps the range's decision: lowest gap k, and the
+        MDL verdict `accepted`.
+
+        With the row in group j, a gap before j weighs its first-table kind
+        and a gap from j on its second-table kind. For j < k, k weighs
+        last_w[i] and stays lowest when every gap before j weighs more (up
+        to the first first_w at or below it) and every gap from j to k does
+        (after the last gap whose last_k lies before k). For j > k + 1, k
+        weighs first_w[i]: the gaps before k must weigh more (first_k[i] is
+        k), those from k to j no less (up to the first first_k past k), and
+        those from j on no less (after the last last_w below it). A group
+        that empties merges its two gaps into one at its right-hand gap,
+        whose weight is the same double as the left-hand gap's first-table
+        weight; both gaps are weighed here, so the merged one is too. A
+        running minimum that starts at a NaN entry is NaN throughout, and
+        one that does not holds none; either way no row of the label lies
+        where a bisection would misread it.
+        """
+        cs, cp = self.cs, self.cp
+        n, c = cs[hi] - cs[lo] - 1, cp[hi] - cp[lo] - label
+        if n < 2 or not 0 < c < n:
+            return [] if accepted else [(lo, hi)]
+        gaps = sides[0]
+        first_w, first_k, last_w, last_k = self._table(lo, hi, n, label, sides)
+        i = bisect_left(gaps, k)
+        n_left, a = cs[k + 1] - cs[lo], cp[k + 1] - cp[lo]
+        kept = []
+        if (
+            self._count(label, lo, k)
+            and last_k[i] == k
+            and self._accepts(n, c, n_left - 1, a - label, last_w[i]) == accepted
+        ):
+            w = last_w[i]
+            after = bisect_left(last_k, k)  # gaps from here to k weigh more than w
+            before = bisect_left(first_w, -w, key=neg)  # gaps before this one weigh more
+            start = gaps[after - 1] + 1 if after else lo
+            stop = gaps[before] + 1 if before < len(gaps) else k
+            kept.append((start, min(stop, k)))
+        if (
+            self._count(label, k + 2, hi)
+            and first_k[i] == k
+            and self._accepts(n, c, n_left, a, first_w[i]) == accepted
+        ):
+            w = first_w[i]
+            before = bisect_right(first_k, k)  # gaps from k to here weigh w or more
+            after = bisect_left(last_w, w)  # gaps from here on weigh w or more
+            start = gaps[after - 1] + 1 if after else lo
+            stop = gaps[before] + 1 if before < len(gaps) else hi
+            kept.append((max(start, k + 2), stop))
+        return [run for run in kept if run[0] < run[1]]
+
+    def _table(
+        self, lo: int, hi: int, n: int, label: int, sides=None
+    ) -> tuple[array, array, array, array]:
         """Per boundary gap of lo..hi-1 (n rows once a row labelled label is out):
         weight and gap of the lowest (full left + right a row short) / n up to
         it, and of the lowest (left a row short + full right) / n from it on.
         A short side without a row of the label has a NaN term. Those gaps are
         a tail of the first kind and a head of the second, and lie right and
-        left of the row's group, where no split reads that kind.
+        left of the row's group, where no split reads that kind. sides, when
+        given, is _sides(lo, hi).
         """
         key = (lo, hi, label)
         got = self._tables.get(key)
         if got is None:
-            b, cs, cp = self.boundaries, self.cs, self.cp
-            gaps = b[bisect_left(b, lo) : bisect_left(b, hi - 1)]
-            lefts, rights = _side_terms(cs, cp, lo, hi, gaps)
+            cs, cp = self.cs, self.cp
+            gaps, lefts, rights = sides or self._sides(lo, hi)
             short_lefts = [_term(cs[k + 1] - cs[lo] - 1, cp[k + 1] - cp[lo] - label) for k in gaps]
             short_rights = [_term(cs[hi] - cs[k + 1] - 1, cp[hi] - cp[k + 1] - label) for k in gaps]
             firsts = _running_min(map(add, lefts, short_rights), gaps, n)
@@ -223,22 +350,24 @@ class _Column:
             got = self._tables[key] = firsts + tuple(a[::-1] for a in lasts)
         return got
 
-    def _best(self, lo: int, hi: int, n: int, c: int, rm: _Removal | None):
+    def _best(self, lo: int, hi: int, n: int, c: int, rm: _Removal | None, sides=None):
         """(gap, left rows, left counted labels, weighted entropy) of the lowest cut.
 
         With rm among the groups, the lowest boundary gap left of rm's group
         and the lowest right of it come from the range's table; only rm's two
         neighbouring gaps are weighed here. Ties go to the leftmost gap.
+        sides, when given, is _sides(lo, hi).
         """
-        b, cs, cp = self.boundaries, self.cs, self.cp
-        start, stop = bisect_left(b, lo), bisect_left(b, hi - 1)
+        cs, cp = self.cs, self.cp
         if rm is None:
-            gaps = b[start:stop]
+            gaps, lefts, rights = sides or self._sides(lo, hi)
             if not gaps:
                 return None
-            sums = map(add, *_side_terms(cs, cp, lo, hi, gaps))
+            sums = map(add, lefts, rights)
             w, k = min(zip(map(truediv, sums, repeat(n)), gaps))  # ties: the leftmost gap
         else:
+            b = self.boundaries
+            start, stop = bisect_left(b, lo), bisect_left(b, hi - 1)
             j, label = rm.group, rm.label
             mid = max(start, bisect_left(b, j - 1))
             after = max(mid, bisect_right(b, j))
