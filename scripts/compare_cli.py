@@ -144,6 +144,13 @@ def matrix(
     tictactoe = _files("tictactoe") + ["--mode", "exact", "--override", "*=levels"]
     runs += [["evaluate", *tictactoe, "--threads", "2"], ["discretize", *tictactoe]]
     runs += [["rules", *tictactoe, "--row", row] for row in ROWS]  # level displays of nominals
+    # Three processes cut the rows into runs of unequal size (958 and 400
+    # rows), and the run boundaries cut folds. Runs use no more processes
+    # than there are CPUs, so a host with fewer than three runs these at two.
+    runs += [
+        ["evaluate", *_files("tictactoe"), "--mode", "exact", "--threads", "3"],
+        ["evaluate", *continuous, "--loocv", "--threads", "3"],
+    ]
     for flag in (
         ["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"],
         ["--lambda", "0"], ["--lambda", "1"],

@@ -39,13 +39,14 @@ combines once, and reads exactly what a walk of its own split returns, node
 count included.
 
 All test rows of an evaluation are independent, so threads=N predicts them
-in N processes, the calling one included: the rows are dealt round-robin
-into N shares, the caller predicts the first and one forked child predicts
-each other. Each process walks the rows of its own share of a fold (for
-leave-one-out, once per held-out class), so rows share work only within one
-share.
-The merge restores row order and all accumulators are integers, so the
-rendered report is byte-identical for any worker count.
+in N processes, the calling one included: the rows, fold by fold, are cut
+into N contiguous runs whose sizes differ by at most one, the caller
+predicts the first and one forked child predicts each other. Each process
+walks the rows of its own run of a fold (for leave-one-out, once per
+held-out class), so only a fold that straddles a run boundary is split:
+k-fold makes at most k + N - 1 walks, not k * N. The merge joins the runs
+in order and all accumulators are integers, so the rendered report is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -152,14 +153,14 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
     return max(1, min(threads or cpus, cpus, n_items))
 
 
-def _fork_share(run_share, first: int, step: int) -> tuple:
-    """(pid, read end) of a child that pickles run_share(first, step) to the pipe."""
+def _fork_share(run_share, start: int, stop: int) -> tuple:
+    """(pid, read end) of a child that pickles run_share(start, stop) to the pipe."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            answer = pickle.dumps(run_share(first, step))
+            answer = pickle.dumps(run_share(start, stop))
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(answer)
             status = 0
@@ -172,25 +173,23 @@ def _fork_share(run_share, first: int, step: int) -> tuple:
 def _run_pool(workers: int, run_share, n_items: int) -> list:
     """The results of items 0..n_items-1, in order, over workers processes.
 
-    run_share(first, step) answers items first, first + step, ... in order:
-    (True, their results), or (False, (index, error)) for the first of them
-    that fails. Share w is run_share(w, workers). The caller runs share 0
-    and forks one child per other share; each child pickles back its
-    answer. When items fail, the error of the lowest such index is raised,
-    as one process would raise it. Every child is reaped before this
+    run_share(start, stop) answers items start..stop-1 in order: (True, their
+    results), or (False, (index, error)) for the first of them that fails.
+    Share w is the contiguous run from w * n_items // workers up to
+    (w + 1) * n_items // workers, so share sizes differ by at most one. The
+    caller runs share 0 and forks one child per other share; each child
+    pickles back its answer, and the answers are joined in share order. When
+    items fail, the error of the lowest such index is
+    raised, as one process would raise it. Every child is reaped before this
     returns, and killed first if the caller is interrupted.
     """
-    if workers == 1:
-        ok, answer = run_share(0, 1)
-        if not ok:
-            raise answer[1]
-        return answer
+    bounds = [w * n_items // workers for w in range(workers + 1)]
     children = []  # (pid, read end of its pipe)
     piped = None
     try:
         for w in range(1, workers):
-            children.append(_fork_share(run_share, w, workers))
-        mine = run_share(0, workers)
+            children.append(_fork_share(run_share, bounds[w], bounds[w + 1]))
+        mine = run_share(0, bounds[1])
         piped = [pipe.read() for _, pipe in children]
     finally:
         for pid, pipe in children:
@@ -204,10 +203,10 @@ def _run_pool(workers: int, run_share, n_items: int) -> list:
     failures = [failure for ok, failure in answers if not ok]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * n_items
-    for w, (_, results) in enumerate(answers):
-        out[w::workers] = results
-    return out
+    results = answers[0][1]
+    for _, more in answers[1:]:
+        results += more
+    return results
 
 
 def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: int) -> list:
@@ -221,9 +220,9 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: 
     """
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
 
-    def run_share(first: int, step: int) -> tuple:
+    def run_share(start: int, stop: int) -> tuple:
         results = []
-        for f, group in groupby(range(first, len(items), step), lambda i: items[i][0]):
+        for f, group in groupby(range(start, stop), lambda i: items[i][0]):
             group = list(group)
             encoded = []  # each row's query, or the error encoding it raised
             for i in group:

@@ -132,12 +132,17 @@ def test_pooled_counts_equal_fold_sums_and_recount():
 
 
 def test_report_is_identical_for_any_worker_count():
-    d = _noisy_dataset()
     params = QualityParams()
-    serial = evaluate_cv(d, params, k=3, seed=2, threads=1)
-    parallel = evaluate_cv(d, params, k=3, seed=2, threads=3)
-    assert render_report(serial) == render_report(parallel)
-    assert serial.pooled == parallel.pooled
+    # At 3 workers 42 rows share out 14/14/14, on the fold boundaries, and 44
+    # rows share out 14/15/15, which cuts two folds.
+    for n in (42, 44):
+        d = _noisy_dataset(n)
+        serial = evaluate_cv(d, params, k=3, seed=2, threads=1)
+        for threads in (2, 3):
+            with mock.patch.object(evaluate, "available_cpus", return_value=3):
+                parallel = evaluate_cv(d, params, k=3, seed=2, threads=threads)
+            assert render_report(serial) == render_report(parallel), (n, threads)
+            assert serial.pooled == parallel.pooled
 
 
 def _continuous_dataset(n=60, seed=3):
@@ -156,12 +161,15 @@ def _continuous_dataset(n=60, seed=3):
 
 
 def test_loocv_report_is_identical_for_any_worker_count():
-    d = _continuous_dataset()
-    serial = evaluate_loocv(d, QualityParams(), threads=1)
-    parallel = evaluate_loocv(d, QualityParams(), threads=2)
-    assert render_report(serial) == render_report(parallel)
-    assert serial.pooled == parallel.pooled
-    assert serial.mean_nodes > 0
+    for n in (60, 61):  # 20/20/20 and 20/20/21 at 3 workers
+        d = _continuous_dataset(n)
+        serial = evaluate_loocv(d, QualityParams(), threads=1)
+        for threads in (2, 3):
+            with mock.patch.object(evaluate, "available_cpus", return_value=3):
+                parallel = evaluate_loocv(d, QualityParams(), threads=threads)
+            assert render_report(serial) == render_report(parallel), (n, threads)
+            assert serial.pooled == parallel.pooled
+        assert serial.mean_nodes > 0
 
 
 def _cut(name, keep):
@@ -191,9 +199,9 @@ _SHARING_PARAMS = (
 def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
     """Shared searches give each row what its own search gives, at 1 and 2 workers.
 
-    k-fold walks each fold's rows as one split, once per fold and share;
-    leave-one-out walks the rows holding out one class together, once per
-    class and share.
+    k-fold walks each fold's rows as one split, once per fold in each share
+    that holds some of its rows; leave-one-out walks the rows holding out one
+    class together, once per class and share.
     """
     d = _SHARING_DATASETS[name]()
     folds = (range(len(d.rows)),) if k is None else stratified_kfold(d, k, seed=1)
@@ -244,7 +252,7 @@ def _run(d, k, threads):
 
 
 def _rows_in_item_order(d, k):
-    """Row per item index of _predict_rows; at 2 workers the caller runs the even ones."""
+    """Row per item index of _predict_rows; at 2 workers the caller runs the first half."""
     if k is None:
         return list(range(len(d.rows)))
     return [row for fold in stratified_kfold(d, k, seed=1) for row in fold]
@@ -295,7 +303,7 @@ def test_no_worker_process_outlives_an_evaluation(k):
     order = _rows_in_item_order(d, k)
     _run(d, k, 2)
     _assert_no_child_left()
-    for position in (4, 5):  # the caller's share, then the child's
+    for position in (4, 16):  # the caller's share, then the child's
         _raised(d, k, 2, [order[position]])
         _assert_no_child_left()
 
@@ -304,8 +312,10 @@ def test_no_worker_process_outlives_an_evaluation(k):
 def test_a_failing_row_raises_the_same_error_at_any_worker_count(k):
     d = _tagged_dataset()
     order = _rows_in_item_order(d, k)
-    # One row in either share, then two rows with the lower one in either share.
-    for positions in ([6], [9], [3, 8], [8, 11], [0, 1], [1, 2]):
+    # The 24 items split 12/12 at 2 workers. One row in either share; one row
+    # in each share, far from the boundary and either side of it; then two
+    # rows in one share, with the lower one in either share.
+    for positions in ([6], [18], [3, 15], [11, 12], [0, 1], [13, 14]):
         failing = [order[i] for i in positions]
         want = _raised(d, k, 1, failing)
         got = _raised(d, k, 2, failing)
@@ -314,8 +324,10 @@ def test_a_failing_row_raises_the_same_error_at_any_worker_count(k):
     # One row fails in its encode pass and another in its predict pass. k-fold
     # encodes a fold's rows before it predicts any of them, so a later row of
     # the fold fails to encode before an earlier one fails to predict; the
-    # lower row's error is still the one raised.
-    for predicted, encoded in ((2, 5), (3, 6), (1, 2), (5, 2), (6, 3), (7, 9)):
+    # lower row's error is still the one raised. The pairs lie in the caller's
+    # share, across the shares either way round, in the child's share, and
+    # either side of the boundary, which cuts the middle fold of 3.
+    for predicted, encoded in ((2, 5), (3, 18), (13, 15), (5, 2), (18, 3), (11, 12)):
         row, other = order[predicted], order[encoded]
         lower = f"cannot predict id=r{row}"
         if encoded < predicted:
@@ -357,6 +369,57 @@ def test_an_interrupted_caller_kills_its_worker_processes():
         _run(d, 3, 2)
     assert time.monotonic() - started < 30
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 958])
+def test_the_pool_deals_contiguous_shares_and_joins_them_in_order(n, tmp_path):
+    log = tmp_path / "shares"
+
+    def run_share(start, stop):
+        # One short append per share, from whichever process runs it.
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{start} {stop}\n".encode())
+        os.close(fd)
+        return True, list(range(start, stop))
+
+    for workers in (1, 2, 3):
+        log.write_text("")
+        assert evaluate._run_pool(workers, run_share, n) == list(range(n)), workers
+        shares = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert len(shares) == workers
+        sizes = [stop - start for start, stop in shares]
+        assert max(sizes) - min(sizes) <= 1, shares
+        assert [i for start, stop in shares for i in range(start, stop)] == list(range(n))
+    _assert_no_child_left()
+
+
+def _shares_in_turn(workers, run_share, n_items):
+    """_run_pool's contiguous shares, run one after another in this process."""
+    results = []
+    for w in range(workers):
+        ok, answer = run_share(w * n_items // workers, (w + 1) * n_items // workers)
+        assert ok, answer
+        results += answer
+    return results
+
+
+def test_a_fold_is_split_only_where_a_share_boundary_cuts_it():
+    d = _noisy_dataset()
+    k = 3
+    tallied, walks = {}, {}
+    for workers in (1, 2):
+        with mock.patch.object(evaluate, "available_cpus", return_value=workers), \
+                mock.patch.object(evaluate, "_run_pool", _shares_in_turn), \
+                mock.patch.object(evaluate, "_build_report",
+                                  wraps=evaluate._build_report) as build, \
+                mock.patch.object(search, "search_split",
+                                  wraps=search.search_split) as walked:
+            evaluate_cv(d, QualityParams(), k=k, seed=1, threads=workers)
+        tallied[workers] = build.call_args.args[8]
+        walks[workers] = walked.call_count
+    # One walk per fold, and one more for the middle fold the boundary cuts.
+    assert walks == {1: k, 2: k + 1}
+    assert tallied[2] == tallied[1]
 
 
 def test_available_cpus_honours_the_affinity_mask(monkeypatch):
