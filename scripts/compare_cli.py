@@ -10,8 +10,10 @@ checkout's `src`). Every run that matrix() lists is `python -m localrules
 trees see the same files and echo the same paths. A run counts as equal
 when its stdout, its exit code and its stderr, less the `wall_seconds=` line
 that `evaluate` writes there, are equal. One line is printed per run that
-differs, naming what differs and the run's arguments, then a last line
-`N runs, M differ`; the exit status is 1 if any run differs, 0 otherwise.
+differs, naming what differs and the run's arguments, then a note line per
+`evaluate` run whose `--threads` count this host runs at fewer processes
+(evaluate.worker_count clamps it to the CPUs), then a last line `N runs, M
+differ`; the exit status is 1 if any run differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def matrix(
         ["evaluate", *continuous, "--loocv", "--threads", "3"],
     ]
     for flag in (
-        ["--eps", "0.2"], ["--cmin-mism", "0"], ["--kappa", "0.5"], ["--max-depth", "2"],
-        ["--lambda", "0"], ["--lambda", "1"],
+        ["--eps", "0.2"], ["--cmin-mism", "0"], ["--cmin-mism", "0.0625"], ["--kappa", "0.5"],
+        ["--max-depth", "2"], ["--lambda", "0"], ["--lambda", "1"],
     ):
         runs.append(["evaluate", *_files("monks2"), *flag, "--threads", "2"])
         runs.append(["evaluate", *tictactoe, *flag, "--threads", "2"])
@@ -162,6 +164,16 @@ def matrix(
         for threads in ("1", "2"):
             runs.append(["evaluate", *continuous, *flag, "--loocv", "--threads", threads])
         runs.append(["rules", *tictactoe, *flag, "--row", "5"])
+    # At --cmin-mism 0.0625 a class of 16j training rows has the whole-number
+    # mismatch floor j: monks1's 144 rows a class at 3 folds, monks2's 128
+    # positives in 8 of 10 folds, tictactoe's 304 negatives in 8 of 12, and
+    # the continuous data's 160 rows of class y once one of 161 is held out.
+    whole = ["--cmin-mism", "0.0625"]
+    runs += [
+        ["evaluate", *_files("monks1"), *whole],
+        ["evaluate", *_files("monks2"), *whole, "--folds", "10"],
+        ["evaluate", *_files("tictactoe"), "--mode", "exact", *whole, "--folds", "12"],
+    ]
     # Other fold counts give the split walks other batch sizes and shares.
     for data in (_files("monks2"), _files("tictactoe") + ["--mode", "exact"]):
         for folds in ("2", "10"):
@@ -209,6 +221,24 @@ def run(src: str, args: list[str]) -> tuple[int, str, str]:
     return done.returncode, done.stdout, err
 
 
+def clamped(runs: list[list[str]], src: str) -> list[str]:
+    """A note per evaluate run whose --threads count src's worker_count lowers here."""
+    sys.path.insert(0, src)
+    from localrules.evaluate import available_cpus, worker_count
+
+    cpus = available_cpus()
+    notes = []
+    for args in runs:
+        if args[0] == "evaluate" and "--threads" in args:
+            threads = int(args[args.index("--threads") + 1])
+            if threads > 0 and (allowed := worker_count(threads, threads, cpus)) < threads:
+                notes.append(
+                    f"note: {allowed} processes, not {threads}, on {cpus} CPUs: "
+                    f"localrules {' '.join(args)}"
+                )
+    return notes
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: compare_cli.py OLD_SRC NEW_SRC", file=sys.stderr)
@@ -235,6 +265,8 @@ def main(argv: list[str]) -> int:
             if parts:
                 differ += 1
                 print(f"differs ({', '.join(parts)}): localrules {' '.join(args)}")
+    for note in clamped(runs, new_src):
+        print(note)
     print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 

@@ -59,6 +59,14 @@ drop_pure, then the redundancy and blocked tests of the drops of the node's
 older terms), so the threshold rises at the same points as in a walk over
 every child. A child of the root has no older term: its drop is the root
 match, which the root's own pass already tested.
+Each test reads only the counts that can decide it. A mismatch count k
+exceeds its floor x = min_mism * n exactly when k > floor(x), so the drop
+and tail tests compare popcounts with integer limits; a drop's total
+popcount is read only when its positive one fails. At eps = 0 only a set
+that lacks a class is pure, and a drop holds the child's match set, so the
+purity of a child and of its drops is read only at eps > 0 or when the
+child lacks a class, and a tail entry's drop, which holds both classes,
+is tested for purity only at eps > 0.
 A child is scored on its two class counts as the sum of two table entries
 (rules.score_tables: the exclusion half at the other class's count and the
 coverage half at the predicted class's), which equals rules.count_quality bit
@@ -146,8 +154,8 @@ more of p's class than over p's training rows, and as many of the other
 class, so subtracting one row of p's class from every popcount gives p's own
 counts at every set (one holding only p counts as empty). The queries
 holding out rows of one class are therefore walked together over the index's
-bitsets with that one subtraction, and every test reads the queries' own
-counts (a mismatch, the difference of two counts, is the same either way).
+bitsets with that one subtraction: tail entries hold the queries' own
+counts, and the drop and tail tests fold the subtraction into their limits.
 Every query's rules, best quality, final threshold and node count are those
 of its own walk over its training rows, once its match sets lose p's bit
 (encode.without_row). A lone held-out query is walked the same way, as a
@@ -177,7 +185,7 @@ independent of the tail filter and comparable across versions of the search.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import comb
+from math import comb, floor
 from operator import attrgetter
 
 from .encode import Component, EncodedInstance, without_row
@@ -309,14 +317,18 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     weight = params.weight
     keep = params.keep_frac
     min_corr = 1.0 - params.eps
+    slack = params.eps > 0  # at eps = 0 only a one-class set is pure
     class_bits = instances[0].class_bits
     # Every set the walk forms holds the held-out row of each query at it,
     # so a popcount over the walked bitsets is that query's own count plus
-    # hp (positive) or hn (negative); the counts below subtract them, and
-    # every test reads the queries' own counts.
+    # hp (positive) or hn (negative). Tail entries hold the own counts; the
+    # drop and tail tests read raw popcounts against limits with the offsets
+    # folded in. A count k exceeds a mismatch floor x exactly when k >
+    # floor(x), so those limits are integers.
     hp, hn = instances[0].held_out_counts
     h = hp + hn
-    mism_floor_pos, mism_floor_neg = mismatch_floors(params, n_pos, n_neg)
+    mism_pos, mism_neg = map(floor, mismatch_floors(params, n_pos, n_neg))
+    pos_gap, neg_gap = hp - mism_pos, hn - mism_neg
     tie_target = n_pos >= n_neg
     ex_pos, cov_pos, perfect_pos = score_tables(n_pos, weight)
     ex_neg, cov_neg, perfect_neg = score_tables(n_neg, weight)
@@ -353,7 +365,7 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
             cpos = (match & class_bits).bit_count() - hp
             cneg = match.bit_count() - cpos - h
             if (cpos >= floor_pos or cneg >= floor_neg) and (
-                n_pos - cpos > mism_floor_pos or n_neg - cneg > mism_floor_neg
+                n_pos - cpos > mism_pos or n_neg - cneg > mism_neg
             ):
                 tail.append((cid, match, cpos, cneg, full, False))
     path: list[int] = []
@@ -380,16 +392,25 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                     continue
 
             b = bits[cid]
+            # At eps = 0 a child of both classes is impure, and so is each of
+            # its drops, which hold its match set.
+            test_pure = slack or not cpos or not cneg
+            # A dropped term excludes enough rows when a raw popcount of the
+            # drop exceeds its limit.
+            pos_limit = cpos + hp + mism_pos
+            neg_limit = cneg + hn + mism_neg
             child_drops = []
             for d in drops:
                 d &= b
-                dp = (d & class_bits).bit_count() - hp
-                dn = d.bit_count() - dp - h
-                if not (dp - cpos > mism_floor_pos or dn - cneg > mism_floor_neg):
+                dp = (d & class_bits).bit_count()
+                if dp <= pos_limit and d.bit_count() - dp <= neg_limit:
                     break  # the dropped term no longer excludes enough rows
-                # The drop excludes rows, so it is nonempty.
-                if (dp if dp >= dn else dn) >= min_corr * (dp + dn):
-                    break  # blocked by a pure one-term drop
+                if test_pure:
+                    # The drop excludes rows, so it is nonempty.
+                    dp -= hp
+                    dn = d.bit_count() - dp - h
+                    if (dp if dp >= dn else dn) >= min_corr * (dp + dn):
+                        break  # blocked by a pure one-term drop
                 child_drops.append(d)
             else:  # admissible and not blocked
                 # select_target's choice, scored as count_quality from the tables
@@ -430,7 +451,7 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
 
                 if leaf:
                     continue
-                if (cpos if cpos >= cneg else cneg) >= min_corr * (cpos + cneg):
+                if test_pure and (cpos if cpos >= cneg else cneg) >= min_corr * (cpos + cneg):
                     continue  # empty, or pure enough: supersets are blocked by definition
                 # Expand the child: each entering query forms every one of its
                 # ids above cid outside the child's used groups, whether or
@@ -461,25 +482,30 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                 # apply when it enters a candidate. Each entry's match set
                 # becomes the new entry's drop. A candidate that fails here
                 # fails at every descendant, so it leaves the whole subtree.
+                # The raw popcounts of an extension must stay under the
+                # node's counts, and under the drop's, less the mismatch
+                # floors, for its terms to exclude enough rows.
+                pos_floor, neg_floor = floor_pos + hp, floor_neg + hn
+                pos_cut, neg_cut = cpos + pos_gap, cneg + neg_gap
                 child_tail = []
                 for ocid, odrop, dpos, dneg, _, _ in tail[i + 1:]:
-                    if child_used >> ocid & 1:
+                    if child_used >> ocid & 1 or not (dpos and dneg):
                         continue
                     omatch = child_match & bits[ocid]
-                    opos = (omatch & class_bits).bit_count() - hp
-                    oneg = omatch.bit_count() - opos - h
+                    opos = (omatch & class_bits).bit_count()
+                    oneg = omatch.bit_count() - opos
                     if (
-                        (opos >= floor_pos or oneg >= floor_neg)
-                        and (cpos - opos > mism_floor_pos or cneg - oneg > mism_floor_neg)
-                        and (dpos - opos > mism_floor_pos or dneg - oneg > mism_floor_neg)
-                        and dpos
-                        and dneg
+                        (opos >= pos_floor or oneg >= neg_floor)
+                        and (opos < pos_cut or oneg < neg_cut)
+                        and (opos < dpos + pos_gap or oneg < dneg + neg_gap)
                     ):
-                        # The drop is nonempty here; pure within eps, it
-                        # blocks this one extended set, but a subset of it
-                        # need not be.
-                        odrop_pure = (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
-                        child_tail.append((ocid, omatch, opos, oneg, odrop, odrop_pure))
+                        # The drop holds both classes here; pure within eps,
+                        # it blocks this one extended set, but a subset of
+                        # it need not be.
+                        odrop_pure = slack and (
+                            (dpos if dpos >= dneg else dneg) >= min_corr * (dpos + dneg)
+                        )
+                        child_tail.append((ocid, omatch, opos - hp, oneg - hn, odrop, odrop_pure))
                 if child_tail:
                     if path:  # a root child has no older term to drop
                         child_drops.append(drop)

@@ -15,7 +15,9 @@ duplicate, and must get the reference's outcome in each batch. The walk
 keeps the queries' node counts as fields of one int, sized by the number of
 term sets a query can form, so that bound is checked too, and batches put a
 count that fills its field, or one far above its neighbours', beside small
-ones.
+ones. Mismatch floors that are whole numbers, or one ulp off one, and a
+one-class set with and without a pure drop at eps = 0 have cases of their
+own.
 
 Leave-one-out queries hold their row out of one index over all rows, and
 the rows holding out one class are walked together over the index's own
@@ -26,7 +28,7 @@ own: the same outcome from search_local_rules and from the reference.
 
 import random
 from dataclasses import replace
-from math import comb
+from math import comb, nextafter
 from pathlib import Path
 from unittest import mock
 
@@ -93,16 +95,19 @@ def _assert_alone_and_paired(insts, want, params):
         assert search_split([inst, inst], params) == [outcome, outcome]
 
 
+# Two continuous attributes, an ordered and a bool one, and the class.
+CONTINUOUS_ATTRS = (
+    Attribute("x", "continuous"),
+    Attribute("y", "continuous"),
+    Attribute("o", "ordered", ("lo", "mid", "hi")),
+    Attribute("b", "bool"),
+    Attribute("c", "class", ("y", "n")),
+)
+
+
 def _continuous(seed, n=48):
-    """Two continuous attributes with missing cells, an ordered and a bool one."""
+    """CONTINUOUS_ATTRS with missing cells."""
     rng = random.Random(seed)
-    attrs = (
-        Attribute("x", "continuous"),
-        Attribute("y", "continuous"),
-        Attribute("o", "ordered", ("lo", "mid", "hi")),
-        Attribute("b", "bool"),
-        Attribute("c", "class", ("y", "n")),
-    )
     rows = []
     for _ in range(n):
         x = round(rng.uniform(0, 10), 1) if rng.random() > 0.1 else None
@@ -111,7 +116,7 @@ def _continuous(seed, n=48):
         b = rng.random() < 0.5
         g = int(((x or 0) > 5) != b) ^ (rng.random() < 0.15)
         rows.append((x, y, o, b, g))
-    return Dataset(attrs, tuple(rows), 4)
+    return Dataset(CONTINUOUS_ATTRS, tuple(rows), 4)
 
 
 # (dataset, mode, overrides, stride): every stride-th test row of a fold is
@@ -301,6 +306,80 @@ def test_a_split_walks_once_per_params_and_answers_only_its_queries():
     with pytest.raises(ValueError):
         search_local_rules(batches[1][0], QualityParams(), split)
 
+
+
+def _counted(seed, n_pos, n_neg):
+    """n_pos rows of class y and n_neg of class n over CONTINUOUS_ATTRS, with missing cells."""
+    rng = random.Random(seed)
+    rows = []
+    for g, n in ((0, n_pos), (1, n_neg)):
+        for _ in range(n):
+            x = round(rng.uniform(0, 8) + 2 * g, 1) if rng.random() > 0.1 else None
+            y = round(rng.gauss(g, 1), 1) if rng.random() > 0.2 else None
+            o = min(2, rng.randrange(3) + (rng.random() < 0.3) * g) if rng.random() > 0.1 else None
+            b = rng.random() < 0.3 + 0.4 * g
+            rows.append((x, y, o, b, g))
+    return Dataset(CONTINUOUS_ATTRS, tuple(rows), 4)
+
+
+# A mismatch count k passes the floor min_mism * n when k > floor of it, and
+# at 0.0625 the floor is a whole number where a class holds 16j rows. Below
+# that value by one ulp the product falls just under the whole number, and
+# above it just over, so a test at the wrong side of a whole-number floor, or
+# one rounding it, gets some count wrong.
+INTEGRAL = (nextafter(0.0625, 0.0), 0.0625, nextafter(0.0625, 1.0))
+
+
+@pytest.mark.parametrize("mode", ["levels", "exact"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("min_mism", INTEGRAL)
+def test_whole_number_mismatch_floors_in_folds_lone_and_held_out_walks(min_mism, seed, mode):
+    every_params = [
+        QualityParams(min_mism=min_mism),
+        QualityParams(min_mism=min_mism, eps=0.2),
+        QualityParams(min_mism=min_mism, min_cover=0.02, keep_frac=0.5),
+    ]
+    # Three folds of 48 rows a class train on 32 rows of each.
+    batches = _fold_batches(_counted(seed, 48, 48), 3, mode)
+    assert {(insts[0].n_pos, insts[0].n_neg) for insts in batches} == {(32, 32)}
+    # Holding out a row of 33 leaves 32 of its class, and one of 49 leaves 48.
+    held_out = _held_out_batches(_counted(seed, 33, 49), mode, stride=2)
+    for params in every_params:
+        for insts in batches:
+            want = [reference_search(inst, params) for inst in insts]
+            assert search_split(insts, params) == want
+            _assert_alone_and_paired(insts, want, params)
+        _assert_held_out_walk_exact(held_out, params)
+
+
+def _three_bools(bc_negative):
+    """The queries a=b=c=T and a=c=T, b=F over three bool attributes.
+
+    For the first, {a, b, c} matches two rows of class y, and {a, b} and
+    {a, c} hold both classes. {b, c} holds only class y, unless bc_negative
+    adds a row of class n to it.
+    """
+    attrs = (*(Attribute(name, "bool") for name in "abc"), Attribute("k", "class", ("y", "n")))
+    rows = [(True, True, True, 0)] * 2 + [(False, True, True, 0), (False, False, False, 0)]
+    rows += [(True, True, False, 1), (True, False, True, 1), (False, False, False, 1)]
+    if bc_negative:
+        rows.append((False, True, True, 1))
+    d = Dataset(attrs, tuple(rows), 3)
+    encode_query = query_encoder(d, d.rows, "exact")
+    return encode_query((True, True, True, None)), encode_query((True, False, True, None))
+
+
+@pytest.mark.parametrize("bc_negative", [False, True])
+def test_a_one_class_set_is_blocked_by_a_pure_drop_at_eps_0(bc_negative):
+    # {a, b, c} holds one class, so at eps = 0 its drops' purity is read: a
+    # pure {b, c} blocks it, and one of both classes does not.
+    inst, other = _three_bools(bc_negative)
+    params = QualityParams(min_mism=0.0, keep_frac=0.5)
+    want = [reference_search(inst, params), reference_search(other, params)]
+    found = {rule.term_ids for rule in want[0].rules}
+    assert ((0, 1, 2) in found) == bc_negative
+    assert search_split([inst, other, inst], params) == [*want, want[0]]
+    _assert_alone_and_paired([inst, other], want, params)
 
 
 def _held_out_batches(d, mode, overrides=None, stride=1):
