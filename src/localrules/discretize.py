@@ -180,7 +180,6 @@ class _Column:
             k for k in range(len(sizes) - 1) if pure[k] < 0 or pure[k] != pure[k + 1]
         ]
         self._memo: dict[int, tuple] = {}
-        self._mdl: dict[tuple, bool] = {}  # _mdl_accepts by its arguments
         self._tables: dict[tuple[int, int, int], tuple[array, array, array, array]] = {}
         self._flags: tuple[bytearray, bytearray] | None = None  # by label, from _screen
 
@@ -258,7 +257,7 @@ class _Column:
             if found is None:
                 continue  # a single group: a row fewer leaves no gap either
             k = found[0]
-            accepted = self._accepts(n, c, *found[1:])
+            accepted = _mdl_accepts(n, c, *found[1:])
             if accepted:
                 ranges += [(lo, k + 1), (k + 1, hi)]
                 cut_gaps.append(k)
@@ -306,7 +305,7 @@ class _Column:
         if (
             self._count(label, lo, k)
             and last_k[i] == k
-            and self._accepts(n, c, n_left - 1, a - label, last_w[i]) == accepted
+            and _mdl_accepts(n, c, n_left - 1, a - label, last_w[i]) == accepted
         ):
             w = last_w[i]
             after = bisect_left(last_k, k)  # gaps from here to k weigh more than w
@@ -317,7 +316,7 @@ class _Column:
         if (
             self._count(label, k + 2, hi)
             and first_k[i] == k
-            and self._accepts(n, c, n_left, a, first_w[i]) == accepted
+            and _mdl_accepts(n, c, n_left, a, first_w[i]) == accepted
         ):
             w = first_w[i]
             before = bisect_right(first_k, k)  # gaps from k to here weigh w or more
@@ -389,14 +388,6 @@ class _Column:
         a = cp[k + 1] - cp[lo] - (rm.label if shift else 0)
         return k, n_left, a, w
 
-    def _accepts(self, *test) -> bool:
-        """_mdl_accepts(*test), kept: the held-out fits of one range and
-        label meet the same test again."""
-        got = self._mdl.get(test)
-        if got is None:
-            got = self._mdl[test] = _mdl_accepts(*test)
-        return got
-
     def _cuts(self, lo: int, hi: int, rm: _Removal | None) -> tuple:
         """Cuts of groups lo..hi-1, without rm's member when it lies among them."""
         if rm is not None and not lo <= rm.group < hi:
@@ -414,7 +405,7 @@ class _Column:
         out = ()
         if n >= 2 and 0 < c < n:
             found = self._best(lo, hi, n, c, rm)
-            if found is not None and self._accepts(n, c, *found[1:]):
+            if found is not None and _mdl_accepts(n, c, *found[1:]):
                 k = found[0]
                 cut = rm.gaps[k] if rm is not None and k in rm.gaps else self.gap_cuts[k]
                 out = self._cuts(lo, k + 1, rm) + (cut,) + self._cuts(k + 1, hi, rm)

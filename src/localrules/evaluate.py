@@ -26,17 +26,13 @@ row's.
 
 Leave-one-out rows have a training split each, all rows but one, and are
 encoded with their row held out (encode.EncodedInstance.held_out): the
-components keep the index's bitsets, and the row is counted out. A held-out
-row lies in the match set of each of its own components, so every set its
-search forms holds it: over all rows, its class count is one more at every
-set than over its training rows, and so is its class total. So the held-out
-rows of one class share one walk over the index's bitsets, with one row of
-that class counted out of every count (search.py gives the argument). As
-for a fold, a share's rows are encoded first and held in one
-search.SplitWalk, which walks each held-out class once, and each row is
-predicted through predict_encoded with it: every row still searches and
-combines once, and reads exactly what a walk of its own split returns, node
-count included.
+components keep the index's bitsets, and the held-out rows of one class
+share one walk with one row of that class counted out of every count
+(search.py gives the argument). As for a fold, a share's rows are encoded
+first and held in one search.SplitWalk, which walks each held-out class
+once, and each row is predicted through predict_encoded with it: every row
+still searches and combines once, and reads exactly what a walk of its own
+split returns, node count included.
 
 All test rows of an evaluation are independent, so threads=N predicts them
 in N processes, the calling one included: the rows, fold by fold, are cut

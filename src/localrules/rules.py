@@ -197,16 +197,16 @@ def mismatch_floors(params: QualityParams, n_pos: int, n_neg: int) -> tuple[floa
     return (params.min_mism * n_pos, params.min_mism * n_neg)
 
 
-def min_cover_count(threshold: float, class_total: int, weight: float, start: int = 0) -> int:
+def min_cover_count(threshold: float, class_total: int, weight: float) -> int:
     """Smallest per-class match count whose best achievable score reaches threshold.
 
     Bisected on the class's perfect-score table (score_tables) rather than
     solved algebraically, so the boundary count agrees exactly with the
     scorer; the bisection is exact because that table never falls as the
-    count rises. Counts below start are not considered. Returns
-    class_total + 1 when even full coverage cannot reach threshold.
+    count rises. Returns class_total + 1 when even full coverage cannot
+    reach threshold.
     """
-    return bisect_left(score_tables(class_total, weight)[2], threshold, start)
+    return bisect_left(score_tables(class_total, weight)[2], threshold)
 
 
 def format_rule(rule: Rule, components, class_labels: tuple[str, str]) -> str:

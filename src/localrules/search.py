@@ -112,11 +112,10 @@ union or an intersection of sets is one OR or one AND over the whole batch:
 
   - entry: a candidate must meet the count floors of the lowest threshold;
     a query holding it enters when its threshold is at most the better
-    perfect score at the candidate's two counts (its own floors), one
-    bisection made only while the queries hold more than one threshold.
+    perfect score at the candidate's two counts (its own floors).
   - acceptance: a rule is found for the entering queries whose threshold
-    it reaches and raises their thresholds; the floors of the lowest
-    threshold, which only rises, rise by bisecting from the old ones.
+    it reaches and raises their thresholds, and the floors of the lowest
+    threshold are bisected again.
   - node count: the counts are fields of one int too, query q's in field
     q (SIMD within a register, Fisher and Dietz 1998). Expanding a node
     adds, in each entering query's field, the query's components above the
@@ -128,10 +127,14 @@ union or an intersection of sets is one OR or one AND over the whole batch:
     carries into the next: a query with m components forms each term set
     of at most max_terms of them at most once, so its count never exceeds
     sum(comb(m, k) for k in 1..max_terms), and W is that bound's bit length
-    at the largest m of the batch. A lone query, which holds every
-    component, adds the ids above less the used ones to a plain int.
+    at the largest m of the batch.
   - term ids: a query's id of a term is the popcount of its components
     below the term.
+
+A lone walk differs from a batch in two steps, each measured to pay: its
+one query holds every component and meets the entry floors, so it enters
+without the entry mask, and it adds the ids above less the used ones to a
+plain int in place of the step.
 
 Restricted to one query, this is that query's own canonical walk with the
 same threshold history. The one difference is where the coverage floor cuts:
@@ -239,8 +242,7 @@ def _split_union(instances) -> tuple[list, list]:
     components, so each query's order is a restriction of the union's.
     Queries encoded against different grids of one attribute thus share a
     walk too. Components with one key that no query holds together (the two
-    sides of one level, say) keep the order they were met in. A lone query's
-    union is its own components in its own order.
+    sides of one level, say) keep the order they were met in.
     """
     first = instances[0]
     if any(inst.class_bits != first.class_bits for inst in instances):
@@ -251,8 +253,6 @@ def _split_union(instances) -> tuple[list, list]:
         not c.match_bits >> inst.held_out & 1 for inst in instances for c in inst.components
     ):
         raise ValueError("a query does not match its own held-out row")
-    if len(instances) == 1:
-        return first.components, [range(first.n_components)]
     union: dict[str, Component] = {}
     for inst in instances:
         for c in inst.components:
@@ -342,9 +342,8 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
     # whose threshold is under levels[k].
     at = {base: (1 << width * n_queries) - 1}
     levels, below = [base], [0, at[base]]
-    # The lowest threshold and its count floors, which every query's reach;
-    # several says whether the queries hold more than one threshold.
-    lowest, several = base, False
+    # The lowest threshold and its count floors, which every query's reach.
+    lowest = base
     floor_pos = min_cover_count(base, n_pos, weight)
     floor_neg = min_cover_count(base, n_neg, weight)
 
@@ -379,15 +378,13 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
             if drop_pure or cpos < floor_pos and cneg < floor_neg:
                 continue  # blocked, or no descendant can reach any threshold
             if not lone:
-                entering = rows & holders[cid]
-                if several:
-                    # The queries whose count floors the child meets: a
-                    # threshold no higher than the better perfect score at
-                    # one of its counts.
-                    reach = perfect_pos[cpos]
-                    if perfect_neg[cneg] > reach:
-                        reach = perfect_neg[cneg]
-                    entering &= below[bisect_right(levels, reach)]
+                # The queries holding the child whose count floors it meets:
+                # a threshold no higher than the better perfect score at one
+                # of its counts.
+                reach = perfect_pos[cpos]
+                if perfect_neg[cneg] > reach:
+                    reach = perfect_neg[cneg]
+                entering = rows & holders[cid] & below[bisect_right(levels, reach)]
                 if not entering:
                     continue
 
@@ -418,7 +415,7 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                 q = ex_neg[cneg] + cov_pos[cpos] if target else ex_pos[cpos] + cov_neg[cneg]
                 if q >= lowest and (cpos or cneg):
                     # Found for the entering queries whose threshold q reaches.
-                    accepting = entering & below[bisect_right(levels, q)] if several else entering
+                    accepting = entering & below[bisect_right(levels, q)]
                     table = Contingency(cpos, cneg, n_pos - cpos, n_neg - cneg)
                     rule = ((*path, cid), child_match, table, target, q)
                     raised = False
@@ -439,15 +436,10 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
                                 at[new] = at.get(new, 0) | mine
                                 raised = True
                     if raised:
-                        if lone:
-                            lowest = thresholds[0]
-                        else:
-                            levels, below = _levels(at)
-                            lowest, several = levels[0], len(levels) > 1
-                        # The lowest threshold only rises, so its floors rise
-                        # from the old ones.
-                        floor_pos = min_cover_count(lowest, n_pos, weight, floor_pos)
-                        floor_neg = min_cover_count(lowest, n_neg, weight, floor_neg)
+                        levels, below = _levels(at)
+                        lowest = levels[0]
+                        floor_pos = min_cover_count(lowest, n_pos, weight)
+                        floor_neg = min_cover_count(lowest, n_neg, weight)
 
                 if leaf:
                     continue
@@ -522,12 +514,12 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
 
     outcomes = []
     for j, row in enumerate(ids):
-        # A lone query's row is the identity over its own ids. A threshold
-        # is max(base, keep * best) throughout, so it ends as the final one.
-        # A held-out query's match sets lose its held-out row's bit. The
-        # root forms every singleton, and the expansions add the rest.
+        # A threshold is max(base, keep * best) throughout, so it ends as
+        # the final one. A held-out query's match sets lose its held-out
+        # row's bit. The root forms every singleton, and the expansions add
+        # the rest.
         n = instances[j].held_out
-        local = row if lone else {cid: position for position, cid in enumerate(row)}
+        local = {cid: position for position, cid in enumerate(row)}
         kept = [
             Rule(tuple(map(local.__getitem__, terms)), without_row(match, n), table, target, q)
             for terms, match, table, target, q in found[j]

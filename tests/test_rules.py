@@ -234,7 +234,7 @@ def test_floor_scan_handles_unreachable_threshold():
 
 @st.composite
 def _floor_cases(draw):
-    """(threshold, class_total, weight, start); thresholds often sit on a count's score."""
+    """(threshold, class_total, weight); thresholds often sit on a count's score."""
     total = draw(st.integers(1, 400))
     weight = draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 1))
     on = rules.count_quality(draw(st.integers(0, total)), 0, total, 1, True, weight)
@@ -242,18 +242,16 @@ def _floor_cases(draw):
         st.sampled_from((on, math.nextafter(on, -math.inf), math.nextafter(on, math.inf)))
         | st.floats(0, 2)
     )
-    return threshold, total, weight, draw(st.integers(0, total + 1))
+    return threshold, total, weight
 
 
 @settings(max_examples=500, deadline=None)
 @given(_floor_cases())
-@example((0.77, 100, 0.75, 0))  # count 8 sits exactly on the threshold
-@example((math.nextafter(0.77, 1), 100, 0.75, 0))
-@example((0.77, 100, 0.75, 9))  # start above the floor
-@example((1.0, 10, 1.0, 0))  # weight 1: every count scores 1.0
-@example((math.nextafter(1.0, 2), 10, 1.0, 3))  # unreachable
-@example((0.0, 10, 0.0, 0))  # weight 0: count 0 scores 0.0
-@example((2.0, 10, 0.75, 11))  # start past the last count
+@example((0.77, 100, 0.75))  # count 8 sits exactly on the threshold
+@example((math.nextafter(0.77, 1), 100, 0.75))
+@example((1.0, 10, 1.0))  # weight 1: every count scores 1.0
+@example((math.nextafter(1.0, 2), 10, 1.0))  # unreachable
+@example((0.0, 10, 0.0))  # weight 0: count 0 scores 0.0
 def test_min_cover_count_equals_the_linear_scan(case):
     # min_cover_count bisects the cached perfect-score table; the scan
     # scores a perfect rule with count_quality count by count.
