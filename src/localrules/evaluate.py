@@ -10,39 +10,34 @@ encoding. Leave-one-out uses one encoder over all rows: a held-out row is
 counted out of the index's bitsets by the search and taken out of the grid
 fit's value groups, which are sorted once per evaluation.
 
-k-fold walks each fold's test rows as one split. The paper's local rules
-are the projection of the global rules onto the event to classify, and the
-rows of one fold are projections of one training split: they go through one
-encoder, so they share the class bits and the grids, and a component
-display names one component with one match set in all of them. A fold's
-rows are encoded first and held in one search.SplitWalk, and each row is
-predicted through predict_encoded with it: the first row's search walks
-every row of the fold, and each row reads from that walk exactly what a
-walk of the row alone returns, node count included (search.py gives the
-argument). Rows that encode alike, duplicates included, need nothing more.
-An error raised while encoding a row is kept with the row and raised at its
-turn in the predict pass, so the error raised is still the lowest failing
-row's.
-
-Leave-one-out rows have a training split each, all rows but one, and are
-encoded with their row held out (encode.EncodedInstance.held_out): the
-components keep the index's bitsets, and the held-out rows of one class
-share one walk with one row of that class counted out of every count
-(search.py gives the argument). As for a fold, a share's rows are encoded
-first and held in one search.SplitWalk, which walks each held-out class
-once, and each row is predicted through predict_encoded with it: every row
-still searches and combines once, and reads exactly what a walk of its own
-split returns, node count included.
+A fold's rows are walked as one split. The paper's local rules are the
+projection of the global rules onto the event to classify, and the rows of
+one fold are projections of one training split. k-fold's folds are its test
+folds: their rows go through one encoder, so they share the class bits and
+the grids, and a component display names one component with one match set
+in all of them. Leave-one-out's folds are its two classes: each row is
+encoded with itself held out (encode.EncodedInstance.held_out), the
+components keep the index's bitsets, and the rows of one class share one
+walk with one row of that class counted out of every count (search.py gives
+the argument). A fold's rows are encoded first and held in one
+search.SplitWalk, and each row is predicted through predict_encoded with
+it: the first row's search walks every row of the fold, and each row reads
+from that walk exactly what a walk of the row alone returns, node count
+included. Rows that encode alike, duplicates included, need nothing more.
+The encode pass stops at the first row that fails to encode, the rows
+before it are predicted, and then its error is raised, so the error raised
+is still the first failing row's, folds in turn.
 
 All test rows of an evaluation are independent, so threads=N predicts them
 in N processes, the calling one included: the rows, fold by fold, are cut
 into N contiguous runs whose sizes differ by at most one, the caller
 predicts the first and one forked child predicts each other. Each process
-walks the rows of its own run of a fold (for leave-one-out, once per
-held-out class), so only a fold that straddles a run boundary is split:
-k-fold makes at most k + N - 1 walks, not k * N. The merge joins the runs
-in order and all accumulators are integers, so the rendered report is
-byte-identical for any worker count.
+walks the rows of its own run of a fold, so only a fold that straddles a
+run boundary is split: k-fold makes at most k + N - 1 walks, not k * N, and
+leave-one-out at most 2 + N - 1. The merge joins the runs in order, and
+raises the first failing run's error, so the error raised is the one a
+single process raises. All accumulators are integers, so the rendered
+report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -52,6 +47,7 @@ import pickle
 import signal
 from dataclasses import dataclass
 from itertools import groupby, islice
+from operator import itemgetter
 from random import Random
 
 from .data import Dataset
@@ -150,15 +146,20 @@ def worker_count(threads: int, n_items: int, cpus: int) -> int:
 
 
 def _fork_share(run_share, start: int, stop: int) -> tuple:
-    """(pid, read end) of a child that pickles run_share(start, stop) to the pipe."""
+    """(pid, read end) of a child that pickles (True, run_share(start, stop)),
+    or (False, the error it raised), to the pipe."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            answer = pickle.dumps(run_share(start, stop))
+            try:
+                answer = True, run_share(start, stop)
+            except Exception as exc:  # raised by the parent in share order
+                answer = False, exc
+            data = pickle.dumps(answer)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(answer)
+                pipe.write(data)
             status = 0
         finally:
             os._exit(status)
@@ -169,15 +170,15 @@ def _fork_share(run_share, start: int, stop: int) -> tuple:
 def _run_pool(workers: int, run_share, n_items: int) -> list:
     """The results of items 0..n_items-1, in order, over workers processes.
 
-    run_share(start, stop) answers items start..stop-1 in order: (True, their
-    results), or (False, (index, error)) for the first of them that fails.
-    Share w is the contiguous run from w * n_items // workers up to
+    run_share(start, stop) returns the results of items start..stop-1 in
+    order, or raises the error of the first of them that fails. Share w is
+    the contiguous run from w * n_items // workers up to
     (w + 1) * n_items // workers, so share sizes differ by at most one. The
     caller runs share 0 and forks one child per other share; each child
-    pickles back its answer, and the answers are joined in share order. When
-    items fail, the error of the lowest such index is
-    raised, as one process would raise it. Every child is reaped before this
-    returns, and killed first if the caller is interrupted.
+    pickles back its answer, and the answers are joined in share order. The
+    error raised is the first failing share's, so the first failing item's,
+    as one process would raise it. Every child is reaped before this returns,
+    and killed first if the caller's own share raises or is interrupted.
     """
     bounds = [w * n_items // workers for w in range(workers + 1)]
     children = []  # (pid, read end of its pipe)
@@ -185,7 +186,7 @@ def _run_pool(workers: int, run_share, n_items: int) -> list:
     try:
         for w in range(1, workers):
             children.append(_fork_share(run_share, bounds[w], bounds[w + 1]))
-        mine = run_share(0, bounds[1])
+        results = run_share(0, bounds[1])
         piped = [pipe.read() for _, pipe in children]
     finally:
         for pid, pipe in children:
@@ -195,13 +196,10 @@ def _run_pool(workers: int, run_share, n_items: int) -> list:
             pipe.close()
     if not all(piped):
         raise RuntimeError("an evaluation worker process ended without a result")
-    answers = [mine] + [pickle.loads(data) for data in piped]
-    failures = [failure for ok, failure in answers if not ok]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = answers[0][1]
-    for _, more in answers[1:]:
-        results += more
+    for ok, answer in map(pickle.loads, piped):
+        if not ok:
+            raise answer
+        results += answer
     return results
 
 
@@ -209,35 +207,31 @@ def _predict_rows(d: Dataset, params, encoders, folds, held_out: bool, workers: 
     """(label, predicted target, nodes, fell back) per row, fold by fold.
 
     encoders[f] encodes the rows of folds[f]; held_out says that they are
-    rows of its training split, each to be held out of its own query. A
-    fold's rows in one share are walked together (search.SplitWalk): as one
-    split, or for held_out one walk per held-out class (see the module
-    docstring).
+    rows of its training split, each to be held out of its own query, and
+    then each fold holds rows of one class. A fold's rows in one share are
+    walked together, as one search.SplitWalk (see the module docstring).
     """
     items = [(f, row) for f, fold in enumerate(folds) for row in fold]
 
-    def run_share(start: int, stop: int) -> tuple:
+    def run_share(start: int, stop: int) -> list:
         results = []
-        for f, group in groupby(range(start, stop), lambda i: items[i][0]):
-            group = list(group)
-            encoded = []  # each row's query, or the error encoding it raised
-            for i in group:
-                row = items[i][1]
+        for f, group in groupby(items[start:stop], itemgetter(0)):
+            rows = [row for _, row in group]
+            encoded, failure = [], None
+            for row in rows:
                 try:
                     encoded.append(encoders[f](d.rows[row], row if held_out else None))
                 except Exception as exc:
-                    encoded.append(exc)
-            split = SplitWalk([x for x in encoded if not isinstance(x, Exception)])
-            for i, inst in zip(group, encoded):
-                if isinstance(inst, Exception):
-                    return False, (i, inst)
-                try:
-                    p = predict_encoded(inst, params, split)
-                except Exception as exc:
-                    return False, (i, exc)
-                label = d.rows[items[i][1]][d.class_col]
+                    failure = exc  # raised at its turn, after the rows before it
+                    break
+            split = SplitWalk(encoded)
+            for row, inst in zip(rows, encoded):
+                p = predict_encoded(inst, params, split)
+                label = d.rows[row][d.class_col]
                 results.append((label, p.target, p.search.nodes_visited, p.source == SOURCE_PRIOR))
-        return True, results
+            if failure is not None:
+                raise failure
+        return results
 
     return _run_pool(workers, run_share, len(items))
 
@@ -285,9 +279,9 @@ def evaluate_loocv(
 ) -> EvaluationReport:
     workers = worker_count(threads, len(d.rows), available_cpus())
     # A class's lone row, held out, would leave a single-class training split.
-    _rows_by_class(d, 2, "for leave-one-out")
-    encoders = (query_encoder(d, d.rows, mode, overrides),)
-    results = _predict_rows(d, params, encoders, (range(len(d.rows)),), True, workers)
+    by_class = _rows_by_class(d, 2, "for leave-one-out")
+    encode_query = query_encoder(d, d.rows, mode, overrides)
+    results = _predict_rows(d, params, (encode_query,) * len(by_class), by_class, True, workers)
     return _build_report(
         d, params, "loocv", mode, None, None, overrides, (), results, dataset_label
     )

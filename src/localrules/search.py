@@ -531,28 +531,24 @@ def search_split(instances, params: QualityParams) -> list[SearchOutcome]:
 
 
 class SplitWalk:
-    """Queries answered by one search_split walk per held-out class.
+    """Queries answered by one search_split walk.
 
     The queries are those of one training split, or queries that each hold
-    out a row of one index: those share a walk with the queries holding out
-    a row of the same class. A walk runs when the first outcome of one of
-    its queries is asked for, once per params, and a query's outcome is
-    looked up by the query object itself.
+    out a row of one index, the rows all of one class: search_split refuses
+    any other mix. The walk runs when the first outcome of a query is asked
+    for, once per params, and a query's outcome is looked up by the query
+    object itself.
     """
 
     def __init__(self, instances):
-        self._queries: dict[tuple[int, int], list] = {}  # held-out counts -> queries
-        for inst in instances:
-            self._queries.setdefault(inst.held_out_counts, []).append(inst)
-        self._outcomes: dict[tuple, dict[int, SearchOutcome]] = {}
+        self._queries = list(instances)
+        self._outcomes: dict[QualityParams, dict[int, SearchOutcome]] = {}
 
     def outcome(self, inst: EncodedInstance, params: QualityParams) -> SearchOutcome:
-        key = (params, inst.held_out_counts)
-        outcomes = self._outcomes.get(key)
+        outcomes = self._outcomes.get(params)
         if outcomes is None:
-            queries = self._queries.get(key[1], [])
-            walked = search_split(queries, params)
-            outcomes = self._outcomes[key] = dict(zip(map(id, queries), walked))
+            walked = search_split(self._queries, params)
+            outcomes = self._outcomes[params] = dict(zip(map(id, self._queries), walked))
         try:
             return outcomes[id(inst)]
         except KeyError:

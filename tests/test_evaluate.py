@@ -172,6 +172,11 @@ def test_loocv_report_is_identical_for_any_worker_count():
         assert serial.mean_nodes > 0
 
 
+def _loocv_folds(d):
+    """Leave-one-out's folds, as evaluate_loocv deals them: its classes' rows."""
+    return evaluate._rows_by_class(d, 2, "for leave-one-out")
+
+
 def _cut(name, keep):
     """The shipped dataset name with only the attributes in keep, and its class."""
     data = Path(__file__).resolve().parents[1] / "data"
@@ -199,14 +204,13 @@ _SHARING_PARAMS = (
 def test_rows_sharing_a_projection_get_the_unshared_outcome(name, k):
     """Shared searches give each row what its own search gives, at 1 and 2 workers.
 
-    k-fold walks each fold's rows as one split, once per fold in each share
-    that holds some of its rows; leave-one-out walks the rows holding out one
-    class together, once per class and share.
+    Each fold's rows are walked as one split, once in each share that holds
+    some of them; leave-one-out's folds are its classes.
     """
     d = _SHARING_DATASETS[name]()
-    folds = (range(len(d.rows)),) if k is None else stratified_kfold(d, k, seed=1)
-    # One walk per fold, or per class for leave-one-out, each shared by rows.
-    n_walks = len({row[d.class_col] for row in d.rows}) if k is None else k
+    folds = _loocv_folds(d) if k is None else stratified_kfold(d, k, seed=1)
+    # One walk per fold, each shared by rows.
+    n_walks = len(folds)
     assert n_walks < len(d.rows)
 
     def run(params, threads):
@@ -253,9 +257,8 @@ def _run(d, k, threads):
 
 def _rows_in_item_order(d, k):
     """Row per item index of _predict_rows; at 2 workers the caller runs the first half."""
-    if k is None:
-        return list(range(len(d.rows)))
-    return [row for fold in stratified_kfold(d, k, seed=1) for row in fold]
+    folds = _loocv_folds(d) if k is None else stratified_kfold(d, k, seed=1)
+    return [row for fold in folds for row in fold]
 
 
 def _failing_on(rows):
@@ -371,6 +374,23 @@ def test_an_interrupted_caller_kills_its_worker_processes():
     _assert_no_child_left()
 
 
+def test_an_error_in_the_callers_share_kills_its_worker_processes():
+    d = _tagged_dataset()
+    caller = os.getpid()
+
+    def predict(inst, params, split=None):
+        if os.getpid() != caller:
+            time.sleep(60)  # only the kill ends this child in time
+        raise DataError("cannot predict in the caller")
+
+    started = time.monotonic()
+    with mock.patch.object(evaluate, "predict_encoded", predict), \
+            pytest.raises(DataError, match="^cannot predict in the caller$"):
+        _run(d, 3, 2)
+    assert time.monotonic() - started < 30
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 24, 958])
 def test_the_pool_deals_contiguous_shares_and_joins_them_in_order(n, tmp_path):
     log = tmp_path / "shares"
@@ -380,7 +400,7 @@ def test_the_pool_deals_contiguous_shares_and_joins_them_in_order(n, tmp_path):
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         os.write(fd, f"{start} {stop}\n".encode())
         os.close(fd)
-        return True, list(range(start, stop))
+        return list(range(start, stop))
 
     for workers in (1, 2, 3):
         log.write_text("")
@@ -397,9 +417,7 @@ def _shares_in_turn(workers, run_share, n_items):
     """_run_pool's contiguous shares, run one after another in this process."""
     results = []
     for w in range(workers):
-        ok, answer = run_share(w * n_items // workers, (w + 1) * n_items // workers)
-        assert ok, answer
-        results += answer
+        results += run_share(w * n_items // workers, (w + 1) * n_items // workers)
     return results
 
 
@@ -420,6 +438,39 @@ def test_a_fold_is_split_only_where_a_share_boundary_cuts_it():
     # One walk per fold, and one more for the middle fold the boundary cuts.
     assert walks == {1: k, 2: k + 1}
     assert tallied[2] == tallied[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_leave_one_out_walks_each_class_once_per_share_that_holds_it(workers):
+    d = _continuous_dataset(61)
+    n = len(d.rows)
+    # The first class fills items 0..27, so every share boundary (30 at 2
+    # workers, 20 and 40 at 3) cuts one class's run of items.
+    first_class = len(_loocv_folds(d)[0])
+    assert all(0 < w * n // workers != first_class for w in range(1, workers))
+    want = render_report(evaluate_loocv(d, QualityParams()))
+    with mock.patch.object(evaluate, "available_cpus", return_value=workers), \
+            mock.patch.object(evaluate, "_run_pool", _shares_in_turn), \
+            mock.patch.object(search, "search_split", wraps=search.search_split) as walked:
+        text = render_report(evaluate_loocv(d, QualityParams(), threads=workers))
+    # One walk per class, and one more per boundary.
+    assert walked.call_count == workers + 1
+    assert text == want
+
+
+def test_the_pool_raises_the_first_failing_shares_error():
+    # 9 items at 3 workers share out from 0, 3 and 6.
+    def run_share(start, stop):
+        if start == 3:
+            time.sleep(0.2)  # share 6 fails first in time
+        if start in failing:
+            raise DataError(f"share at {start}")
+        return list(range(start, stop))
+
+    for failing, first in (({3, 6}, 3), ({0, 6}, 0), ({6}, 6)):
+        with pytest.raises(DataError, match=f"^share at {first}$"):
+            evaluate._run_pool(3, run_share, 9)
+        _assert_no_child_left()
 
 
 def test_available_cpus_honours_the_affinity_mask(monkeypatch):
